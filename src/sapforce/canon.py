@@ -97,23 +97,21 @@ def canonical_labeling(g: Graph) -> list[int]:
     return best
 
 
+def _canonical_relabel(g: Graph, cap: int) -> Graph:
+    _check_cap(g.n, cap, "vertex count")
+    perm = [0] * (g.n + 1)
+    for new, old in enumerate(canonical_labeling(g), start=1):
+        perm[old] = new
+    return g.relabel(perm)
+
+
 def canonical_form(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalForm:
     """Equal outputs exactly for isomorphic inputs."""
-    _check_cap(g.n, cap, "vertex count")
-    order = canonical_labeling(g)
-    perm = [0] * (g.n + 1)
-    for new, old in enumerate(order, start=1):
-        perm[old] = new
-    return CanonicalForm(g.relabel(perm).to_graph6())
+    return CanonicalForm(_canonical_relabel(g, cap).to_graph6())
 
 
 def canonical_graph(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    _check_cap(g.n, cap, "vertex count")
-    order = canonical_labeling(g)
-    perm = [0] * (g.n + 1)
-    for new, old in enumerate(order, start=1):
-        perm[old] = new
-    return g.relabel(perm)
+    return _canonical_relabel(g, cap)
 
 
 def are_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> bool:

@@ -213,9 +213,7 @@ def cmd_minors(args) -> int:
             print("minor: no")
         return EXIT_OK
     eta = hadwiger(g, cap=max(10, g.n))
-    from itertools import combinations
-    kp = Graph.from_edges(eta, list(combinations(range(1, eta + 1), 2)))
-    _, witness = has_minor(g, kp, cap=max(10, g.n))
+    _, witness = has_minor(g, families.complete(eta), cap=max(10, g.n))
     sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness or ())
     print(f"largest complete minor: {eta}; branch sets: {sets}")
     return EXIT_OK

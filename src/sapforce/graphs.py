@@ -289,6 +289,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+NonEdgePair = tuple[int, int]
+
+
+def _pair(u: int, v: int) -> NonEdgePair:
+    return (u, v) if u < v else (v, u)
+
+
+def sorted_non_edge(g: Graph, u: int, v: int) -> NonEdgePair:
+    if not (1 <= u <= g.n and 1 <= v <= g.n):
+        raise ValueError(f"{{{u},{v}}} outside 1..{g.n}")
+    if u == v or g.has_edge(u, v):
+        raise ValueError(f"{{{u},{v}}} is not a non-edge")
+    return _pair(u, v)
+
+
 # -- graph6 codec -----------------------------------------------------
 #
 # Standard printable encoding: N(n) followed by the upper triangle packed

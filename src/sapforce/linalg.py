@@ -17,11 +17,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits
-from .sapgame import NonEdgePair, sorted_non_edge
+from .graphs import Graph, NonEdgePair, _pair, sorted_non_edge
 
 
 class PatternError(ValueError):
@@ -92,32 +91,8 @@ class RationalMatrix:
         return out, scales
 
     def rank(self) -> int:
-        """Exact rank by fraction-free elimination with first-nonzero pivoting."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        m, _ = self._integer_rows()
-        rows, cols = self.rows, self.cols
-        prev = 1
-        r = 0
-        for c in range(cols):
-            pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-            piv = m[r][c]
-            mr = m[r]
-            for i in range(r + 1, rows):
-                mi = m[i]
-                mic = mi[c]
-                for j in range(c + 1, cols):
-                    mi[j] = (mi[j] * piv - mic * mr[j]) // prev
-                mi[c] = 0
-            prev = piv
-            r += 1
-            if r == rows:
-                break
-        return r
+        """Exact rank by fraction-free elimination."""
+        return _bareiss(self._integer_rows()[0], self.cols)[0]
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -125,31 +100,42 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
         m, scales = self._integer_rows()
-        sign = 1
-        prev = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            piv = m[c][c]
-            for i in range(c + 1, n):
-                mic = m[i][c]
-                mi, mc = m[i], m[c]
-                for j in range(c + 1, n):
-                    mi[j] = (mi[j] * piv - mic * mc[j]) // prev
-                mi[c] = 0
-            prev = piv
-        det_scaled = Fraction(sign * m[n - 1][n - 1])
-        for s in scales:
-            det_scaled /= s
-        return det_scaled
+        r, sign, last = _bareiss(m, self.cols)
+        if r < self.rows:
+            return Fraction(0)
+        # the last pivot is the determinant of the row-scaled matrix
+        return Fraction(sign * last, prod(scales))
+
+
+def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination of integer rows, in place, with
+    first-nonzero pivoting; returns (rank, sign of the row swaps, last
+    pivot)."""
+    rows = len(m)
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        piv = m[r][c]
+        mr = m[r]
+        for i in range(r + 1, rows):
+            mi = m[i]
+            mic = mi[c]
+            for j in range(c + 1, cols):
+                mi[j] = (mi[j] * piv - mic * mr[j]) // prev
+            mi[c] = 0
+        prev = piv
+        r += 1
+    return r, sign, prev
 
 
 def rank(m: RationalMatrix) -> int:
@@ -278,7 +264,7 @@ class SapMatrix:
         return (k - 1) * self.host.n + (i - 1)
 
     def column_index(self, e: NonEdgePair) -> int:
-        return self.nonedge_order.index(_normalize(e))
+        return self.nonedge_order.index(_pair(*e))
 
     def rank(self) -> int:
         return self.psi.rank()
@@ -297,11 +283,6 @@ class SapMatrix:
                     k, i = divmod(r, n)
                     lines.append(f"{i + 1} {k + 1} {j} {h} {val}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _normalize(e: NonEdgePair) -> NonEdgePair:
-    u, v = e
-    return (u, v) if u < v else (v, u)
 
 
 def build_sap_matrix(

@@ -78,22 +78,21 @@ class ParameterReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _param_computers(t3: T3FamilyData | None) -> dict[str, Callable[[Graph], object]]:
-    return {
-        "Z": lambda g: min_zfs(g, Rule.Z, cap=max(10, g.n))[0],
-        "Zl": lambda g: min_zfs(g, Rule.ZL, cap=max(10, g.n))[0],
-        "Zplus": lambda g: min_zfs(g, Rule.ZPLUS, cap=max(10, g.n))[0],
-        "FloorZ": lambda g: min_zfs(g, Rule.FLOOR, cap=max(10, g.n))[0],
-        "Zsap": lambda g: sap_forcing_number(g, Rule.Z)[0],
-        "Zsapl": lambda g: sap_forcing_number(g, Rule.ZL)[0],
-        "Zsapp": lambda g: sap_forcing_number(g, Rule.ZPLUS)[0],
-        "Zvc": lambda g: vc_forcing_number(g, Rule.Z, cap=max(10, g.n))[0],
-        "Zvcl": lambda g: vc_forcing_number(g, Rule.ZL, cap=max(10, g.n))[0],
-        "beta_complement": lambda g: vertex_cover_number(g.complement(), cap=max(10, g.n)),
-        "hadwiger": lambda g: hadwiger(g, cap=max(10, g.n)),
-        "M_small": m_small,
-        "xi": lambda g: xi(g, t3).value,
-    }
+# every parameter but "xi", which compute_report handles with its certificate
+_PARAM_COMPUTERS: dict[str, Callable[[Graph], int]] = {
+    "Z": lambda g: min_zfs(g, Rule.Z, cap=max(10, g.n))[0],
+    "Zl": lambda g: min_zfs(g, Rule.ZL, cap=max(10, g.n))[0],
+    "Zplus": lambda g: min_zfs(g, Rule.ZPLUS, cap=max(10, g.n))[0],
+    "FloorZ": lambda g: min_zfs(g, Rule.FLOOR, cap=max(10, g.n))[0],
+    "Zsap": lambda g: sap_forcing_number(g, Rule.Z)[0],
+    "Zsapl": lambda g: sap_forcing_number(g, Rule.ZL)[0],
+    "Zsapp": lambda g: sap_forcing_number(g, Rule.ZPLUS)[0],
+    "Zvc": lambda g: vc_forcing_number(g, Rule.Z, cap=max(10, g.n))[0],
+    "Zvcl": lambda g: vc_forcing_number(g, Rule.ZL, cap=max(10, g.n))[0],
+    "beta_complement": lambda g: vertex_cover_number(g.complement(), cap=max(10, g.n)),
+    "hadwiger": lambda g: hadwiger(g, cap=max(10, g.n)),
+    "M_small": m_small,
+}
 
 
 _FLAG_COMPUTERS: dict[str, Callable[[Graph], bool]] = {
@@ -123,9 +122,8 @@ def compute_report(
     g6 = canonical_form(g, cap=max(10, g.n)).bytes
     report = ParameterReport(g6)
     refused: dict[str, str] = {}
-    computers = _param_computers(t3)
     for name in params:
-        if name not in computers:
+        if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}; expected one of {PARAM_NAMES}")
         cached = cache.get(g6, name) if cache else None
         if cached is not None:
@@ -137,7 +135,7 @@ def compute_report(
                 report.params[name] = cert.value
                 report.certificates["xi"] = cert.to_record(g)
             else:
-                report.params[name] = computers[name](g)
+                report.params[name] = _PARAM_COMPUTERS[name](g)
         except (CapExceededError, MSizeError) as exc:
             if collect_guards:
                 refused[name] = str(exc)
@@ -211,18 +209,28 @@ def survey_graphs(graphs: list[Graph], n: int) -> SurveyRow:
 #
 # One JSON record per line, keyed by (canonical graph6, parameter name,
 # code version); the file is never rewritten, so it doubles as an audit log.
+# Lines that do not hold a record (say, one cut short by an interrupted
+# write) are skipped and counted in ``skipped``.
 
 class ResultCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._store: dict[tuple[str, str], int] = {}
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
-                    continue
+        self.skipped = 0
+        text = self.path.read_text() if self.path.exists() else ""
+        # the next append must not glue its record onto a cut-off line
+        self._needs_newline = bool(text) and not text.endswith("\n")
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
-                if rec.get("version") == CODE_VERSION:
-                    self._store[(rec["graph6"], rec["param"])] = rec["value"]
+                key, value = (rec["graph6"], rec["param"]), rec["value"]
+            except (ValueError, TypeError, KeyError):
+                self.skipped += 1
+                continue
+            if rec.get("version") == CODE_VERSION:
+                self._store[key] = value
 
     def get(self, graph6: str, param: str) -> int | None:
         return self._store.get((graph6, param))
@@ -232,6 +240,9 @@ class ResultCache:
             return
         self._store[(graph6, param)] = value
         with self.path.open("a") as fh:
+            if self._needs_newline:
+                fh.write("\n")
+                self._needs_newline = False
             fh.write(json.dumps({"graph6": graph6, "param": param,
                                  "value": value, "version": CODE_VERSION},
                                 sort_keys=True) + "\n")

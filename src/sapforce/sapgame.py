@@ -22,27 +22,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import CapExceededError, Graph, _check_cap, bits, mask_of
+from .graphs import (Graph, NonEdgePair, _check_cap, _pair, bits,
+                     sorted_non_edge)
 from .zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
 
 DEFAULT_NONEDGE_CAP = 20
 DEFAULT_VC_CAP = 10
-
-NonEdgePair = tuple[int, int]
-
-
-def _pair(u: int, v: int) -> NonEdgePair:
-    return (u, v) if u < v else (v, u)
-
-
-def sorted_non_edge(g: Graph, u: int, v: int) -> NonEdgePair:
-    if not (1 <= u <= g.n and 1 <= v <= g.n):
-        raise ValueError(f"{{{u},{v}}} outside 1..{g.n}")
-    if u == v or g.has_edge(u, v):
-        raise ValueError(f"{{{u},{v}}} is not a non-edge")
-    return _pair(u, v)
 
 
 @dataclass(frozen=True)
@@ -147,11 +134,6 @@ def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int
     return frozenset(bits(local_blue_mask(g, coloring, k)))
 
 
-def _local_first_forces(g: Graph, coloring: NonEdgeColoring, k: int, rule: Rule):
-    """First-round forces of the local game at k, as (forcer, target) pairs."""
-    return single_forces(g, local_blue_mask(g, coloring, k), rule)
-
-
 def _white_adjacency(g: Graph, coloring: NonEdgeColoring) -> list[int]:
     white_adj = [0] * (g.n + 1)
     for u, v in coloring.white_nonedges():
@@ -197,6 +179,33 @@ def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycle
     return out
 
 
+def _legal_moves(
+    g: Graph,
+    coloring: NonEdgeColoring,
+    rule: Rule,
+    restriction: VcRestriction,
+) -> Iterator[SapForce]:
+    """Every legal move in policy order: odd cycle applications (vertices
+    ascending), then forcing triples lexicographic by (non-edge, local-game
+    vertex, forcer).  The rule is checked here, before any move is made."""
+    if rule not in CONVENTIONAL_RULES:
+        raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
+
+    def moves() -> Iterator[SapForce]:
+        yield from odd_cycle_applications(g, coloring)
+        # first-round forces of the local game at k, computed once per k
+        local_forces: dict[int, list] = {}
+        for a, b in sorted(coloring.white_nonedges()):
+            for k, j in ((a, b), (b, a)):
+                if k not in local_forces:
+                    local_forces[k] = single_forces(g, local_blue_mask(g, coloring, k), rule)
+                for f in local_forces[k]:
+                    if f.target == j and restriction.allows(g, k, f.source):
+                        yield TripleForce(k, f.source, j)
+
+    return moves()
+
+
 def applicable_triples(
     g: Graph,
     coloring: NonEdgeColoring,
@@ -205,18 +214,8 @@ def applicable_triples(
 ) -> list[TripleForce]:
     """Every forcing triple available at this position, lexicographic by
     (non-edge, local-game vertex, forcer)."""
-    if rule not in CONVENTIONAL_RULES:
-        raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
-    out: list[TripleForce] = []
-    force_cache: dict[int, list] = {}
-    for a, b in sorted(coloring.white_nonedges()):
-        for k, j in ((a, b), (b, a)):
-            if k not in force_cache:
-                force_cache[k] = _local_first_forces(g, coloring, k, rule)
-            for f in force_cache[k]:
-                if f.target == j and restriction.allows(g, k, f.source):
-                    out.append(TripleForce(k, f.source, j))
-    return out
+    return [m for m in _legal_moves(g, coloring, rule, restriction)
+            if isinstance(m, TripleForce)]
 
 
 def applicable_forces(
@@ -226,31 +225,7 @@ def applicable_forces(
     restriction: VcRestriction = VcRestriction(),
 ) -> list[SapForce]:
     """All moves at this position: odd cycle applications, then triples."""
-    moves: list[SapForce] = list(odd_cycle_applications(g, coloring))
-    moves.extend(applicable_triples(g, coloring, rule, restriction))
-    return moves
-
-
-def _first_move(
-    g: Graph,
-    coloring: NonEdgeColoring,
-    rule: Rule,
-    restriction: VcRestriction,
-) -> SapForce | None:
-    """Deterministic policy: odd cycles first (vertices ascending), then the
-    lexicographically first white non-edge with a realizable triple."""
-    cycles = odd_cycle_applications(g, coloring)
-    if cycles:
-        return cycles[0]
-    force_cache: dict[int, list] = {}
-    for a, b in sorted(coloring.white_nonedges()):
-        for k, j in ((a, b), (b, a)):
-            if k not in force_cache:
-                force_cache[k] = _local_first_forces(g, coloring, k, rule)
-            for f in force_cache[k]:
-                if f.target == j and restriction.allows(g, k, f.source):
-                    return TripleForce(k, f.source, j)
-    return None
+    return list(_legal_moves(g, coloring, rule, restriction))
 
 
 def sap_closure(
@@ -262,20 +237,22 @@ def sap_closure(
 ) -> tuple[NonEdgeColoring, list[SapForce]]:
     """Run the game to a fixed point.
 
-    Deterministic by default; passing ``rng`` picks a uniformly random
-    applicable move at every step instead, which is the order-exploration
-    mode used to probe order independence empirically.
+    Deterministic by default: every step makes the first legal move in
+    policy order.  Passing ``rng`` picks a uniformly random legal move at
+    every step instead, which is the order-exploration mode used to probe
+    order independence empirically.
     """
     coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
     if coloring.host != g:
         raise ValueError("coloring belongs to a different host graph")
     trace: list[SapForce] = []
     while True:
+        moves = _legal_moves(g, coloring, rule, restriction)
         if rng is None:
-            move = _first_move(g, coloring, rule, restriction)
+            move = next(moves, None)
         else:
-            moves = applicable_forces(g, coloring, rule, restriction)
-            move = rng.choice(moves) if moves else None
+            legal = list(moves)
+            move = rng.choice(legal) if legal else None
         if move is None:
             return coloring, trace
         coloring = coloring.with_blue(move.colored())
@@ -292,8 +269,7 @@ def replay_trace(
     """Re-apply a recorded trace, checking every move is legal at its step."""
     coloring = NonEdgeColoring.start(g, blue)
     for t, move in enumerate(trace, start=1):
-        legal = applicable_forces(g, coloring, rule, restriction)
-        if move not in legal:
+        if move not in _legal_moves(g, coloring, rule, restriction):
             raise ValueError(f"step {t}: {move} is not applicable")
         coloring = coloring.with_blue(move.colored())
     return coloring

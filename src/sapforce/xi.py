@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_form
+from .families import complete
 from .graphs import CapExceededError, Graph, GraphError, parse_edge_list
 from .minors import BranchSets, has_minor, hadwiger
 from .sapgame import is_zsap_zero, vc_forcing_number
@@ -180,7 +181,7 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
         )
     eta = hadwiger(g, cap=max(10, g.n))
     if floor == eta - 1:
-        _, branches = has_minor(g, _complete(eta), cap=max(10, g.n))
+        _, branches = has_minor(g, complete(eta), cap=max(10, g.n))
         return XiCertificate(
             CASE_HADWIGER, floor,
             {"clique_minor_order": eta,
@@ -199,11 +200,6 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
             )
     raise XiUnresolvedError(g, {"max_nullity": m, "floor": floor,
                                 "vc_game_value": vc, "clique_minor_order": eta})
-
-
-def _complete(n: int) -> Graph:
-    from itertools import combinations
-    return Graph.from_edges(n, list(combinations(range(1, n + 1), 2)))
 
 
 def xi(g: Graph, family: T3FamilyData | None = None) -> XiCertificate:

@@ -64,7 +64,12 @@ def format_trace(forces: list[Force]) -> str:
 
 
 def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
-    """All forces the rule allows at this exact state, ascending by source."""
+    """All forces the rule allows at this exact state; every target is white.
+
+    Z and Zl forces come ascending by source (Zl self-forces after the
+    regular ones, ascending); Zplus forces are grouped by white component,
+    then ascending by source within each component.
+    """
     adj = g.adj
     full = g.full_mask
     white = full & ~blue
@@ -90,40 +95,11 @@ def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
 
 
 def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
-    adj = g.adj
-    full = g.full_mask
-    if rule in (Rule.Z, Rule.ZL):
-        allow_self = rule is Rule.ZL
-        while blue != full:
-            before = blue
-            white = full & ~blue
-            for i in bits(blue):
-                w = adj[i] & white
-                if w and not w & (w - 1):
-                    blue |= w
-                    white &= ~w
-            if allow_self:
-                for i in bits(white):
-                    if adj[i] and not adj[i] & white:
-                        blue |= 1 << i
-                        white &= ~(1 << i)
-            if blue == before:
-                break
-        return blue
-    if rule is Rule.ZPLUS:
-        while blue != full:
-            before = blue
-            white = full & ~blue
-            for comp in g.component_masks(white):
-                for i in bits(blue):
-                    w = adj[i] & comp
-                    if w and not w & (w - 1):
-                        blue |= w
-                        comp &= ~w
-            if blue == before:
-                break
-        return blue
-    raise ValueError("closure is defined for conventional rules only")
+    """Apply every available force until none is left."""
+    while forces := single_forces(g, blue, rule):
+        for f in forces:
+            blue |= 1 << f.target
+    return blue
 
 
 def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[frozenset[int], list[Force]]:
@@ -132,11 +108,7 @@ def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[froz
         raise ValueError("closure is defined for conventional rules only")
     mask = mask_of(blue)
     trace: list[Force] = []
-    while True:
-        forces = single_forces(g, mask, rule)
-        forces = [f for f in forces if not mask >> f.target & 1]
-        if not forces:
-            break
+    while forces := single_forces(g, mask, rule):
         f = forces[0]
         trace.append(f)
         mask |= 1 << f.target

@@ -58,6 +58,27 @@ def test_cache_roundtrip(tmp_path, kite):
     assert path.stat().st_size == size
 
 
+def test_cache_survives_truncated_last_line(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    assert run_cli("param", "--graph", "p4", "--params", "Z", "--flags", "",
+                   "--cache", str(path)) == 0
+    with path.open("a") as fh:
+        fh.write('{"graph6": "C~", "param": "Zs')  # an interrupted write
+    cache = ResultCache(path)
+    assert cache.skipped == 1
+    capsys.readouterr()
+    assert run_cli("param", "--graph", "p4", "--params", "Z,Zl", "--flags", "",
+                   "--cache", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"Z": 1, "Zl": 1}
+    # the new record starts on its own line, after the partial one
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
+    assert json.loads(lines[2])["param"] == "Zl"
+    warm = ResultCache(path)
+    assert warm.skipped == 1
+    assert warm.get(json.loads(lines[0])["graph6"], "Zl") == 1
+
+
 def test_cli_param_stdout(capsys):
     assert run_cli("param", "--graph", "p4", "--params", "Z,FloorZ,Zsap,Zvc,xi",
                    "--flags", "zsap_zero") == 0

@@ -101,6 +101,22 @@ def test_complementary_closure(k3_join_o4):
     assert complementary_closure(g, comp_cover) == frozenset(g.non_edges())
 
 
+def test_floor_rule_refused_on_every_path():
+    # star(3) finishes by one odd cycle application, so no local game runs;
+    # the rule must still be refused before the first move
+    star = families.star(3)
+    start = NonEdgeColoring.start(star)
+    _, trace = sap_closure(star, (), Rule.Z)
+    for call in (lambda: sap_closure(star, (), Rule.FLOOR),
+                 lambda: sap_closure(star, (), Rule.FLOOR, rng=random.Random(0)),
+                 lambda: is_zsap_zero(star, Rule.FLOOR),
+                 lambda: applicable_forces(star, start, Rule.FLOOR),
+                 lambda: applicable_triples(star, start, Rule.FLOOR),
+                 lambda: replay_trace(star, (), trace, Rule.FLOOR)):
+        with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
+            call()
+
+
 def test_vc_game(k3_join_o4):
     value, witness = vc_forcing_number(k3_join_o4, Rule.Z)
     assert value == 1 and len(witness) == 1
