@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import CapExceededError, Graph, _check_cap, bits
-
-DEFAULT_VERTEX_CAP = 10
+from .graphs import CapExceededError, Graph, bits
 
 
 @dataclass(frozen=True)
@@ -97,29 +95,28 @@ def canonical_labeling(g: Graph) -> list[int]:
     return best
 
 
-def _canonical_relabel(g: Graph, cap: int) -> Graph:
-    _check_cap(g.n, cap, "vertex count")
+def _canonical_relabel(g: Graph) -> Graph:
     perm = [0] * (g.n + 1)
     for new, old in enumerate(canonical_labeling(g), start=1):
         perm[old] = new
     return g.relabel(perm)
 
 
-def canonical_form(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalForm:
+def canonical_form(g: Graph) -> CanonicalForm:
     """Equal outputs exactly for isomorphic inputs."""
-    return CanonicalForm(_canonical_relabel(g, cap).to_graph6())
+    return CanonicalForm(_canonical_relabel(g).to_graph6())
 
 
-def canonical_graph(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    return _canonical_relabel(g, cap)
+def canonical_graph(g: Graph) -> Graph:
+    return _canonical_relabel(g)
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.num_edges() != h.num_edges():
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return canonical_form(g, cap) == canonical_form(h, cap)
+    return canonical_form(g) == canonical_form(h)
 
 
 @lru_cache(maxsize=None)

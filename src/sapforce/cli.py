@@ -2,7 +2,8 @@
 
 Subcommands: param, trace, verify-sap, survey, verify-xi, minors.
 Exit codes: 0 verified/ok, 1 property violation found, 2 input error,
-3 cap or guard refusal.
+3 size refusal: a cap set in ``report`` (``param`` and ``minors`` only), or
+a limit of the theory or of the built-in enumeration.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .graphs import (CapExceededError, Graph, GraphError, parse_edge_list,
 from .linalg import PatternFamily, has_sap, sample_matrix
 from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
-                     SurveyRow, compute_report, survey_graphs)
-from .sapgame import format_sap_trace, replay_trace, sap_closure
+                     SurveyRow, check_vertex_cap, compute_report, survey_graphs)
+from .sapgame import format_sap_trace, is_zsap_zero, replay_trace, sap_closure
 from .xi import (ConfigurationError, MSizeError, XiUnresolvedError,
                  load_t3_family, xi)
 from .zeroforcing import Rule, min_zfs
@@ -72,23 +73,14 @@ def cmd_param(args) -> int:
         f for f in args.flags.split(",") if f)
     t3 = load_t3_family(args.t3_data)
     cache = ResultCache(args.cache) if args.cache else None
-    report, refused = compute_report(g, list(params), list(flags), t3, cache,
-                                     collect_guards=True)
+    report = compute_report(g, list(params), list(flags), t3, cache)
     out = report.to_json()
-    if refused:
-        # keep the computed fields, but name every refused parameter
-        import json
-        payload = json.loads(out)
-        payload["refused"] = refused
-        out = json.dumps(payload, sort_keys=True)
     if args.out:
         Path(args.out).write_text(out + "\n")
     print(out)
-    if refused:
-        for name, reason in refused.items():
-            print(f"refused: parameter {name}: {reason}", file=sys.stderr)
-        return EXIT_GUARD
-    return EXIT_OK
+    for name, reason in report.refused.items():
+        print(f"refused: parameter {name}: {reason}", file=sys.stderr)
+    return EXIT_GUARD if report.refused else EXIT_OK
 
 
 def cmd_trace(args) -> int:
@@ -115,7 +107,6 @@ def cmd_verify_sap(args) -> int:
     g = load_graph(args.graph, args.indexing)
     family = PatternFamily.from_label(args.family)
     rule = FAMILY_RULES[family]
-    from .sapgame import is_zsap_zero
     flag = is_zsap_zero(g, rule)
     passes = 0
     failures = []
@@ -203,17 +194,18 @@ def cmd_verify_xi(args) -> int:
 
 def cmd_minors(args) -> int:
     g = load_graph(args.graph, args.indexing)
+    check_vertex_cap(g)
     if args.pattern:
         h = load_graph(args.pattern, args.indexing)
-        hit, witness = has_minor(g, h, cap=max(10, g.n))
+        hit, witness = has_minor(g, h)
         if hit:
             sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness)
             print(f"minor: yes; branch sets: {sets}")
         else:
             print("minor: no")
         return EXIT_OK
-    eta = hadwiger(g, cap=max(10, g.n))
-    _, witness = has_minor(g, families.complete(eta), cap=max(10, g.n))
+    eta = hadwiger(g)
+    _, witness = has_minor(g, families.complete(eta))
     sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness or ())
     print(f"largest complete minor: {eta}; branch sets: {sets}")
     return EXIT_OK

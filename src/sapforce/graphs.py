@@ -27,12 +27,8 @@ class Graph6Error(GraphError):
 
 
 class CapExceededError(GraphError):
-    """An operation was asked to exceed its configured size cap."""
-
-
-def _check_cap(value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise CapExceededError(f"{what} {value} exceeds cap {cap}; raise the cap to proceed")
+    """An input exceeds a size limit: a command's cap on an exhaustive search,
+    or the range that a result or the built-in enumeration covers."""
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,14 @@
 canonical forms) and looks for a subgraph embedding of the pattern at each
 stage; a hit is translated back into disjoint connected branch sets of the
 original graph, which is the witness callers get.  Everything here is exact
-and intended for graphs within the configured vertex cap.
+and takes no size limit: the searches are exponential in the vertex count,
+so callers decide which graphs are small enough.
 """
 
 from __future__ import annotations
 
 from .canon import canonical_form
-from .graphs import Graph, _check_cap, bits, mask_of
-
-DEFAULT_MINOR_CAP = 10
+from .graphs import Graph, bits, mask_of
 
 BranchSets = tuple[frozenset[int], ...]
 
@@ -50,16 +49,13 @@ def _embed_subgraph(host: Graph, pattern: Graph) -> list[int] | None:
     return image if place(0) else None
 
 
-def has_minor(
-    g: Graph, h: Graph, cap: int = DEFAULT_MINOR_CAP
-) -> tuple[bool, BranchSets | None]:
+def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
     """Decide whether h is a minor of g; on success return branch sets.
 
     The witness is one connected branch set per pattern vertex (in pattern
     vertex order), pairwise disjoint, with an original edge of g between the
     branch sets of every pattern edge.
     """
-    _check_cap(g.n, cap, "host vertex count")
     if h.n > g.n or h.num_edges() > g.num_edges():
         return False, None
     if h.n == 0:
@@ -70,7 +66,7 @@ def has_minor(
     def dfs(cur: Graph, blobs: list[frozenset[int]]) -> BranchSets | None:
         if cur.n < h.n or cur.num_edges() < h.num_edges():
             return None
-        key = canonical_form(cur, cap=cap).bytes
+        key = canonical_form(cur).bytes
         if key in seen:
             return None
         image = _embed_subgraph(cur, h)
@@ -113,9 +109,8 @@ def clique_number(g: Graph) -> int:
     return best
 
 
-def hadwiger(g: Graph, cap: int = DEFAULT_MINOR_CAP) -> int:
+def hadwiger(g: Graph) -> int:
     """Largest p such that g has a complete minor on p vertices."""
-    _check_cap(g.n, cap, "vertex count")
     if g.n == 0:
         return 0
     best = 0
@@ -125,7 +120,7 @@ def hadwiger(g: Graph, cap: int = DEFAULT_MINOR_CAP) -> int:
         nonlocal best
         if cur.n <= best:
             return
-        key = canonical_form(cur, cap=cap).bytes
+        key = canonical_form(cur).bytes
         if key in seen:
             return
         seen.add(key)
@@ -137,9 +132,8 @@ def hadwiger(g: Graph, cap: int = DEFAULT_MINOR_CAP) -> int:
     return best
 
 
-def vertex_cover_number(g: Graph, cap: int = DEFAULT_MINOR_CAP) -> int:
+def vertex_cover_number(g: Graph) -> int:
     """Minimum number of vertices meeting every edge, by branch and bound."""
-    _check_cap(g.n, cap, "vertex count")
     adj = g.adj
     best = g.n
 

@@ -9,10 +9,10 @@ from pathlib import Path
 from typing import Callable
 
 from .canon import canonical_form
-from .graphs import Graph
+from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
 from .sapgame import is_zsap_zero, sap_forcing_number, vc_forcing_number
-from .xi import T3FamilyData, m_small, t3_minor, xi
+from .xi import MSizeError, T3FamilyData, m_small, t3_minor, xi
 from .zeroforcing import Rule, min_zfs
 
 CODE_VERSION = "0.1.0"
@@ -24,9 +24,26 @@ PARAM_NAMES = (
 )
 FLAG_NAMES = ("zsap_zero", "zsapl_zero", "zsapp_zero", "t3_minor")
 
+# The parameters are exhaustive searches, exponential in the graph size, and
+# the library functions take no size limit; these caps, applied only here,
+# keep every report inside bounded time.
+VERTEX_CAP = 10
+NONEDGE_CAP = 20
+_NONEDGE_CAPPED = ("Zsap", "Zsapl", "Zsapp")
+
 
 class ReportInvariantError(RuntimeError):
     """A computed report violates one of the known inequality chains."""
+
+
+def _check_cap(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise CapExceededError(f"{what} {value} exceeds cap {limit}")
+
+
+def check_vertex_cap(g: Graph) -> None:
+    """Refuse a graph with more than ``VERTEX_CAP`` vertices."""
+    _check_cap(g.n, VERTEX_CAP, "vertex count")
 
 
 @dataclass
@@ -35,6 +52,7 @@ class ParameterReport:
     params: dict[str, int] = field(default_factory=dict)
     flags: dict[str, bool] = field(default_factory=dict)
     certificates: dict[str, object] = field(default_factory=dict)
+    refused: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
         p, f = self.params, self.flags
@@ -75,22 +93,24 @@ class ParameterReport:
             "certificates": self.certificates,
             "version": CODE_VERSION,
         }
+        if self.refused:
+            payload["refused"] = self.refused
         return json.dumps(payload, sort_keys=True)
 
 
 # every parameter but "xi", which compute_report handles with its certificate
 _PARAM_COMPUTERS: dict[str, Callable[[Graph], int]] = {
-    "Z": lambda g: min_zfs(g, Rule.Z, cap=max(10, g.n))[0],
-    "Zl": lambda g: min_zfs(g, Rule.ZL, cap=max(10, g.n))[0],
-    "Zplus": lambda g: min_zfs(g, Rule.ZPLUS, cap=max(10, g.n))[0],
-    "FloorZ": lambda g: min_zfs(g, Rule.FLOOR, cap=max(10, g.n))[0],
+    "Z": lambda g: min_zfs(g, Rule.Z)[0],
+    "Zl": lambda g: min_zfs(g, Rule.ZL)[0],
+    "Zplus": lambda g: min_zfs(g, Rule.ZPLUS)[0],
+    "FloorZ": lambda g: min_zfs(g, Rule.FLOOR)[0],
     "Zsap": lambda g: sap_forcing_number(g, Rule.Z)[0],
     "Zsapl": lambda g: sap_forcing_number(g, Rule.ZL)[0],
     "Zsapp": lambda g: sap_forcing_number(g, Rule.ZPLUS)[0],
-    "Zvc": lambda g: vc_forcing_number(g, Rule.Z, cap=max(10, g.n))[0],
-    "Zvcl": lambda g: vc_forcing_number(g, Rule.ZL, cap=max(10, g.n))[0],
-    "beta_complement": lambda g: vertex_cover_number(g.complement(), cap=max(10, g.n)),
-    "hadwiger": lambda g: hadwiger(g, cap=max(10, g.n)),
+    "Zvc": lambda g: vc_forcing_number(g, Rule.Z)[0],
+    "Zvcl": lambda g: vc_forcing_number(g, Rule.ZL)[0],
+    "beta_complement": lambda g: vertex_cover_number(g.complement()),
+    "hadwiger": hadwiger,
     "M_small": m_small,
 }
 
@@ -108,20 +128,17 @@ def compute_report(
     flags: list[str] | None = None,
     t3: T3FamilyData | None = None,
     cache: "ResultCache | None" = None,
-    collect_guards: bool = False,
-) -> ParameterReport | tuple[ParameterReport, dict[str, str]]:
-    """Compute the requested fields; guard errors carry the parameter name.
+) -> ParameterReport:
+    """Compute the requested fields of a graph on at most ``VERTEX_CAP``
+    vertices; a larger graph raises ``CapExceededError``.
 
-    With ``collect_guards`` the cap/guard refusals do not abort the report:
-    they come back in a side map so a batch caller can keep the parameters
-    that were computable.
+    A parameter refused for its size (Zsap, Zsapl and Zsapp beyond
+    ``NONEDGE_CAP`` non-edges, or one outside the range where it is known)
+    lands in ``report.refused`` with the reason, and the rest are computed.
     """
-    from .graphs import CapExceededError
-    from .xi import MSizeError
-
-    g6 = canonical_form(g, cap=max(10, g.n)).bytes
+    check_vertex_cap(g)
+    g6 = canonical_form(g).bytes
     report = ParameterReport(g6)
-    refused: dict[str, str] = {}
     for name in params:
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}; expected one of {PARAM_NAMES}")
@@ -130,6 +147,8 @@ def compute_report(
             report.params[name] = cached
             continue
         try:
+            if name in _NONEDGE_CAPPED:
+                _check_cap(len(g.non_edges()), NONEDGE_CAP, "non-edge count")
             if name == "xi":
                 cert = xi(g, t3)
                 report.params[name] = cert.value
@@ -137,26 +156,18 @@ def compute_report(
             else:
                 report.params[name] = _PARAM_COMPUTERS[name](g)
         except (CapExceededError, MSizeError) as exc:
-            if collect_guards:
-                refused[name] = str(exc)
-                continue
-            exc.parameter = name  # let the CLI name the offender
-            raise
-        except Exception as exc:
-            exc.parameter = name
-            raise
+            report.refused[name] = str(exc)
+            continue
         if cache:
             cache.put(g6, name, report.params[name])
     for name in flags or []:
         if name == "t3_minor":
-            report.flags[name] = t3_minor(g, t3, cap=max(10, g.n))[0]
+            report.flags[name] = t3_minor(g, t3)[0]
         elif name in _FLAG_COMPUTERS:
             report.flags[name] = _FLAG_COMPUTERS[name](g)
         else:
             raise ValueError(f"unknown flag {name!r}; expected one of {FLAG_NAMES}")
     report.validate()
-    if collect_guards:
-        return report, refused
     return report
 
 

@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (Graph, NonEdgePair, _check_cap, _pair, bits,
-                     sorted_non_edge)
+from .graphs import Graph, NonEdgePair, _pair, bits, sorted_non_edge
 from .zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
-
-DEFAULT_NONEDGE_CAP = 20
-DEFAULT_VC_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -281,12 +277,9 @@ def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
     return final.is_complete()
 
 
-def sap_forcing_number(
-    g: Graph, rule: Rule = Rule.Z, cap: int = DEFAULT_NONEDGE_CAP
-) -> tuple[int, frozenset[NonEdgePair]]:
+def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[NonEdgePair]]:
     """Minimum number of initially blue non-edges that force all non-edges."""
     non_edges = g.non_edges()
-    _check_cap(len(non_edges), cap, "non-edge count")
     for size in range(len(non_edges) + 1):
         for combo in combinations(non_edges, size):
             final, _ = sap_closure(g, combo, rule)
@@ -301,14 +294,11 @@ def complementary_closure(g: Graph, vertices: Iterable[int]) -> frozenset[NonEdg
     return frozenset(e for e in g.non_edges() if e[0] in vs or e[1] in vs)
 
 
-def vc_forcing_number(
-    g: Graph, rule: Rule = Rule.Z, cap: int = DEFAULT_VC_CAP
-) -> tuple[int, frozenset[int]]:
+def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:
     """Minimum vertex set whose complementary closure forces all non-edges
     under the restricted game."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-    _check_cap(g.n, cap, "vertex count")
     verts = list(g.vertices())
     for size in range(g.n + 1):
         for combo in combinations(verts, size):

@@ -47,14 +47,14 @@ class ConfigurationError(RuntimeError):
     """The bundled forbidden-minor data file is missing or malformed."""
 
 
-def m_small(g: Graph, cap: int = 10) -> int:
+def m_small(g: Graph) -> int:
     """Maximum nullity via zero forcing; valid for |G| <= 7 or trees."""
     if g.n > XI_COMPONENT_LIMIT and not g.is_tree():
         raise MSizeError(
             f"maximum nullity is unknown at {g.n} vertices (only trees and "
             f"graphs on at most {XI_COMPONENT_LIMIT} vertices are supported)"
         )
-    return min_zfs(g, Rule.Z, cap=max(cap, g.n))[0]
+    return min_zfs(g, Rule.Z)[0]
 
 
 # -- forbidden-minor family -------------------------------------------------
@@ -105,7 +105,7 @@ def load_t3_family(path: str | None = None) -> T3FamilyData:
     return _parse_family(text, "bundled t3_family.txt")
 
 
-def t3_minor(g: Graph, family: T3FamilyData | None = None, cap: int = 10
+def t3_minor(g: Graph, family: T3FamilyData | None = None
              ) -> tuple[bool, tuple[int, BranchSets] | None]:
     """Does the graph contain any family member as a minor?  On success the
     witness is (member index, branch sets)."""
@@ -113,7 +113,7 @@ def t3_minor(g: Graph, family: T3FamilyData | None = None, cap: int = 10
     for idx, member in enumerate(fam.graphs):
         if member.n > g.n:
             continue
-        hit, branches = has_minor(g, member, cap=max(cap, g.n))
+        hit, branches = has_minor(g, member)
         if hit:
             return True, (idx, branches)
     return False, None
@@ -141,7 +141,7 @@ class XiCertificate:
 
     def to_record(self, g: Graph) -> dict:
         return {
-            "graph6": canonical_form(g, cap=max(10, g.n)).bytes,
+            "graph6": canonical_form(g).bytes,
             "xi": self.value,
             "case": self.case,
             "lower_witness": self.lower_witness,
@@ -154,7 +154,7 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
         raise CapExceededError(
             f"xi is only computed for components with at most "
             f"{XI_COMPONENT_LIMIT} vertices, got {g.n}")
-    m, m_witness = min_zfs(g, Rule.Z, cap=max(10, g.n))
+    m, m_witness = min_zfs(g, Rule.Z)
     if is_zsap_zero(g, Rule.Z):
         return XiCertificate(
             CASE_ZSAP_ZERO, m,
@@ -169,9 +169,9 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
             {"tree": True, "path": value == 1},
             {"tree": True},
         )
-    floor, floor_witness = min_zfs(g, Rule.FLOOR, cap=max(10, g.n))
+    floor, floor_witness = min_zfs(g, Rule.FLOOR)
     upper = {"floor_witness": sorted(floor_witness), "floor": floor}
-    vc, vc_witness = vc_forcing_number(g, Rule.Z, cap=max(10, g.n))
+    vc, vc_witness = vc_forcing_number(g, Rule.Z)
     if floor == m - vc:
         return XiCertificate(
             CASE_VC_BOUND, floor,
@@ -179,9 +179,9 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
              "vc_witness": sorted(vc_witness)},
             upper,
         )
-    eta = hadwiger(g, cap=max(10, g.n))
+    eta = hadwiger(g)
     if floor == eta - 1:
-        _, branches = has_minor(g, complete(eta), cap=max(10, g.n))
+        _, branches = has_minor(g, complete(eta))
         return XiCertificate(
             CASE_HADWIGER, floor,
             {"clique_minor_order": eta,
@@ -189,7 +189,7 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
             upper,
         )
     if floor == 3:
-        hit, witness = t3_minor(g, family, cap=max(10, g.n))
+        hit, witness = t3_minor(g, family)
         if hit:
             idx, branches = witness
             return XiCertificate(

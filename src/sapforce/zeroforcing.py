@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphs import CapExceededError, Graph, _check_cap, bits, mask_of
-
-DEFAULT_ZF_CAP = 10
+from .graphs import Graph, bits, mask_of
 
 
 class Rule(Enum):
@@ -196,13 +194,12 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     raise AssertionError("the full vertex set always forces itself")
 
 
-def min_zfs(g: Graph, rule: Rule, cap: int = DEFAULT_ZF_CAP) -> tuple[int, frozenset[int]]:
+def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     """Minimum zero forcing set size and one witness.
 
     Disconnected graphs decompose: conventional rules add up component
     minima; the floor rule takes the maximum because hops cross components.
     """
-    _check_cap(g.n, cap, "vertex count")
     comps = g.components()
     if len(comps) <= 1:
         return _min_zfs_connected(g, rule)
@@ -228,5 +225,5 @@ def min_zfs(g: Graph, rule: Rule, cap: int = DEFAULT_ZF_CAP) -> tuple[int, froze
     raise AssertionError("component maximum must be attainable for the floor game")
 
 
-def zero_forcing_number(g: Graph, rule: Rule = Rule.Z, cap: int = DEFAULT_ZF_CAP) -> int:
-    return min_zfs(g, rule, cap)[0]
+def zero_forcing_number(g: Graph, rule: Rule = Rule.Z) -> int:
+    return min_zfs(g, rule)[0]

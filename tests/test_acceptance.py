@@ -107,8 +107,8 @@ def test_criterion_5_spot_values():
                   families.octahedron, families.dodecahedron,
                   families.icosahedron):
         assert is_zsap_zero(build(), Rule.Z), build.__name__
-    assert min_zfs(families.dodecahedron(), Rule.Z, cap=20)[0] == 6
-    assert min_zfs(families.icosahedron(), Rule.Z, cap=12)[0] == 6
+    assert min_zfs(families.dodecahedron(), Rule.Z)[0] == 6
+    assert min_zfs(families.icosahedron(), Rule.Z)[0] == 6
     kite = families.kite5()
     assert min_zfs(kite, Rule.Z)[0] == 2
     assert m_small(kite) == 2

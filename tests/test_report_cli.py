@@ -6,6 +6,7 @@ import pytest
 
 from sapforce import families
 from sapforce.cli import main
+from sapforce.graphs import CapExceededError
 from sapforce.report import (ParameterReport, ReportInvariantError, ResultCache,
                              SurveyRow, compute_report, survey_graphs)
 
@@ -90,6 +91,19 @@ def test_cli_param_guard(capsys):
     assert run_cli("param", "--graph", "petersen", "--params", "xi") == 3
     err = capsys.readouterr().err
     assert "xi" in err
+
+
+def test_size_caps_at_the_boundary(capsys):
+    # the library computes any size; only the report and the CLI refuse
+    with pytest.raises(CapExceededError):
+        compute_report(families.dodecahedron(), ["Z"])
+    assert run_cli("param", "--graph", "dodecahedron") == 3
+    assert run_cli("minors", "--graph", "dodecahedron") == 3
+    assert "vertex count 20 exceeds cap 10" in capsys.readouterr().err
+    assert run_cli("param", "--graph", "e7", "--params", "Zsap,Z", "--flags", "") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"] == {"Z": 7}
+    assert "non-edge count 21" in payload["refused"]["Zsap"]
 
 
 def test_cli_param_star(capsys):

@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from sapforce import families
-from sapforce.graphs import CapExceededError, Graph
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               VcRestriction, applicable_forces,
                               applicable_triples, complementary_closure,
@@ -86,11 +85,6 @@ def test_closed_forms():
         assert sap_forcing_number(families.empty(n), Rule.Z)[0] == n * (n - 1) // 2
         expected = (n - 1) * (n - 2) // 2 - 1
         assert sap_forcing_number(families.star(n), Rule.Z)[0] == expected
-
-
-def test_sap_forcing_cap():
-    with pytest.raises(CapExceededError):
-        sap_forcing_number(families.empty(7), Rule.Z)  # 21 non-edges
 
 
 def test_complementary_closure(k3_join_o4):

@@ -45,7 +45,7 @@ def test_m_small(kite, k3_join_o4):
     with pytest.raises(MSizeError):
         m_small(families.petersen())
     # trees of any size are fine; this one's path cover number is 7
-    assert m_small(families.ternary_spider13(), cap=13) == 7
+    assert m_small(families.ternary_spider13()) == 7
 
 
 def test_xi_examples(kite, k3_join_o4):
@@ -166,6 +166,6 @@ def test_ternary_spider_floor_value():
     # two claims circulate for this 13-vertex tree (exactly 3 vs more than
     # 3); record the computed value without endorsing either text
     t = families.ternary_spider13()
-    value = min_zfs(t, Rule.FLOOR, cap=13)[0]
+    value = min_zfs(t, Rule.FLOOR)[0]
     assert value in (3, 4)
     assert value > 2  # either way it exceeds every tree's parameter value

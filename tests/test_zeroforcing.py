@@ -1,10 +1,8 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from sapforce import families
-from sapforce.graphs import CapExceededError, Graph, mask_of
+from sapforce.graphs import Graph, mask_of
 from sapforce.zeroforcing import (Force, Rule, closure, format_trace, is_zfs,
                                   min_zfs, single_forces, zero_forcing_number)
 
@@ -47,8 +45,8 @@ def test_min_zfs_paper_values(kite):
     fig = families.outer_triangle_on_wheel8()
     assert min_zfs(fig, Rule.Z)[0] == 3
     assert min_zfs(fig, Rule.FLOOR)[0] == 3
-    assert min_zfs(families.dodecahedron(), Rule.Z, cap=20)[0] == 6
-    assert min_zfs(families.icosahedron(), Rule.Z, cap=12)[0] == 6
+    assert min_zfs(families.dodecahedron(), Rule.Z)[0] == 6
+    assert min_zfs(families.icosahedron(), Rule.Z)[0] == 6
 
 
 def test_min_zfs_witness_is_zfs(connected_upto_5):
@@ -57,11 +55,6 @@ def test_min_zfs_witness_is_zfs(connected_upto_5):
             size, witness = min_zfs(g, rule)
             assert len(witness) == size
             assert is_zfs(g, witness, rule)
-
-
-def test_cap_guard():
-    with pytest.raises(CapExceededError):
-        min_zfs(families.dodecahedron(), Rule.Z)
 
 
 def test_monotone_closure(connected_upto_5):

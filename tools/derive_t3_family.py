@@ -115,7 +115,7 @@ def certify_member(name: str, g: Graph, cover) -> None:
     validate_pattern(g, a)
     null = a.nullity()
     sap = has_sap(g, a)
-    floor = min_zfs(g, Rule.FLOOR, cap=g.n)[0]
+    floor = min_zfs(g, Rule.FLOOR)[0]
     assert null >= 3, (name, null)
     assert sap, name
     assert floor == 3, (name, floor)
@@ -123,7 +123,7 @@ def certify_member(name: str, g: Graph, cover) -> None:
 
 
 def floor_of(g: Graph) -> int:
-    return min_zfs(g, Rule.FLOOR, cap=max(10, g.n))[0]
+    return min_zfs(g, Rule.FLOOR)[0]
 
 
 def one_step_minors(g: Graph):
