@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from sapforce import families
+from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               VcRestriction, applicable_forces,
                               applicable_triples, complementary_closure,
@@ -85,6 +86,13 @@ def test_closed_forms():
         assert sap_forcing_number(families.empty(n), Rule.Z)[0] == n * (n - 1) // 2
         expected = (n - 1) * (n - 2) // 2 - 1
         assert sap_forcing_number(families.star(n), Rule.Z)[0] == expected
+
+
+def test_sap_forcing_cap():
+    # sap_forcing_number takes no cap; the report refuses Zsap per parameter
+    report = compute_report(families.empty(7), ["Zsap", "Z"], [])
+    assert report.params == {"Z": 7}
+    assert "non-edge count 21 exceeds cap 20" in report.refused["Zsap"]
 
 
 def test_complementary_closure(k3_join_o4):

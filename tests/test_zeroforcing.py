@@ -1,8 +1,11 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from sapforce import families
-from sapforce.graphs import Graph, mask_of
+from sapforce.graphs import CapExceededError, Graph, mask_of
+from sapforce.report import compute_report
 from sapforce.zeroforcing import (Force, Rule, closure, format_trace, is_zfs,
                                   min_zfs, single_forces, zero_forcing_number)
 
@@ -55,6 +58,12 @@ def test_min_zfs_witness_is_zfs(connected_upto_5):
             size, witness = min_zfs(g, rule)
             assert len(witness) == size
             assert is_zfs(g, witness, rule)
+
+
+def test_cap_guard():
+    # min_zfs takes no cap; the size refusal sits at the report boundary
+    with pytest.raises(CapExceededError, match="vertex count 20 exceeds cap 10"):
+        compute_report(families.dodecahedron(), ["Z"])
 
 
 def test_monotone_closure(connected_upto_5):
