@@ -204,9 +204,8 @@ def cmd_minors(args) -> int:
         else:
             print("minor: no")
         return EXIT_OK
-    eta = hadwiger(g)
-    _, witness = has_minor(g, families.complete(eta))
-    sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness or ())
+    eta, witness = hadwiger(g)
+    sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness)
     print(f"largest complete minor: {eta}; branch sets: {sets}")
     return EXIT_OK
 

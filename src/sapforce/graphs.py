@@ -51,7 +51,7 @@ class Graph:
             if a >> v & 1:
                 raise GraphError(f"vertex {v} has a self-loop")
         for v in range(1, self.n + 1):
-            for u in _bits(self.adj[v]):
+            for u in bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"adjacency is not symmetric at {{{u},{v}}}")
 
@@ -92,14 +92,14 @@ class Graph:
         return max((self.degree(v) for v in self.vertices()), default=0)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
+        return list(bits(self.adj[v]))
 
     def closed_neighborhood(self, v: int) -> int:
         """Bitset ``N[v] = N(v) + v``."""
         return self.adj[v] | (1 << v)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self.vertices() for v in _bits(self.adj[u]) if u < v]
+        return [(u, v) for u in self.vertices() for v in bits(self.adj[u]) if u < v]
 
     def non_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in combinations(self.vertices(), 2) if not self.has_edge(u, v)]
@@ -146,7 +146,7 @@ class Graph:
         index = {v: i + 1 for i, v in enumerate(keep)}
         adj = [0] * (len(keep) + 1)
         for v in keep:
-            for u in _bits(self.adj[v]):
+            for u in bits(self.adj[v]):
                 if u in index:
                     adj[index[v]] |= 1 << index[u]
         return Graph(len(keep), tuple(adj))
@@ -175,7 +175,7 @@ class Graph:
         adj = [0] * (self.n + 1)
         for v in self.vertices():
             m = 0
-            for u in _bits(self.adj[v]):
+            for u in bits(self.adj[v]):
                 m |= 1 << perm[u]
             adj[perm[v]] = m
         return Graph(self.n, tuple(adj))
@@ -189,7 +189,7 @@ class Graph:
         frontier = seen
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
+            for v in bits(frontier):
                 nxt |= self.adj[v]
             frontier = nxt & allowed & ~seen
             seen |= frontier
@@ -197,14 +197,7 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Vertex sets of the connected components, ordered by least vertex."""
-        out = []
-        todo = self.full_mask
-        while todo:
-            v = _lowest(todo)
-            comp = self.reach(v)
-            out.append(frozenset(_bits(comp)))
-            todo &= ~comp
-        return out
+        return [frozenset(bits(comp)) for comp in self.component_masks()]
 
     def component_masks(self, within: int | None = None) -> list[int]:
         allowed = self.full_mask if within is None else within
@@ -245,7 +238,7 @@ class Graph:
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for u in _bits(self.adj[v]):
+                    for u in bits(self.adj[v]):
                         if u not in dist:
                             dist[u] = dist[v] + 1
                             nxt.append(u)
@@ -262,7 +255,8 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """Iterate the set bit positions of a vertex bitset, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -271,11 +265,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Iterate the set bit positions of a vertex bitset, ascending."""
-    return _bits(mask)
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -3,15 +3,19 @@
 ``has_minor`` searches the contraction space of the host graph (memoized on
 canonical forms) and looks for a subgraph embedding of the pattern at each
 stage; a hit is translated back into disjoint connected branch sets of the
-original graph, which is the witness callers get.  Everything here is exact
-and takes no size limit: the searches are exponential in the vertex count,
-so callers decide which graphs are small enough.
+original graph, which is the witness callers get.  It is the only
+contraction search: ``hadwiger`` asks it for K_1, K_2, ... until one is
+missing and returns the largest order found with its branch sets.
+Everything here is exact and takes no size limit: the searches are
+exponential in the vertex count, so callers decide which graphs are small
+enough.
 """
 
 from __future__ import annotations
 
 from .canon import canonical_form
-from .graphs import Graph, bits, mask_of
+from .families import complete
+from .graphs import Graph, bits
 
 BranchSets = tuple[frozenset[int], ...]
 
@@ -109,27 +113,15 @@ def clique_number(g: Graph) -> int:
     return best
 
 
-def hadwiger(g: Graph) -> int:
-    """Largest p such that g has a complete minor on p vertices."""
-    if g.n == 0:
-        return 0
-    best = 0
-    seen: set[str] = set()
-
-    def dfs(cur: Graph) -> None:
-        nonlocal best
-        if cur.n <= best:
-            return
-        key = canonical_form(cur).bytes
-        if key in seen:
-            return
-        seen.add(key)
-        best = max(best, clique_number(cur))
-        for u, v in cur.edges():
-            dfs(cur.contract_edge(u, v))
-
-    dfs(g)
-    return best
+def hadwiger(g: Graph) -> tuple[int, BranchSets]:
+    """Largest p such that g has a complete minor on p vertices, with the
+    branch sets of one such minor (found by ``has_minor`` on K_p)."""
+    p, witness = 0, ()
+    while True:
+        hit, branches = has_minor(g, complete(p + 1))
+        if not hit:
+            return p, witness
+        p, witness = p + 1, branches
 
 
 def vertex_cover_number(g: Graph) -> int:

@@ -110,7 +110,7 @@ _PARAM_COMPUTERS: dict[str, Callable[[Graph], int]] = {
     "Zvc": lambda g: vc_forcing_number(g, Rule.Z)[0],
     "Zvcl": lambda g: vc_forcing_number(g, Rule.ZL)[0],
     "beta_complement": lambda g: vertex_cover_number(g.complement()),
-    "hadwiger": hadwiger,
+    "hadwiger": lambda g: hadwiger(g)[0],
     "M_small": m_small,
 }
 

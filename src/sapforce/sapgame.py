@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, NonEdgePair, _pair, bits, sorted_non_edge
-from .zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
+from .zeroforcing import (CONVENTIONAL_RULES, Rule, single_forces,
+                          smallest_winning_set)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class NonEdgeColoring:
     def white_nonedges(self) -> list[NonEdgePair]:
         return [e for e in self.host.non_edges() if e not in self.blue_nonedges]
 
-    def white_graph(self) -> Graph:
-        """The graph whose edge set is the white non-edges."""
-        return Graph.from_edges(self.host.n, self.white_nonedges())
-
     def is_complete(self) -> bool:
         return len(self.blue_nonedges) == len(self.host.non_edges())
 
@@ -65,10 +61,6 @@ class VcRestriction:
     forcer i is a chosen vertex and {i,k} is a non-edge of the host."""
 
     vertices: frozenset[int] = frozenset()
-
-    @staticmethod
-    def none() -> "VcRestriction":
-        return VcRestriction(frozenset())
 
     def allows(self, host: Graph, k: int, i: int) -> bool:
         if i not in self.vertices or i == k:
@@ -279,13 +271,8 @@ def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
 
 def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[NonEdgePair]]:
     """Minimum number of initially blue non-edges that force all non-edges."""
-    non_edges = g.non_edges()
-    for size in range(len(non_edges) + 1):
-        for combo in combinations(non_edges, size):
-            final, _ = sap_closure(g, combo, rule)
-            if final.is_complete():
-                return size, frozenset(combo)
-    raise AssertionError("coloring every non-edge is always a zero forcing set")
+    return smallest_winning_set(
+        g.non_edges(), lambda combo: sap_closure(g, combo, rule)[0].is_complete())
 
 
 def complementary_closure(g: Graph, vertices: Iterable[int]) -> frozenset[NonEdgePair]:
@@ -299,12 +286,10 @@ def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int
     under the restricted game."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-    verts = list(g.vertices())
-    for size in range(g.n + 1):
-        for combo in combinations(verts, size):
-            chosen = frozenset(combo)
-            start = complementary_closure(g, chosen)
-            final, _ = sap_closure(g, start, rule, VcRestriction(chosen))
-            if final.is_complete():
-                return size, chosen
-    raise AssertionError("the full vertex set always covers every non-edge")
+
+    def wins(combo: tuple[int, ...]) -> bool:
+        chosen = frozenset(combo)
+        start = complementary_closure(g, chosen)
+        return sap_closure(g, start, rule, VcRestriction(chosen))[0].is_complete()
+
+    return smallest_winning_set(g.vertices(), wins)

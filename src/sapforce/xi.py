@@ -7,7 +7,9 @@ game completes from nothing; maximum nullity minus the vertex-cover game
 value; clique minor order minus one; 3 when a forbidden-minor family member
 is present) and the upper bound given by the hop-extended forcing number.
 The decision procedure tries the cases in a fixed order and reports the
-first one that closes the gap, together with machine-checkable witnesses.
+first one that closes the gap, together with machine-checkable witnesses;
+the clique-minor case uses the branch sets that ``minors.hadwiger`` returns
+with the order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_form
-from .families import complete
 from .graphs import CapExceededError, Graph, GraphError, parse_edge_list
 from .minors import BranchSets, has_minor, hadwiger
 from .sapgame import is_zsap_zero, vc_forcing_number
@@ -179,13 +180,12 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
              "vc_witness": sorted(vc_witness)},
             upper,
         )
-    eta = hadwiger(g)
+    eta, branches = hadwiger(g)
     if floor == eta - 1:
-        _, branches = has_minor(g, complete(eta))
         return XiCertificate(
             CASE_HADWIGER, floor,
             {"clique_minor_order": eta,
-             "branch_sets": [sorted(b) for b in branches or ()]},
+             "branch_sets": [sorted(b) for b in branches]},
             upper,
         )
     if floor == 3:

@@ -22,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Callable, Sequence, TypeVar
 
 from .graphs import Graph, bits, mask_of
+
+T = TypeVar("T")
 
 
 class Rule(Enum):
@@ -183,15 +186,19 @@ def is_zfs(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> bool:
     return _floor_game_sequence(g, mask) is not None
 
 
-def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
-    verts = list(g.vertices())
-    if g.n == 0:
-        return 0, frozenset()
-    for size in range(1, g.n + 1):
-        for combo in combinations(verts, size):
-            if is_zfs(g, combo, rule):
+def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], bool]
+                         ) -> tuple[int, frozenset[T]]:
+    """Size and members of the first subset that wins, trying subsets by
+    size and then in ``combinations`` order."""
+    for size in range(len(items) + 1):
+        for combo in combinations(items, size):
+            if wins(combo):
                 return size, frozenset(combo)
-    raise AssertionError("the full vertex set always forces itself")
+    raise AssertionError("no subset wins, not even the whole set")
+
+
+def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
+    return smallest_winning_set(g.vertices(), lambda combo: is_zfs(g, combo, rule))
 
 
 def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from sapforce import (RationalMatrix, Rule, closure, floor_force_sequence,
-                      format_sap_trace, format_trace, min_zfs, rank,
-                      sap_closure, vc_forcing_number, xi)
+                      format_sap_trace, format_trace, hadwiger, min_zfs, rank,
+                      sap_closure, sap_forcing_number, vc_forcing_number, xi)
 
 CONVENTIONAL = (Rule.Z, Rule.ZL, Rule.ZPLUS)
 
@@ -74,6 +74,19 @@ def _vc_lines(graphs):
             yield f"{g.to_graph6()} {rule.value} {size} {sorted(chosen)}"
 
 
+def _sap_forcing_lines(graphs):
+    for g in graphs:
+        for rule in CONVENTIONAL:
+            size, witness = sap_forcing_number(g, rule)
+            yield f"{g.to_graph6()} {rule.value} {size} {sorted(witness)}"
+
+
+def _hadwiger_lines(graphs):
+    for g in graphs:
+        eta, branches = hadwiger(g)
+        yield f"{g.to_graph6()} {eta} {[sorted(b) for b in branches]}"
+
+
 def _xi_lines(graphs):
     for g in graphs:
         yield json.dumps(xi(g).to_record(g), sort_keys=True)
@@ -121,6 +134,10 @@ GOLDEN = {
                         "7f4808971348e67bb2ee5dcb3ff09c3b576d3fe095776ad801a84c90b5180e8b"),
     "vc_forcing_number": (_vc_lines,
                           "d6e9706a0df4dc95d552a02eebe4ab15d5f17670ef06abd30427da274ff9e383"),
+    "sap_forcing_number": (_sap_forcing_lines,
+                           "b06bbe1c31577260c05c6ec548d8d4ec0f46770916670ff364959e693e2b613a"),
+    "hadwiger": (_hadwiger_lines,
+                 "52e1d63222c68b89b1bd767434b92f179ab02804d6b39b591ee8762c5a090024"),
     "xi_records": (_xi_lines,
                    "f9a614f185f02391992992b4a50f80cb292433b026f461acba7a31d1cb53e558"),
 }

@@ -46,23 +46,46 @@ def test_minor_reflexive_and_transitive():
 
 
 def test_hadwiger_values(connected_upto_6):
-    assert hadwiger(families.complete(5)) == 5
-    assert hadwiger(families.complete(1)) == 1
+    assert hadwiger(families.complete(5))[0] == 5
+    assert hadwiger(families.complete(1))[0] == 1
     for n in (2, 5, 7):
         t = families.star(n - 1) if n > 2 else families.path(2)
-        assert hadwiger(t) == 2
-    assert hadwiger(families.kite5()) == 3
+        assert hadwiger(t)[0] == 2
+    assert hadwiger(families.kite5())[0] == 3
     rng = random.Random(11)
     for g in rng.sample(connected_upto_6, 25):
-        eta = hadwiger(g)
+        eta = hadwiger(g)[0]
         for v in g.vertices():
             if g.n > 1:
-                assert hadwiger(g.delete_vertex(v)) <= eta
+                assert hadwiger(g.delete_vertex(v))[0] <= eta
         for e in g.edges():
             adj = list(g.adj)
             adj[e[0]] &= ~(1 << e[1])
             adj[e[1]] &= ~(1 << e[0])
-            assert hadwiger(Graph(g.n, tuple(adj))) <= eta
+            assert hadwiger(Graph(g.n, tuple(adj)))[0] <= eta
+
+
+def test_hadwiger_branch_sets_form_a_clique_minor(connected_upto_6):
+    # checked on bitsets directly, without has_minor
+    def connected(g, mask):
+        seen = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for v in g.vertices():
+                if frontier >> v & 1:
+                    nxt |= g.adj[v] & mask
+            frontier = nxt & ~seen
+            seen |= frontier
+        return seen == mask
+
+    for g in connected_upto_6:
+        eta, branches = hadwiger(g)
+        masks = [sum(1 << v for v in b) for b in branches]
+        assert eta >= 1 and len(masks) == eta
+        assert all(m and connected(g, m) for m in masks)
+        for a, b in combinations(masks, 2):
+            assert not a & b
+            assert any(g.adj[v] & b for v in g.vertices() if a >> v & 1)
 
 
 def test_caps():

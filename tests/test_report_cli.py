@@ -180,6 +180,9 @@ def test_cli_minors(capsys):
     assert "minor: no" in capsys.readouterr().out
     assert run_cli("minors", "--graph", "kite5") == 0
     assert "largest complete minor: 3" in capsys.readouterr().out
+    assert run_cli("minors", "--graph", "petersen") == 0
+    assert capsys.readouterr().out == (
+        "largest complete minor: 5; branch sets: {1,2}, {3,4}, {5,10}, {6,8}, {7,9}\n")
 
 
 def test_cli_input_errors(capsys):
