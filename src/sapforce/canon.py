@@ -1,10 +1,20 @@
 """Canonical labeling, isomorphism, and small-graph enumeration.
 
 Canonical forms come from an individualize-and-refine search over equitable
-ordered partitions; the canonical labeling is the one minimizing the packed
-upper-triangle adjacency word.  Enumeration extends each (n-1)-vertex graph
-by one new vertex in all possible ways and de-duplicates by canonical form,
-which is comfortably fast for the n <= 8 range this project needs.
+ordered partitions; the canonical labeling is the first leaf, in search
+order, of least packed upper-triangle adjacency word.  The search prunes
+with automorphisms, after McKay & Piperno, *Practical graph isomorphism II*
+(2014): two leaves with equal words give an automorphism, which sends the
+search back to the deepest node the leaves share, and a node skips every
+child in the orbit of a child already searched under the automorphisms
+found so far that fix its individualized vertices.  Skipped subtrees are
+images of searched ones, so the result is that of the full search.
+
+Enumeration extends each (n-1)-vertex class by a new vertex in every way,
+keeps only the extensions in which the new vertex has the greatest
+isomorphism invariant (degree, then sorted neighbour degrees), and
+de-duplicates those by canonical form; this covers the n <= 8 range the
+project needs.
 """
 
 from __future__ import annotations
@@ -23,37 +33,43 @@ class CanonicalForm:
     bytes: str
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement; cell order depends only on graph structure."""
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        masks = []
-        for c in cells:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
-        for m in masks:
-            new_cells: list[list[int]] = []
+def _refine(adj: tuple[int, ...], cells: list[int], stable: frozenset[int]) -> list[int]:
+    """Equitable refinement of an ordered partition of vertex bitsets.
+
+    Repeatedly takes the first cell that splits some cell by neighbour count
+    and splits every cell by it, pieces in increasing count, so the cell
+    order depends only on graph structure.  ``stable`` holds cells already
+    known to split no cell; refining only makes cells finer, so they stay
+    that way and are never tried.
+    """
+    cells = list(cells)
+    stable = set(stable)
+    while True:
+        for m in cells:
+            if m in stable:
+                continue
+            stable.add(m)  # after splitting by m, no cell is split by it
+            new_cells: list[int] = []
             for cell in cells:
-                if len(cell) == 1:
+                if not cell & (cell - 1):
                     new_cells.append(cell)
                     continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & m).bit_count(), []).append(v)
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    key = (adj[low.bit_length() - 1] & m).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                    rest ^= low
                 if len(groups) == 1:
                     new_cells.append(cell)
                 else:
-                    changed = True
-                    for key in sorted(groups):
-                        new_cells.append(groups[key])
-            cells = new_cells
-            if changed:
+                    new_cells.extend(groups[key] for key in sorted(groups))
+            if len(new_cells) > len(cells):
+                cells = new_cells
                 break
-    return cells
+        else:
+            return cells
 
 
 def _encode_labeling(adj: tuple[int, ...], order: list[int]) -> int:
@@ -67,32 +83,82 @@ def _encode_labeling(adj: tuple[int, ...], order: list[int]) -> int:
     return word
 
 
+def _search(g: Graph) -> tuple[list[int], int]:
+    """The first leaf, in search order, of least adjacency word, and that word.
+
+    Children of a node are its target cell's vertices in increasing order.
+    A leaf whose word equals the first or the best leaf's word gives an
+    automorphism mapping that leaf to it, which fixes the vertices the two
+    paths share; the rest of the current child of their deepest shared node
+    is then the image of a child already searched.
+    """
+    n, adj = g.n, g.adj
+    if n == 0:
+        return [], 0
+    path: list[int] = []
+    autos: list[list[int]] = []
+    refs: list[tuple[list[int], tuple[int, ...], int]] = []  # first, best leaf
+
+    def leaf(order: list[int]) -> int:
+        word = _encode_labeling(adj, order)
+        for ref, ref_path, ref_word in refs:
+            if word == ref_word:
+                image = list(range(n + 1))
+                for a, b in zip(ref, order):
+                    image[a] = b
+                autos.append(image)
+                return next(k for k, (u, v) in enumerate(zip(path, ref_path)) if u != v)
+        if not refs:
+            refs.append((order, tuple(path), word))
+        elif word < refs[-1][2]:
+            refs[1:] = [(order, tuple(path), word)]
+        return len(path)
+
+    def search(cells: list[int], stable: frozenset[int]) -> int:
+        """Search below one node; return the depth to resume at."""
+        cells = _refine(adj, cells, stable)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            return leaf([c.bit_length() - 1 for c in cells])
+        depth, cell, stable = len(path), cells[target], frozenset(cells)
+        root = list(range(n + 1))  # union-find forest of orbits
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        merged, searched = 0, []
+        for v in bits(cell):
+            for image in autos[merged:]:
+                if all(image[p] == p for p in path):
+                    for x in range(1, n + 1):
+                        root[find(x)] = find(image[x])
+            merged = len(autos)
+            if any(find(u) == find(v) for u in searched):
+                continue
+            path.append(v)
+            back = search(cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:], stable)
+            path.pop()
+            if back < depth:
+                return back
+            searched.append(v)
+        return depth
+
+    search([g.full_mask], frozenset())
+    best = refs[-1]
+    return best[0], best[2]
+
+
 def canonical_labeling(g: Graph) -> list[int]:
     """Vertex order whose relabeling minimizes the adjacency word."""
-    if g.n == 0:
-        return []
-    best: list[int] | None = None
-    best_word: int | None = None
-    adj = g.adj
+    return _search(g)[0]
 
-    def search(cells: list[list[int]]) -> None:
-        nonlocal best, best_word
-        cells = _refine(adj, cells)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            order = [c[0] for c in cells]
-            word = _encode_labeling(adj, order)
-            if best_word is None or word < best_word:
-                best_word, best = word, order
-            return
-        cell = cells[target]
-        for v in sorted(cell):
-            rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
 
-    search([list(g.vertices())])
-    assert best is not None
-    return best
+def canonical_word(g: Graph) -> int:
+    """Least adjacency word over all labelings: with ``g.n``, equal exactly
+    for isomorphic graphs, and cheaper to get than ``canonical_form``."""
+    return _search(g)[1]
 
 
 def _canonical_relabel(g: Graph) -> Graph:
@@ -119,27 +185,43 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
+def _last_vertex_is_max(adj: list[int]) -> bool:
+    """Whether the last vertex has the greatest (degree, sorted neighbour
+    degrees), ties allowed."""
+    degree = [a.bit_count() for a in adj]
+    top = degree[-1]
+    if max(degree) > top:
+        return False
+
+    def invariant(v: int) -> list[int]:
+        return sorted(degree[u] for u in bits(adj[v]))
+
+    last = len(adj) - 1
+    mine = invariant(last)
+    return all(invariant(v) <= mine for v in range(1, last) if degree[v] == top)
+
+
 @lru_cache(maxsize=None)
 def _all_graphs(n: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of all graphs on n vertices."""
-    if n == 0:
-        return (Graph.empty(0),)
-    if n == 1:
-        return (Graph.empty(1),)
+    """One representative per isomorphism class of all graphs on n vertices.
+
+    Every class has a vertex of greatest invariant whose deletion leaves a
+    listed (n-1)-vertex class, so it suffices to extend each of those by a
+    new vertex n in every way and canonicalize the extensions in which n
+    has the greatest invariant.
+    """
+    if n <= 1:
+        return (Graph.empty(n),)
+    new = 1 << n
     out: dict[str, Graph] = {}
     for base in _all_graphs(n - 1):
-        adj_base = base.adj
         for subset in range(1 << (n - 1)):
-            adj = [0] * (n + 1)
-            for v in range(1, n):
-                adj[v] = adj_base[v]
             m = subset << 1  # neighbors of the new vertex n among 1..n-1
-            adj[n] = m
-            for v in bits(m):
-                adj[v] |= 1 << n
-            g = Graph(n, tuple(adj))
-            cg = canonical_graph(g)
-            out.setdefault(cg.to_graph6(), cg)
+            adj = [a | new if m >> v & 1 else a for v, a in enumerate(base.adj)]
+            adj.append(m)
+            if _last_vertex_is_max(adj):
+                cg = canonical_graph(Graph(n, tuple(adj)))
+                out.setdefault(cg.to_graph6(), cg)
     return tuple(out[k] for k in sorted(out))
 
 
@@ -152,9 +234,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
-    if not 1 <= n <= 8:
-        raise CapExceededError(f"enumeration supports 1..8 vertices, got {n}")
-    for g in _all_graphs(n):
+    for g in enumerate_graphs(n):
         if g.is_connected():
             yield g
 

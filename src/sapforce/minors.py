@@ -1,19 +1,19 @@
 """Minor containment, Hadwiger number, clique number, and vertex cover.
 
 ``has_minor`` searches the contraction space of the host graph (memoized on
-canonical forms) and looks for a subgraph embedding of the pattern at each
-stage; a hit is translated back into disjoint connected branch sets of the
-original graph, which is the witness callers get.  It is the only
-contraction search: ``hadwiger`` asks it for K_1, K_2, ... until one is
-missing and returns the largest order found with its branch sets.
-Everything here is exact and takes no size limit: the searches are
-exponential in the vertex count, so callers decide which graphs are small
-enough.
+vertex count and canonical adjacency word) and looks for a subgraph
+embedding of the pattern at each stage; a hit is translated back into
+disjoint connected branch sets of the original graph, which is the witness
+callers get.  It is the only contraction search: ``hadwiger`` asks it for
+K_1, K_2, ... until one is missing and returns the largest order found with
+its branch sets.  Everything here is exact and takes no size limit: the
+searches are exponential in the vertex count, so callers decide which graphs
+are small enough.
 """
 
 from __future__ import annotations
 
-from .canon import canonical_form
+from .canon import canonical_word
 from .families import complete
 from .graphs import Graph, bits
 
@@ -65,12 +65,12 @@ def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
     if h.n == 0:
         return True, ()
 
-    seen: set[str] = set()
+    seen: set[tuple[int, int]] = set()
 
     def dfs(cur: Graph, blobs: list[frozenset[int]]) -> BranchSets | None:
         if cur.n < h.n or cur.num_edges() < h.num_edges():
             return None
-        key = canonical_form(cur).bytes
+        key = (cur.n, canonical_word(cur))
         if key in seen:
             return None
         image = _embed_subgraph(cur, h)

@@ -4,19 +4,114 @@ The enumeration oracle is Burnside counting over the pair action of the
 symmetric group (number of isomorphism classes of all graphs) combined with
 the inverse Euler transform (connected classes); neither touches the
 canonicalizer.  Canonical-form semantics are checked against brute-force
-permutation isomorphism on small graphs.
+permutation isomorphism on small graphs.  The pruned search and the filtered
+enumeration are checked against a kept reference: the search that visits
+every leaf and the enumeration that canonicalizes every extension.
 """
 
 import math
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
-from sapforce import families
-from sapforce.canon import (are_isomorphic, canonical_form, enumerate_connected,
-                            enumerate_graphs, enumerate_trees)
-from sapforce.graphs import CapExceededError, Graph
+from sapforce import canon, families
+from sapforce.canon import (are_isomorphic, canonical_form, canonical_labeling,
+                            canonical_word, enumerate_connected, enumerate_graphs,
+                            enumerate_trees)
+from sapforce.graphs import CapExceededError, Graph, bits, mask_of, parse_graph6
+
+
+# -- reference: every leaf searched, every extension canonicalized ----------
+
+def reference_refine(adj, cells):
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
+        for m in masks:
+            new_cells = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & m).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    changed = True
+                    for key in sorted(groups):
+                        new_cells.append(groups[key])
+            cells = new_cells
+            if changed:
+                break
+    return cells
+
+
+def reference_word(adj, order):
+    n = len(order)
+    word = 0
+    for i in range(n):
+        ai = adj[order[i]]
+        for j in range(i + 1, n):
+            word = (word << 1) | (ai >> order[j] & 1)
+    return word
+
+
+def reference_labeling(g):
+    if g.n == 0:
+        return []
+    best = best_word = None
+    adj = g.adj
+
+    def search(cells):
+        nonlocal best, best_word
+        cells = reference_refine(adj, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = [c[0] for c in cells]
+            word = reference_word(adj, order)
+            if best_word is None or word < best_word:
+                best_word, best = word, order
+            return
+        cell = cells[target]
+        for v in sorted(cell):
+            rest = [u for u in cell if u != v]
+            search(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    search([list(g.vertices())])
+    return best
+
+
+def reference_relabel(g):
+    perm = [0] * (g.n + 1)
+    for new, old in enumerate(reference_labeling(g), start=1):
+        perm[old] = new
+    return g.relabel(perm)
+
+
+@lru_cache(maxsize=None)
+def reference_all_graphs(n):
+    if n <= 1:
+        return (Graph.empty(n),)
+    out = {}
+    for base in reference_all_graphs(n - 1):
+        for subset in range(1 << (n - 1)):
+            adj = list(base.adj) + [subset << 1]
+            for v in bits(subset << 1):
+                adj[v] |= 1 << n
+            cg = reference_relabel(Graph(n, tuple(adj)))
+            out.setdefault(cg.to_graph6(), cg)
+    return tuple(out[k] for k in sorted(out))
 
 
 def burnside_graph_count(n: int) -> int:
@@ -134,3 +229,51 @@ def test_enumerate_trees_counts():
     # unlabeled trees: 1, 1, 1, 2, 3, 6, 11
     counts = [len(list(enumerate_trees(n))) for n in range(1, 8)]
     assert counts == [1, 1, 1, 2, 3, 6, 11]
+
+
+def test_pruned_search_matches_reference(monkeypatch):
+    """Same refined partition at every search node, same labeling and word,
+    on every graph with n <= 7 and two larger ones, each under three seeded
+    relabelings."""
+    refine = canon._refine
+
+    def checked_refine(adj, cells, stable):
+        out = refine(adj, cells, stable)
+        want = reference_refine(adj, [list(bits(c)) for c in cells])
+        assert out == [mask_of(c) for c in want]
+        return out
+
+    monkeypatch.setattr(canon, "_refine", checked_refine)
+    corpus = [g for n in range(1, 8) for g in reference_all_graphs(n)]
+    # symmetric graphs on which a search that returns above the deepest node
+    # two equal leaves share misses the least word
+    corpus += [parse_graph6(s) for s in ("I]?BdbB??", "KsrKF|{k[EUK")]
+    rng = random.Random(5)
+    for g in corpus:
+        for _ in range(3):
+            perm = list(range(1, g.n + 1))
+            rng.shuffle(perm)
+            h = g.relabel([0] + perm)
+            want = reference_labeling(h)
+            assert canonical_labeling(h) == want
+            assert canonical_word(h) == reference_word(h.adj, want)
+
+
+def test_filtered_enumeration_matches_reference():
+    for n in range(1, 8):
+        assert list(enumerate_graphs(n)) == list(reference_all_graphs(n))
+
+
+@pytest.mark.parametrize("g, g6", [(Graph.empty(10), "I????????"),
+                                   (families.complete(10), "I~~~~~~~w")], ids=["E10", "K10"])
+def test_symmetric_graph_visits_few_leaves(monkeypatch, g, g6):
+    leaves = []
+    encode = canon._encode_labeling
+
+    def counted(adj, order):
+        leaves.append(order)
+        return encode(adj, order)
+
+    monkeypatch.setattr(canon, "_encode_labeling", counted)
+    assert canonical_form(g).bytes == g6
+    assert 0 < len(leaves) <= 20  # a search without pruning visits all 10! leaves

@@ -207,6 +207,15 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["params"]["Z"] == 1
 
 
+def test_cli_param_on_e10_finishes():
+    # inside the vertex cap; all 10! labelings of E10 give the same word
+    proc = subprocess.run([sys.executable, "-m", "sapforce.cli", "param",
+                           "--graph", "e10", "--params", "Z", "--flags", ""],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["params"] == {"Z": 10}
+
+
 def test_survey_graphs_deterministic(connected_upto_5):
     five = [g for g in connected_upto_5 if g.n == 5]
     row1 = survey_graphs(five, 5)
