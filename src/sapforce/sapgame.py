@@ -15,16 +15,27 @@ cycle C, every non-edge of C turns blue.  The vertex-cover variant starts
 from all non-edges touching a chosen vertex set B and forbids triples whose
 forcer i lies in B with {i,k} a non-edge; the odd cycle rule is never
 restricted.
+
+A closure keeps one position (``_Game``) and updates it in place.  Two
+exact facts say what a move can change.  The local game at k starts from
+every vertex but k's white partners, so coloring {j,k} changes the local
+games at j and k and no other.  The odd cycle rule at i sees only the white
+non-edges with both ends in N(i), so coloring {j,k} changes it only at the
+common neighbors of j and k.  Only those caches are re-scanned.  The game
+itself is unchanged, and so is its policy: the odd cycle rule is not
+monotone (a triple that colors part of a cycle removes that cycle move), so
+a different move order could give a different trace, and the closure plays
+exactly the first legal move in policy order at every step.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .graphs import Graph, NonEdgePair, _pair, bits, sorted_non_edge
-from .zeroforcing import (CONVENTIONAL_RULES, Rule, single_forces,
+from .graphs import Graph, NonEdgePair, _pair, bits, mask_of, sorted_non_edge
+from .zeroforcing import (CONVENTIONAL_RULES, Rule, _force_pairs,
                           smallest_winning_set)
 
 
@@ -36,9 +47,10 @@ class NonEdgeColoring:
     blue_nonedges: frozenset[NonEdgePair]
 
     def __post_init__(self) -> None:
+        n, adj = self.host.n, self.host.adj
         for u, v in self.blue_nonedges:
-            sorted_non_edge(self.host, u, v)
-            if (u, v) != _pair(u, v):
+            if not 1 <= u < v <= n or adj[u] >> v & 1:
+                sorted_non_edge(self.host, u, v)
                 raise ValueError(f"non-edge {{{u},{v}}} must be stored sorted")
 
     @staticmethod
@@ -49,10 +61,8 @@ class NonEdgeColoring:
         return [e for e in self.host.non_edges() if e not in self.blue_nonedges]
 
     def is_complete(self) -> bool:
-        return len(self.blue_nonedges) == len(self.host.non_edges())
-
-    def with_blue(self, extra: Iterable[NonEdgePair]) -> "NonEdgeColoring":
-        return NonEdgeColoring(self.host, self.blue_nonedges | {_pair(u, v) for u, v in extra})
+        n = self.host.n
+        return len(self.blue_nonedges) == n * (n - 1) // 2 - self.host.num_edges()
 
 
 @dataclass(frozen=True)
@@ -62,10 +72,12 @@ class VcRestriction:
 
     vertices: frozenset[int] = frozenset()
 
-    def allows(self, host: Graph, k: int, i: int) -> bool:
-        if i not in self.vertices or i == k:
-            return True
-        return host.has_edge(i, k)
+    def vetoes(self, host: Graph) -> list[int]:
+        """``vetoes(host)[k]``: bitset of the forcers vetoed in the local game at k."""
+        chosen = mask_of(v for v in self.vertices if 1 <= v <= host.n)
+        if not chosen:
+            return [0] * (host.n + 1)
+        return [0] + [chosen & ~host.closed_neighborhood(k) for k in host.vertices()]
 
 
 @dataclass(frozen=True)
@@ -107,91 +119,188 @@ def format_sap_trace(trace: Sequence[SapForce]) -> str:
     return "\n".join(f"step {t}: {f}" for t, f in enumerate(trace, start=1))
 
 
-def local_blue_mask(g: Graph, coloring: NonEdgeColoring, k: int) -> int:
+def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int]:
+    """Initial blue vertices of the local game at k: N[k] plus blue partners."""
     mask = g.closed_neighborhood(k)
     for u, v in coloring.blue_nonedges:
         if u == k:
             mask |= 1 << v
         elif v == k:
             mask |= 1 << u
-    return mask
+    return frozenset(bits(mask))
 
 
-def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int]:
-    """Initial blue vertices of the local game at k: N[k] plus blue partners."""
-    return frozenset(bits(local_blue_mask(g, coloring, k)))
+def _white_masks(g: Graph, blue: Iterable[NonEdgePair]) -> list[int]:
+    """``white[v]``: the white non-edge partners of v."""
+    full = g.full_mask
+    white = [0] + [full & ~g.closed_neighborhood(v) for v in g.vertices()]
+    for u, v in blue:
+        white[u] &= ~(1 << v)
+        white[v] &= ~(1 << u)
+    return white
 
 
-def _white_adjacency(g: Graph, coloring: NonEdgeColoring) -> list[int]:
-    white_adj = [0] * (g.n + 1)
-    for u, v in coloring.white_nonedges():
-        white_adj[u] |= 1 << v
-        white_adj[v] |= 1 << u
-    return white_adj
+def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
+    """Components of the white graph inside ``nbhd`` that are odd cycles, by
+    least vertex; each starts at its least vertex, then its lesser neighbor.
+    None when fewer than three white edges lie inside ``nbhd``: moves only
+    remove white edges, so no odd cycle can appear there later either."""
+    # a component is a cycle iff every vertex in it has two white neighbors
+    ring = 0
+    ends = 0
+    rest = nbhd
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        degree = (white[low.bit_length() - 1] & nbhd).bit_count()
+        ends += degree
+        if degree == 2:
+            ring |= low
+    if ends < 6:
+        return None
+    out: list[tuple[int, ...]] = []
+    todo = ring
+    while todo:
+        comp = todo & -todo
+        frontier = comp
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= white[low.bit_length() - 1]
+            if not frontier:
+                frontier = reach & ring & ~comp
+                comp |= frontier
+        todo &= ~comp
+        size = comp.bit_count()
+        if size % 2 == 0 or reach & nbhd & ~comp:
+            continue
+        prev = 0
+        cur = (comp & -comp).bit_length() - 1
+        cycle = [cur]
+        while len(cycle) < size:
+            step = white[cur] & comp & ~(1 << prev)
+            prev, cur = cur, (step & -step).bit_length() - 1
+            cycle.append(cur)
+        out.append(tuple(cycle))
+    return out
 
 
 def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycleForce]:
     """All (i->C) moves: components of the white graph inside N(i) that are
     odd cycles, listed with i ascending and cycles by least vertex."""
-    white_adj = _white_adjacency(g, coloring)
-    out: list[OddCycleForce] = []
-    for i in g.vertices():
-        nbhd = g.adj[i]
-        seen = 0
-        for v in bits(nbhd):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for w in bits(frontier):
-                    nxt |= white_adj[w] & nbhd
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            size = comp.bit_count()
-            if size < 3 or size % 2 == 0:
-                continue
-            if any((white_adj[w] & nbhd & comp).bit_count() != 2 for w in bits(comp)):
-                continue
-            start = (comp & -comp).bit_length() - 1
-            cycle = [start]
-            prev = None
-            cur = start
-            while len(cycle) < size:
-                nbrs = [w for w in bits(white_adj[cur] & nbhd & comp) if w != prev]
-                prev, cur = cur, min(nbrs)
-                cycle.append(cur)
-            out.append(OddCycleForce(i, tuple(cycle)))
-    return out
+    white = _white_masks(g, coloring.blue_nonedges)
+    return [OddCycleForce(i, c) for i in g.vertices()
+            for c in _odd_cycles(g.adj[i], white) or ()]
 
 
-def _legal_moves(
-    g: Graph,
-    coloring: NonEdgeColoring,
-    rule: Rule,
-    restriction: VcRestriction,
-) -> Iterator[SapForce]:
-    """Every legal move in policy order: odd cycle applications (vertices
-    ascending), then forcing triples lexicographic by (non-edge, local-game
-    vertex, forcer).  The rule is checked here, before any move is made."""
-    if rule not in CONVENTIONAL_RULES:
-        raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
+class _Game:
+    """The position of one closure, updated in place move by move.
 
-    def moves() -> Iterator[SapForce]:
-        yield from odd_cycle_applications(g, coloring)
-        # first-round forces of the local game at k, computed once per k
-        local_forces: dict[int, list] = {}
-        for a, b in sorted(coloring.white_nonedges()):
-            for k, j in ((a, b), (b, a)):
-                if k not in local_forces:
-                    local_forces[k] = single_forces(g, local_blue_mask(g, coloring, k), rule)
-                for f in local_forces[k]:
-                    if f.target == j and restriction.allows(g, k, f.source):
-                        yield TripleForce(k, f.source, j)
+    Holds the white-adjacency masks, and per vertex the odd cycles of the
+    white graph inside its neighborhood and the first-round forces of its
+    local game as (forcer, target) pairs with vetoed forcers dropped.  A
+    move marks stale only the caches it can change (see the module
+    docstring); each query refreshes the stale ones first.
+    """
 
-    return moves()
+    def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
+                 restriction: VcRestriction) -> None:
+        if rule not in CONVENTIONAL_RULES:
+            raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
+        self.g = g
+        self.rule = rule
+        self.white = _white_masks(g, blue)
+        self.veto = restriction.vetoes(g)
+        self.cycles: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
+        self.has_cycle = 0
+        self.may_cycle = g.full_mask
+        self.forces: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+        # least[k]: the least non-edge forced at k; ``none`` when there is none
+        self.none = (g.n + 1, g.n + 1)
+        self.least = [self.none] * (g.n + 1)
+        self.stale_cycles = g.full_mask
+        self.stale_forces = g.full_mask
+
+    def _refresh_cycles(self) -> None:
+        adj, white, cycles = self.g.adj, self.white, self.cycles
+        stale = self.stale_cycles & self.may_cycle
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            i = low.bit_length() - 1
+            found = _odd_cycles(adj[i], white)
+            if found is None:
+                self.may_cycle &= ~low
+            cycles[i] = found or []
+            if found:
+                self.has_cycle |= low
+            else:
+                self.has_cycle &= ~low
+        self.stale_cycles = 0
+
+    def _refresh_forces(self) -> None:
+        g, rule, white, veto = self.g, self.rule, self.white, self.veto
+        full = g.full_mask
+        stale = self.stale_forces
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            k = low.bit_length() - 1
+            pairs = _force_pairs(g, full & ~white[k], rule) if white[k] else []
+            if veto[k]:
+                pairs = [(i, j) for i, j in pairs if not veto[k] >> i & 1]
+            hit = 0
+            for _, j in pairs:
+                hit |= 1 << j
+            self.forces[k] = pairs
+            # the least non-edge forced at k is {k, its least target}
+            j = (hit & -hit).bit_length() - 1
+            self.least[k] = self.none if not hit else (j, k) if j < k else (k, j)
+        self.stale_forces = 0
+
+    def first_move(self) -> SapForce | None:
+        """The policy's move: the least vertex with an odd cycle, its cycle of
+        least vertex; else the least white non-edge {a,b} forced at a (first
+        allowed forcer), else at b."""
+        self._refresh_cycles()
+        if self.has_cycle:
+            i = (self.has_cycle & -self.has_cycle).bit_length() - 1
+            return OddCycleForce(i, self.cycles[i][0])
+        self._refresh_forces()
+        a, b = min(self.least)
+        if a > self.g.n:
+            return None
+        # {a,b} is the least non-edge forced anywhere, so it is the least
+        # one forced at a whenever a forces b
+        k, j = (a, b) if self.least[a] == (a, b) else (b, a)
+        return TripleForce(k, next(i for i, t in self.forces[k] if t == j), j)
+
+    def legal_moves(self) -> list[SapForce]:
+        """Every legal move in policy order: odd cycle applications (vertices
+        ascending), then forcing triples lexicographic by (non-edge,
+        local-game vertex, forcer)."""
+        self._refresh_cycles()
+        self._refresh_forces()
+        moves: list[SapForce] = [OddCycleForce(i, c) for i in bits(self.has_cycle)
+                                 for c in self.cycles[i]]
+        for a in self.g.vertices():
+            for b in bits(self.white[a] >> (a + 1) << (a + 1)):
+                for k, j in ((a, b), (b, a)):
+                    moves.extend(TripleForce(k, i, j) for i, t in self.forces[k] if t == j)
+        return moves
+
+    def play(self, move: SapForce) -> None:
+        """Color the move's non-edges.  Coloring {u,v} changes the local games
+        at u and v only, and the odd cycles only at common neighbors."""
+        adj, white = self.g.adj, self.white
+        # a triple colors {j,k}: read it off without building colored()
+        pairs = ((move.j, move.k),) if type(move) is TripleForce else move.colored()
+        for u, v in pairs:
+            white[u] &= ~(1 << v)
+            white[v] &= ~(1 << u)
+            self.stale_forces |= 1 << u | 1 << v
+            self.stale_cycles |= adj[u] & adj[v]
 
 
 def applicable_triples(
@@ -202,7 +311,7 @@ def applicable_triples(
 ) -> list[TripleForce]:
     """Every forcing triple available at this position, lexicographic by
     (non-edge, local-game vertex, forcer)."""
-    return [m for m in _legal_moves(g, coloring, rule, restriction)
+    return [m for m in applicable_forces(g, coloring, rule, restriction)
             if isinstance(m, TripleForce)]
 
 
@@ -213,7 +322,7 @@ def applicable_forces(
     restriction: VcRestriction = VcRestriction(),
 ) -> list[SapForce]:
     """All moves at this position: odd cycle applications, then triples."""
-    return list(_legal_moves(g, coloring, rule, restriction))
+    return _Game(g, coloring.blue_nonedges, rule, restriction).legal_moves()
 
 
 def sap_closure(
@@ -233,18 +342,22 @@ def sap_closure(
     coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
     if coloring.host != g:
         raise ValueError("coloring belongs to a different host graph")
+    game = _Game(g, coloring.blue_nonedges, rule, restriction)
     trace: list[SapForce] = []
     while True:
-        moves = _legal_moves(g, coloring, rule, restriction)
         if rng is None:
-            move = next(moves, None)
+            move = game.first_move()
         else:
-            legal = list(moves)
+            legal = game.legal_moves()
             move = rng.choice(legal) if legal else None
         if move is None:
-            return coloring, trace
-        coloring = coloring.with_blue(move.colored())
+            break
+        game.play(move)
         trace.append(move)
+    if trace:
+        colored = coloring.blue_nonedges.union(*(m.colored() for m in trace))
+        coloring = NonEdgeColoring(g, colored)
+    return coloring, trace
 
 
 def replay_trace(
@@ -256,11 +369,13 @@ def replay_trace(
 ) -> NonEdgeColoring:
     """Re-apply a recorded trace, checking every move is legal at its step."""
     coloring = NonEdgeColoring.start(g, blue)
+    game = _Game(g, coloring.blue_nonedges, rule, restriction)
     for t, move in enumerate(trace, start=1):
-        if move not in _legal_moves(g, coloring, rule, restriction):
+        if move not in game.legal_moves():
             raise ValueError(f"step {t}: {move} is not applicable")
-        coloring = coloring.with_blue(move.colored())
-    return coloring
+        game.play(move)
+    colored = coloring.blue_nonedges.union(*(m.colored() for m in trace))
+    return NonEdgeColoring(g, colored)
 
 
 def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
@@ -278,7 +393,9 @@ def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[No
 def complementary_closure(g: Graph, vertices: Iterable[int]) -> frozenset[NonEdgePair]:
     """All non-edges incident to the given vertex set."""
     vs = set(vertices)
-    return frozenset(e for e in g.non_edges() if e[0] in vs or e[1] in vs)
+    full = g.full_mask
+    return frozenset(_pair(v, u) for v in g.vertices() if v in vs
+                     for u in bits(full & ~g.closed_neighborhood(v)))
 
 
 def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:
@@ -289,7 +406,7 @@ def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int
 
     def wins(combo: tuple[int, ...]) -> bool:
         chosen = frozenset(combo)
-        start = complementary_closure(g, chosen)
+        start = NonEdgeColoring(g, complementary_closure(g, chosen))
         return sap_closure(g, start, rule, VcRestriction(chosen))[0].is_complete()
 
     return smallest_winning_set(g.vertices(), wins)

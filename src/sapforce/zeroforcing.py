@@ -64,6 +64,57 @@ def format_trace(forces: list[Force]) -> str:
     return "\n".join(str(f) for f in forces)
 
 
+def _force_pairs(g: Graph, blue: int, rule: Rule) -> list[tuple[int, int]]:
+    """Every (source, target) force the rule allows at this exact state, in
+    the order ``single_forces`` documents.  The one force kernel: the
+    conventional closures and the local games of the non-edge game use it."""
+    adj = g.adj
+    white = g.full_mask & ~blue
+    out: list[tuple[int, int]] = []
+    # bits are walked inline: this is the innermost loop of every game
+    if rule is Rule.Z or rule is Rule.ZL:
+        rest = blue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = adj[low.bit_length() - 1] & white
+            if w and not w & (w - 1):
+                out.append((low.bit_length() - 1, w.bit_length() - 1))
+        if rule is Rule.ZL:
+            rest = white
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if adj[j] and not adj[j] & white:
+                    out.append((j, j))
+    elif rule is Rule.ZPLUS:
+        rest = white
+        while rest:
+            # grow the white component of the least vertex left, and the
+            # set of vertices it touches
+            comp = frontier = rest & -rest
+            touched = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                touched |= adj[low.bit_length() - 1]
+                if not frontier:
+                    frontier = touched & white & ~comp
+                    comp |= frontier
+            rest &= ~comp
+            sources = blue & touched
+            while sources:
+                low = sources & -sources
+                sources ^= low
+                w = adj[low.bit_length() - 1] & comp
+                if not w & (w - 1):
+                    out.append((low.bit_length() - 1, w.bit_length() - 1))
+    else:
+        raise ValueError("single_forces handles conventional rules only")
+    return out
+
+
 def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
     """All forces the rule allows at this exact state; every target is white.
 
@@ -71,35 +122,14 @@ def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
     regular ones, ascending); Zplus forces are grouped by white component,
     then ascending by source within each component.
     """
-    adj = g.adj
-    full = g.full_mask
-    white = full & ~blue
-    out: list[Force] = []
-    if rule in (Rule.Z, Rule.ZL):
-        for i in bits(blue):
-            w = adj[i] & white
-            if w and not w & (w - 1):
-                out.append(Force(i, w.bit_length() - 1))
-        if rule is Rule.ZL:
-            for i in bits(white):
-                if adj[i] and not adj[i] & white:
-                    out.append(Force(i, i))
-    elif rule is Rule.ZPLUS:
-        for comp in g.component_masks(white):
-            for i in bits(blue):
-                w = adj[i] & comp
-                if w and not w & (w - 1):
-                    out.append(Force(i, w.bit_length() - 1))
-    else:
-        raise ValueError("single_forces handles conventional rules only")
-    return out
+    return [Force(i, j) for i, j in _force_pairs(g, blue, rule)]
 
 
 def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
     """Apply every available force until none is left."""
-    while forces := single_forces(g, blue, rule):
-        for f in forces:
-            blue |= 1 << f.target
+    while pairs := _force_pairs(g, blue, rule):
+        for _, j in pairs:
+            blue |= 1 << j
     return blue
 
 

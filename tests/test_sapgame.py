@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from sapforce import families
+from sapforce.graphs import bits
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               VcRestriction, applicable_forces,
@@ -11,7 +12,157 @@ from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               format_sap_trace, is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
-from sapforce.zeroforcing import Rule
+from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
+
+# -- the closure that rebuilds its position before every move ---------------
+#
+# The library's closure keeps one position per call and re-scans only what
+# the last move can change.  These functions rebuild everything from the
+# coloring at every step instead; the tests below require both to give the
+# same final coloring and the same trace, move for move.
+
+
+def reference_white_adjacency(g, coloring):
+    white_adj = [0] * (g.n + 1)
+    for u, v in coloring.white_nonedges():
+        white_adj[u] |= 1 << v
+        white_adj[v] |= 1 << u
+    return white_adj
+
+
+def reference_odd_cycle_applications(g, coloring):
+    white_adj = reference_white_adjacency(g, coloring)
+    out = []
+    for i in g.vertices():
+        nbhd = g.adj[i]
+        seen = 0
+        for v in bits(nbhd):
+            if seen >> v & 1:
+                continue
+            comp = 1 << v
+            frontier = comp
+            while frontier:
+                nxt = 0
+                for w in bits(frontier):
+                    nxt |= white_adj[w] & nbhd
+                frontier = nxt & ~comp
+                comp |= frontier
+            seen |= comp
+            size = comp.bit_count()
+            if size < 3 or size % 2 == 0:
+                continue
+            if any((white_adj[w] & nbhd & comp).bit_count() != 2 for w in bits(comp)):
+                continue
+            start = (comp & -comp).bit_length() - 1
+            cycle = [start]
+            prev = None
+            cur = start
+            while len(cycle) < size:
+                nbrs = [w for w in bits(white_adj[cur] & nbhd & comp) if w != prev]
+                prev, cur = cur, min(nbrs)
+                cycle.append(cur)
+            out.append(OddCycleForce(i, tuple(cycle)))
+    return out
+
+
+def reference_local_blue_mask(g, coloring, k):
+    mask = g.closed_neighborhood(k)
+    for u, v in coloring.blue_nonedges:
+        if u == k:
+            mask |= 1 << v
+        elif v == k:
+            mask |= 1 << u
+    return mask
+
+
+def reference_allows(g, restriction, k, i):
+    if i not in restriction.vertices or i == k:
+        return True
+    return g.has_edge(i, k)
+
+
+def reference_legal_moves(g, coloring, rule, restriction):
+    if rule not in CONVENTIONAL_RULES:
+        raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
+
+    def moves():
+        yield from reference_odd_cycle_applications(g, coloring)
+        local_forces = {}
+        for a, b in sorted(coloring.white_nonedges()):
+            for k, j in ((a, b), (b, a)):
+                if k not in local_forces:
+                    local_forces[k] = single_forces(g, reference_local_blue_mask(g, coloring, k), rule)
+                for f in local_forces[k]:
+                    if f.target == j and reference_allows(g, restriction, k, f.source):
+                        yield TripleForce(k, f.source, j)
+
+    return moves()
+
+
+def reference_sap_closure(g, blue=(), rule=Rule.Z, restriction=VcRestriction(), rng=None):
+    coloring = NonEdgeColoring.start(g, blue)
+    trace = []
+    while True:
+        moves = reference_legal_moves(g, coloring, rule, restriction)
+        if rng is None:
+            move = next(moves, None)
+        else:
+            legal = list(moves)
+            move = rng.choice(legal) if legal else None
+        if move is None:
+            return coloring, trace
+        coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
+        trace.append(move)
+
+
+def assert_same_closure(g, blue, rule, restriction=VcRestriction(), seed=None):
+    rngs = [None, None] if seed is None else [random.Random(seed), random.Random(seed)]
+    final, trace = sap_closure(g, blue, rule, restriction, rng=rngs[0])
+    want_final, want_trace = reference_sap_closure(g, blue, rule, restriction, rng=rngs[1])
+    assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), seed)
+    assert final.blue_nonedges == want_final.blue_nonedges
+
+
+def test_closure_matches_reference_from_empty_start(connected_upto_7):
+    for g in connected_upto_7:
+        for rule in CONVENTIONAL_RULES:
+            assert_same_closure(g, (), rule)
+
+
+def test_closure_matches_reference_from_vertex_cover_starts(connected_upto_6):
+    for g in connected_upto_6:
+        for size in range(3):
+            for combo in combinations(g.vertices(), size):
+                chosen = frozenset(combo)
+                start = complementary_closure(g, chosen)
+                for rule in (Rule.Z, Rule.ZL):
+                    assert_same_closure(g, start, rule, VcRestriction(chosen))
+
+
+def test_closure_matches_reference_from_random_starts(connected_upto_7):
+    rng = random.Random(61)
+    for g in connected_upto_7:
+        nes = g.non_edges()
+        for rule in CONVENTIONAL_RULES:
+            density = rng.random()
+            assert_same_closure(g, [e for e in nes if rng.random() < density], rule)
+
+
+def test_random_order_matches_reference(connected_upto_5):
+    """Seeded random mode draws from the full legal move list, so it matches
+    only if every list is the reference's, in the reference's order."""
+    for idx, g in enumerate(connected_upto_5):
+        for rule in CONVENTIONAL_RULES:
+            assert_same_closure(g, (), rule, seed=idx)
+            _, trace = reference_sap_closure(g, (), rule, rng=random.Random(idx))
+            coloring = NonEdgeColoring.start(g)
+            for move in trace + [None]:
+                want = list(reference_legal_moves(g, coloring, rule, VcRestriction()))
+                assert applicable_forces(g, coloring, rule) == want
+                assert odd_cycle_applications(g, coloring) == \
+                    reference_odd_cycle_applications(g, coloring)
+                if move is not None:
+                    coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
 
 
 def test_local_blue_sets():
@@ -158,6 +309,25 @@ def test_order_exploration_matches_deterministic(connected_upto_5, sampled_n6):
         for seed in range(3):
             final, _ = sap_closure(g, (), Rule.Z, rng=random.Random(seed))
             assert final.blue_nonedges == reference.blue_nonedges
+
+
+def test_final_coloring_independent_of_move_order(connected_upto_5, connected_upto_6):
+    """A seeded random move order ends in the deterministic final coloring
+    from every start set (the fact an orbit-pruned Zsap search would need)."""
+    graphs = connected_upto_5 + [g for g in connected_upto_6
+                                 if g.n == 6 and len(g.non_edges()) <= 6]
+    closures = 0
+    for idx, g in enumerate(graphs):
+        nes = g.non_edges()
+        for size in range(len(nes) + 1):
+            for start in combinations(nes, size):
+                for rule in CONVENTIONAL_RULES:
+                    final, _ = sap_closure(g, start, rule)
+                    shuffled, _ = sap_closure(g, start, rule, rng=random.Random(idx * 7919 + size))
+                    assert shuffled.blue_nonedges == final.blue_nonedges, \
+                        (g.to_graph6(), rule, start)
+                    closures += 1
+    assert closures == 7290
 
 
 def test_multipartite_flags():
