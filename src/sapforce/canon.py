@@ -146,6 +146,8 @@ def _search(g: Graph) -> tuple[list[int], int]:
         return depth
 
     search([g.full_mask], frozenset())
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del search
     best = refs[-1]
     return best[0], best[2]
 

@@ -1,14 +1,24 @@
-"""Exact rational matrices and the linear-system view of the SAP.
+"""Exact rational matrices and two linear-system views of the SAP.
 
 A symmetric matrix A fitting a graph G has the Strong Arnold Property when
 the only symmetric X with A o X = O, I o X = O, AX = O is the zero matrix.
-Writing X with one variable per non-edge turns AX = O into an n^2 x m
-linear system; its coefficient matrix (rows indexed by pairs (i,k), columns
-by non-edges) is full column rank exactly when A has the property.
 
-All arithmetic is exact: entries are fractions, rank and determinant go
-through fraction-free (Bareiss) elimination after clearing denominators.
-There is no tolerance anywhere.
+``has_sap`` decides it on the kernel of A (van der Holst, Lovasz and
+Schrijver, *The Colin de Verdiere graph parameter*, 1999).  With U an n x k
+basis of ker A, the symmetric solutions of AX = O are exactly X = U S U^T
+with S symmetric k x k, so the property asks that S = O be the only
+symmetric S with u_i^T S u_j = 0 for every edge ij and every i = j: a
+system of n + |E| rows in k(k+1)/2 unknowns.
+
+``build_sap_matrix`` keeps the direct form: one variable per non-edge of X
+turns AX = O into an n^2 x m linear system whose coefficient matrix (rows
+indexed by pairs (i,k), columns by non-edges) is full column rank exactly
+when A has the property.  It is the exported system matrix and the
+reference the kernel form is tested against.
+
+All arithmetic is exact: entries are fractions, rank, determinant and
+kernel go through fraction-free (Bareiss) elimination after clearing
+denominators.  There is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .graphs import Graph, NonEdgePair, _pair, sorted_non_edge
@@ -87,7 +97,7 @@ class RationalMatrix:
         for row in self.entries:
             mult = lcm(*(x.denominator for x in row)) if row else 1
             scales.append(mult)
-            out.append([int(x * mult) for x in row])
+            out.append([x.numerator * (mult // x.denominator) for x in row])
         return out, scales
 
     def rank(self) -> int:
@@ -136,6 +146,48 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
         prev = piv
         r += 1
     return r, sign, prev
+
+
+def _kernel_basis(m: list[list[int]], cols: int) -> list[list[int]]:
+    """Integer basis of the right kernel of integer rows, one primitive
+    vector per free column.
+
+    Fraction-free Gauss-Jordan elimination (Nakos, Turner and Williams,
+    1997) works on ``m`` in place: each pivot step updates every other row
+    with an exact division by the previous pivot, so the rows end as d times
+    the reduced row echelon form, d the last pivot.
+    """
+    rows = len(m)
+    prev = 1
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        mr = m[r]
+        piv = mr[c]
+        for i in range(rows):
+            if i != r:
+                mi = m[i]
+                mic = mi[c]
+                for j in range(cols):
+                    mi[j] = (mi[j] * piv - mic * mr[j]) // prev
+        prev = piv
+        pivots.append(c)
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        # row t reads d*u[pivots[t]] + m[t][f]*u[f] = 0 with u[f] = d
+        vec = [0] * cols
+        vec[f] = prev
+        for t, c in enumerate(pivots):
+            vec[c] = -m[t][f]
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis
 
 
 def rank(m: RationalMatrix) -> int:
@@ -306,35 +358,34 @@ def build_sap_matrix(
 
 
 def has_sap(g: Graph, a: RationalMatrix) -> bool:
-    """Exact test: the system matrix has full column rank."""
-    return build_sap_matrix(g, a).is_full_column_rank()
+    """Exact test of the Strong Arnold Property on the kernel of A.
 
-
-def sap_oracle(g: Graph, a: RationalMatrix) -> bool:
-    """Independent check that solves AX = O for an explicit symbolic X.
-
-    Materializes the symmetric X with one symbol per non-edge (so the
-    Hadamard conditions hold by construction) and asks sympy's linear
-    solver whether the zero assignment is the only solution.
+    Let U be an n x k matrix whose columns are a basis of ker A, and u_i its
+    i-th row.  A symmetric X has AX = O exactly when X = U S U^T for a
+    symmetric k x k matrix S: every column of X lies in ker A, so X = U T;
+    with L a left inverse of U (L U = I), T = L X = L X^T = L T^T U^T, so
+    X = U S U^T with S = L T^T, and S = L X L^T is symmetric.  The map
+    S -> U S U^T is injective, since L (U S U^T) L^T = S.  Entry (i,j) of
+    X is u_i^T S u_j; as A fits G, A o X = O and I o X = O ask it to vanish
+    on every edge and on the diagonal.  So A has the property exactly when
+    the (n + |E|) x k(k+1)/2 system in the entries s_pq (p <= q) of S has
+    full column rank.  Row ij gets u_ip u_jq + u_iq u_jp in column pq: the
+    coefficient of s_pq for p < q, and twice it for p = q, a column scaling
+    that leaves the rank unchanged.  With k <= 1 the answer is yes: S = (s)
+    and s u_i^2 = 0 at a vertex where u_i != 0.
     """
-    import sympy
-
     validate_pattern(g, a)
-    non_edges = g.non_edges()
-    if not non_edges:
+    basis = _kernel_basis(a._integer_rows()[0], a.cols)
+    k = len(basis)
+    if k <= 1:
         return True
-    syms = {e: sympy.Symbol(f"x_{e[0]}_{e[1]}") for e in non_edges}
-    n = g.n
-    x = sympy.zeros(n, n)
-    for (u, v), s in syms.items():
-        x[u - 1, v - 1] = s
-        x[v - 1, u - 1] = s
-    a_s = sympy.Matrix([[sympy.Rational(a.entries[i][j]) for j in range(n)] for i in range(n)])
-    product = a_s * x
-    equations = [product[i, j] for i in range(n) for j in range(n)]
-    solset = sympy.linsolve(equations, list(syms.values()))
-    (solution,) = tuple(solset)
-    return all(expr == 0 for expr in solution)
+    u = list(zip(*basis))
+    pairs = [(p, q) for p in range(k) for q in range(p, k)]
+    system = []
+    for i, j in [(v, v) for v in g.vertices()] + g.edges():
+        ui, uj = u[i - 1], u[j - 1]
+        system.append([ui[p] * uj[q] + ui[q] * uj[p] for p, q in pairs])
+    return _bareiss(system, len(pairs))[0] == len(pairs)
 
 
 # -- odd cycle determinant -------------------------------------------------

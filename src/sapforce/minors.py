@@ -50,7 +50,10 @@ def _embed_subgraph(host: Graph, pattern: Graph) -> list[int] | None:
             used &= ~(1 << v)
         return False
 
-    return image if place(0) else None
+    found = place(0)
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del place
+    return image if found else None
 
 
 def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
@@ -88,6 +91,8 @@ def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
         return None
 
     witness = dfs(g, [frozenset({v}) for v in g.vertices()])
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del dfs
     return (witness is not None), witness
 
 
@@ -110,6 +115,8 @@ def clique_number(g: Graph) -> int:
             grow(clique_size + 1, candidates & g.adj[v])
 
     grow(0, g.full_mask)
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del grow
     return best
 
 
@@ -162,4 +169,6 @@ def vertex_cover_number(g: Graph) -> int:
             bb(active & ~nbrs & ~(1 << pick), chosen + nbrs.bit_count())
 
     bb(g.full_mask, 0)
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del bb
     return best

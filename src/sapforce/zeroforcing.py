@@ -192,7 +192,10 @@ def _floor_game_sequence(g: Graph, start: int) -> list[Force] | None:
         dead.add(key)
         return None
 
-    return search(start, 0)
+    found = search(start, 0)
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del search
+    return found
 
 
 def floor_force_sequence(g: Graph, blue: set[int] | frozenset[int]) -> list[Force] | None:

@@ -17,13 +17,15 @@ from sapforce.canon import enumerate_connected
 from sapforce.graphs import Graph
 from sapforce.linalg import (PatternFamily, RationalMatrix, build_sap_matrix,
                              has_sap, odd_cycle_det, perturbation_witness,
-                             sample_matrix, sap_oracle)
+                             sample_matrix)
 from sapforce.minors import vertex_cover_number
 from sapforce.report import SurveyRow, survey_graphs
 from sapforce.sapgame import (is_zsap_zero, sap_closure, sap_forcing_number,
                               vc_forcing_number)
 from sapforce.xi import XiUnresolvedError, m_small, xi
 from sapforce.zeroforcing import Rule, closure, min_zfs
+
+from oracle import sap_oracle
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,17 +1,23 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sapforce import families
-from sapforce.canon import enumerate_graphs
+from sapforce.canon import enumerate_connected, enumerate_graphs
 from sapforce.graphs import Graph
 from sapforce.linalg import (PatternError, PatternFamily, PerturbationError,
                              RationalMatrix, build_sap_matrix, format_matrix,
                              has_sap, nullity, odd_cycle_det, odd_cycle_matrix,
                              parse_matrix, perturbation_witness, rank,
-                             sample_matrix, sap_oracle, validate_pattern,
+                             sample_matrix, validate_pattern,
                              diagonal_indicator)
+from sapforce.sapgame import vc_forcing_number
+from sapforce.zeroforcing import Rule
+
+from oracle import sap_oracle
 
 P4_MATRIX = RationalMatrix.from_rows(
     [[-1, 1, 0, 0], [1, -1, 1, 0], [0, 1, -1, 1], [0, 0, 1, -1]])
@@ -204,3 +210,94 @@ def test_block_structure_random():
                     assert block == a.column(i - 1)
                 else:
                     assert all(x == 0 for x in block)
+
+
+# -- the kernel form of has_sap against the system matrix Psi -----------------
+
+def _perfbench_clique_psd():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "matrices.py"
+    spec = importlib.util.spec_from_file_location("perfbench_matrices", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.clique_psd
+
+
+def adjacency_matrix(g, sign=lambda u, v: 1):
+    return RationalMatrix.from_rows(
+        [[sign(min(u, v), max(u, v)) if g.has_edge(u, v) else 0 for v in g.vertices()]
+         for u in g.vertices()])
+
+
+@pytest.fixture(scope="module")
+def adjacency_corpus():
+    """Plain and seeded +-1-signed adjacency matrices of every graph with
+    n <= 7.  Their diagonals are zero, so the I o X = O rows are not implied
+    by the A o X = O rows."""
+    corpus = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            rng = random.Random(f"signs/{g.to_graph6()}")
+            signs = {e: rng.choice((-1, 1)) for e in g.edges()}
+            corpus += [(g, adjacency_matrix(g)),
+                       (g, adjacency_matrix(g, lambda u, v: signs[u, v]))]
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def clique_psd_corpus():
+    """Two nullity-rich ``clique_psd`` draws per connected graph with n <= 7."""
+    clique_psd = _perfbench_clique_psd()
+    corpus = []
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            rng = random.Random(f"clique_psd/{g.to_graph6()}")
+            corpus += [(g, clique_psd(g, rng)) for _ in range(2)]
+    return corpus
+
+
+def check_against_system_matrix(corpus):
+    """Assert the two forms agree; return the matrices, the "no" verdicts and
+    the matrices of nullity >= 2."""
+    no = nullity2 = 0
+    for g, a in corpus:
+        verdict = has_sap(g, a)
+        assert verdict == build_sap_matrix(g, a).is_full_column_rank(), (g.to_graph6(), a)
+        no += not verdict
+        nullity2 += a.nullity() >= 2
+    return len(corpus), no, nullity2
+
+
+def test_kernel_form_matches_system_matrix_on_adjacency(adjacency_corpus):
+    assert check_against_system_matrix(adjacency_corpus) == (2504, 346, 540)
+
+
+def test_kernel_form_matches_system_matrix_on_clique_psd(clique_psd_corpus):
+    assert check_against_system_matrix(clique_psd_corpus) == (1992, 124, 1079)
+
+
+def test_kernel_form_hand_cases():
+    for n in range(2, 7):
+        ones = RationalMatrix.from_rows([[1] * n] * n)
+        assert ones.nullity() == n - 1
+        assert has_sap(families.complete(n), ones)
+        zero = RationalMatrix.from_rows([[0] * n] * n)
+        assert not has_sap(families.empty(n), zero)
+    p3 = adjacency_matrix(families.path(3))
+    assert p3.nullity() == 1 and has_sap(families.path(3), p3)
+
+
+def test_perturbation_witness_on_non_sap_matrices(adjacency_corpus, clique_psd_corpus):
+    """Shifting the diagonal on a winning vertex set of the vertex-cover game
+    gives the property back, for every non-SAP matrix on a connected graph
+    with n <= 6."""
+    ran = []
+    for corpus in (adjacency_corpus, clique_psd_corpus):
+        failing = [(g, a) for g, a in corpus
+                   if g.n <= 6 and g.is_connected() and not has_sap(g, a)]
+        for g, a in failing:
+            _, cover = vc_forcing_number(g, Rule.Z)
+            x, perturbed = perturbation_witness(g, a, cover)
+            assert x > 0 and has_sap(g, perturbed), g.to_graph6()
+            assert perturbed.nullity() >= a.nullity() - len(cover)
+        ran.append(len(failing))
+    assert ran == [12, 16]

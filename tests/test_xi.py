@@ -1,11 +1,13 @@
+import gc
 import random
+from types import FunctionType
 
 import pytest
 
 from sapforce import families
 from sapforce.canon import canonical_form, enumerate_trees
 from sapforce.graphs import CapExceededError, Graph
-from sapforce.minors import vertex_cover_number
+from sapforce.minors import clique_number, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
@@ -169,3 +171,25 @@ def test_ternary_spider_floor_value():
     value = min_zfs(t, Rule.FLOOR)[0]
     assert value in (3, 4)
     assert value > 2  # either way it exceeds every tree's parameter value
+
+
+def test_xi_pass_leaves_no_cyclic_garbage(connected_upto_6):
+    """Recursive helpers must not leave function/closure reference cycles
+    behind: with the collector off, a pass of xi (and of the two searches
+    xi does not reach) frees everything by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g in connected_upto_6:
+            xi(g)
+            clique_number(g)
+            vertex_cover_number(g)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sorted({f.__qualname__ for f in gc.garbage
+                         if isinstance(f, FunctionType) and f.__module__.startswith("sapforce")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
