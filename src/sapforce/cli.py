@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: param, trace, verify-sap, survey, verify-xi, minors.
-Exit codes: 0 verified/ok, 1 property violation found, 2 input error,
-3 size refusal: a cap set in ``report`` (``param`` and ``minors`` only), or
-a limit of the theory or of the built-in enumeration.
+Subcommands: param, trace, verify-sap, survey, verify-xi, minors; each
+declares only the options its ``cmd_*`` function reads.  ``main`` maps every
+outcome to its exit code: 0 verified/ok (or ``--help``); 1 property violation
+found (a failed check, or ``ReportInvariantError``); 2 input error (an unknown
+or missing option, ``GraphError``, ``ConfigurationError``, ``OSError``,
+``ValueError``); 3 size refusal (``CapExceededError``: a cap set in ``report``,
+applied by ``param`` and ``minors`` only, or a limit of the theory or of the
+built-in enumeration; ``param`` also exits 3 when it refused a parameter).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
                      SurveyRow, check_vertex_cap, compute_report, survey_graphs)
 from .sapgame import format_sap_trace, is_zsap_zero, replay_trace, sap_closure
-from .xi import (ConfigurationError, MSizeError, XiUnresolvedError,
+from .xi import (XI_COMPONENT_LIMIT, ConfigurationError, XiUnresolvedError,
                  load_t3_family, xi)
 from .zeroforcing import Rule, min_zfs
 
@@ -32,12 +36,6 @@ EXIT_GUARD = 3
 
 FAMILY_RULES = {PatternFamily.S: Rule.Z, PatternFamily.S_ELL: Rule.ZL,
                 PatternFamily.S_PLUS: Rule.ZPLUS}
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def load_graph(spec: str, indexing: int = 1) -> Graph:
@@ -56,13 +54,6 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
     except KeyError:
         pass
     return parse_graph6(spec)
-
-
-def _rule(label: str) -> Rule:
-    try:
-        return Rule.from_label(label)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
 
 
 def cmd_param(args) -> int:
@@ -85,7 +76,7 @@ def cmd_param(args) -> int:
 
 def cmd_trace(args) -> int:
     g = load_graph(args.graph, args.indexing)
-    rule = _rule(args.rule)
+    rule = Rule.from_label(args.rule)
     final, trace = sap_closure(g, (), rule)
     replay = replay_trace(g, (), trace, rule)
     if replay.blue_nonedges != final.blue_nonedges:
@@ -104,6 +95,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify_sap(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     g = load_graph(args.graph, args.indexing)
     family = PatternFamily.from_label(args.family)
     rule = FAMILY_RULES[family]
@@ -141,18 +134,12 @@ def cmd_survey(args) -> int:
             try:
                 g = parse_graph6(line)
             except GraphError as exc:
-                raise CliError(f"{args.corpus}:{ln_no}: {exc}", EXIT_INPUT) from exc
+                raise GraphError(f"{args.corpus}:{ln_no}: {exc}") from exc
             groups.setdefault(g.n, []).append(g)
         for n in sorted(groups):
             rows.append(survey_graphs(groups[n], n))
     else:
-        if args.n is None:
-            raise CliError("survey needs --n or --corpus", EXIT_INPUT)
-        if not 1 <= args.n <= 8:
-            raise CliError(f"built-in enumeration supports n in 1..8, got {args.n}",
-                           EXIT_GUARD)
-        graphs = list(enumerate_connected(args.n))
-        rows.append(survey_graphs(graphs, args.n))
+        rows.append(survey_graphs(list(enumerate_connected(args.n)), args.n))
     print(SurveyRow.CSV_HEADER)
     for row in rows:
         print(row.to_csv())
@@ -163,12 +150,10 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify_xi(args) -> int:
-    if args.n is None:
-        raise CliError("verify-xi needs --n", EXIT_INPUT)
-    if not 1 <= args.n <= 7:
-        raise CliError(
-            f"the pipeline only covers graphs on at most 7 vertices, got {args.n}",
-            EXIT_GUARD)
+    if args.n > XI_COMPONENT_LIMIT:
+        raise CapExceededError(
+            f"the pipeline only covers graphs on at most {XI_COMPONENT_LIMIT} "
+            f"vertices, got {args.n}")
     t3 = load_t3_family(args.t3_data)
     exceptions = []
     unresolved = []
@@ -196,17 +181,16 @@ def cmd_minors(args) -> int:
     g = load_graph(args.graph, args.indexing)
     check_vertex_cap(g)
     if args.pattern:
-        h = load_graph(args.pattern, args.indexing)
-        hit, witness = has_minor(g, h)
-        if hit:
-            sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness)
-            print(f"minor: yes; branch sets: {sets}")
-        else:
+        hit, witness = has_minor(g, load_graph(args.pattern, args.indexing))
+        if not hit:
             print("minor: no")
-        return EXIT_OK
-    eta, witness = hadwiger(g)
+            return EXIT_OK
+        head = "minor: yes"
+    else:
+        eta, witness = hadwiger(g)
+        head = f"largest complete minor: {eta}"
     sets = ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in witness)
-    print(f"largest complete minor: {eta}; branch sets: {sets}")
+    print(f"{head}; branch sets: {sets}")
     return EXIT_OK
 
 
@@ -217,17 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "Property checks, and small-graph parameter surveys")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--graph", help="graph6 string, known graph name, or file path")
+    def graph_options(p):
+        p.add_argument("--graph", required=True,
+                       help="graph6 string, known graph name, or file path")
         p.add_argument("--indexing", type=int, choices=(0, 1), default=1,
                        help="vertex indexing convention for edge-list files")
-        p.add_argument("--t3-data", dest="t3_data", default=None,
-                       help="override the bundled forbidden-minor data file")
-        p.add_argument("--cache", default=None, help="append-only result cache path")
-        p.add_argument("--out", default=None, help="write output to this path")
 
     p = sub.add_parser("param", help="compute parameters and flags for one graph")
-    common(p)
+    graph_options(p)
+    p.add_argument("--t3-data", dest="t3_data",
+                   help="override the bundled forbidden-minor data file")
+    p.add_argument("--cache", help="append-only result cache path")
+    p.add_argument("--out", help="write output to this path")
     p.add_argument("--params", default="all",
                    help=f"comma list from {','.join(PARAM_NAMES)} (default all)")
     p.add_argument("--flags", default="all",
@@ -235,51 +220,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_param)
 
     p = sub.add_parser("trace", help="print the deterministic non-edge forcing trace")
-    common(p)
+    graph_options(p)
     p.add_argument("--rule", default="Z", help="local game rule: Z, Zl, or Zplus")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify-sap", help="sample matrices and check the property")
-    common(p)
+    graph_options(p)
     p.add_argument("--family", default="S", help="S, S_ell, or S_plus")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_sap)
 
     p = sub.add_parser("survey", help="proportions of zero game values over connected graphs")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--corpus", default=None, help="graph6 file, one graph per line")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int)
+    source.add_argument("--corpus", help="graph6 file, one graph per line")
+    p.add_argument("--out", help="write output to this path")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("verify-xi", help="check the parameter against the floor bound")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t3-data", dest="t3_data",
+                   help="override the bundled forbidden-minor data file")
     p.set_defaults(func=cmd_verify_xi)
 
     p = sub.add_parser("minors", help="minor containment or largest complete minor")
-    common(p)
-    p.add_argument("--pattern", default=None, help="pattern graph to find as a minor")
+    graph_options(p)
+    p.add_argument("--pattern", help="pattern graph to find as a minor")
     p.set_defaults(func=cmd_minors)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (CapExceededError, MSizeError) as exc:
+    except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ReportInvariantError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (GraphError, ConfigurationError, FileNotFoundError, ValueError) as exc:
+    except (GraphError, ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

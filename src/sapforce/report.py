@@ -12,7 +12,7 @@ from .canon import canonical_form
 from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
 from .sapgame import is_zsap_zero, sap_forcing_number, vc_forcing_number
-from .xi import MSizeError, T3FamilyData, m_small, t3_minor, xi
+from .xi import T3FamilyData, m_small, t3_minor, xi
 from .zeroforcing import Rule, min_zfs
 
 CODE_VERSION = "0.1.0"
@@ -155,7 +155,7 @@ def compute_report(
                 report.certificates["xi"] = cert.to_record(g)
             else:
                 report.params[name] = _PARAM_COMPUTERS[name](g)
-        except (CapExceededError, MSizeError) as exc:
+        except CapExceededError as exc:
             report.refused[name] = str(exc)
             continue
         if cache:
@@ -221,7 +221,8 @@ def survey_graphs(graphs: list[Graph], n: int) -> SurveyRow:
 # One JSON record per line, keyed by (canonical graph6, parameter name,
 # code version); the file is never rewritten, so it doubles as an audit log.
 # Lines that do not hold a record (say, one cut short by an interrupted
-# write) are skipped and counted in ``skipped``.
+# write, or one whose keys are not strings or whose value is not an int)
+# are skipped and counted in ``skipped``.
 
 class ResultCache:
     def __init__(self, path: str | Path):
@@ -237,6 +238,8 @@ class ResultCache:
             try:
                 rec = json.loads(line)
                 key, value = (rec["graph6"], rec["param"]), rec["value"]
+                if not (all(type(k) is str for k in key) and type(value) is int):
+                    raise TypeError("not a cache record")
             except (ValueError, TypeError, KeyError):
                 self.skipped += 1
                 continue

@@ -120,14 +120,9 @@ def format_sap_trace(trace: Sequence[SapForce]) -> str:
 
 
 def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int]:
-    """Initial blue vertices of the local game at k: N[k] plus blue partners."""
-    mask = g.closed_neighborhood(k)
-    for u, v in coloring.blue_nonedges:
-        if u == k:
-            mask |= 1 << v
-        elif v == k:
-            mask |= 1 << u
-    return frozenset(bits(mask))
+    """Initial blue vertices of the local game at k: every vertex but k's
+    white partners."""
+    return frozenset(bits(g.full_mask & ~_white_masks(g, coloring.blue_nonedges)[k]))
 
 
 def _white_masks(g: Graph, blue: Iterable[NonEdgePair]) -> list[int]:

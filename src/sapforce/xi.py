@@ -29,7 +29,7 @@ from .zeroforcing import Rule, min_zfs
 XI_COMPONENT_LIMIT = 7
 
 
-class MSizeError(GraphError):
+class MSizeError(CapExceededError):
     """Maximum nullity is only available via zero forcing for trees and
     graphs on at most 7 vertices; anything else must be refused loudly."""
 

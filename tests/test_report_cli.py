@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -5,9 +8,9 @@ import sys
 import pytest
 
 from sapforce import families
-from sapforce.cli import main
-from sapforce.report import (ParameterReport, ReportInvariantError, ResultCache,
-                             SurveyRow, compute_report, survey_graphs)
+from sapforce.cli import build_parser, main
+from sapforce.report import (CODE_VERSION, ParameterReport, ReportInvariantError,
+                             ResultCache, SurveyRow, compute_report, survey_graphs)
 
 
 def run_cli(*argv):
@@ -79,6 +82,18 @@ def test_cache_survives_truncated_last_line(tmp_path, capsys):
     assert warm.get(json.loads(lines[0])["graph6"], "Zl") == 1
 
 
+def test_cache_skips_records_of_the_wrong_type(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    bad = [{"graph6": "CL", "param": "Z", "value": "x"},  # CL is the 4-path
+           {"graph6": [1], "param": "Z", "value": 1}]
+    path.write_text("".join(json.dumps(dict(rec, version=CODE_VERSION)) + "\n"
+                            for rec in bad))
+    assert ResultCache(path).skipped == 2
+    assert run_cli("param", "--graph", "p4", "--params", "Z,Zl", "--flags", "",
+                   "--cache", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"Z": 1, "Zl": 1}
+
+
 def test_cli_param_stdout(capsys):
     assert run_cli("param", "--graph", "p4", "--params", "Z,FloorZ,Zsap,Zvc,xi",
                    "--flags", "zsap_zero") == 0
@@ -136,6 +151,15 @@ def test_cli_verify_sap(capsys):
                    "--samples", "4", "--seed", "1") == 0
     out = capsys.readouterr().out
     assert "not guaranteed" in out and "4/4" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cli_verify_sap_needs_a_sample(samples, capsys):
+    # no sampled matrix can show a pass or a violation
+    assert run_cli("verify-sap", "--graph", "petersen", "--samples", samples) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --samples")
 
 
 def test_cli_survey(tmp_path, capsys):
@@ -221,3 +245,64 @@ def test_survey_graphs_deterministic(connected_upto_5):
     row1 = survey_graphs(five, 5)
     row2 = survey_graphs(list(five), 5)
     assert row1 == row2 == SurveyRow(5, 21, 18, 20, 20)
+
+
+def _args_read(func):
+    tree = ast.parse(inspect.getsource(func))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_declared_option_is_read():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        declared = {a.dest for a in parser._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        assert declared == _args_read(parser.get_default("func")), name
+
+
+# options that each subcommand once accepted and never read
+_UNREAD_OPTIONS = {
+    ("trace", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
+    ("verify-sap", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
+    ("survey", "--n", "4"): ("--graph", "--indexing", "--t3-data", "--cache"),
+    ("verify-xi", "--n", "4"): ("--graph", "--indexing", "--cache", "--out"),
+    ("minors", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
+}
+_USAGE_ERRORS = [base + (opt, "1") for base, opts in _UNREAD_OPTIONS.items()
+                 for opt in opts] + [
+    ("param", "--params", "Z"),
+    ("trace",),
+    ("verify-sap",),
+    ("minors",),
+    ("verify-xi",),
+    ("survey", "--n", "4", "--corpus", "{dir}/corpus.g6"),
+]
+_EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
+    (("param", "--graph", "p4", "--params", "Z", "--flags", "", "--cache", "{dir}"),
+     2, "error:"),
+    (("survey", "--corpus", "{dir}"), 2, "error:"),
+    (("verify-xi", "--n", "1", "--t3-data", "{dir}"), 2, "error:"),
+    (("verify-xi", "--n", "8"), 3, "refused:"),
+    (("survey", "--n", "9"), 3, "refused:"),
+]
+
+
+@pytest.mark.parametrize("argv, code, prefix", _EXIT_CODES,
+                         ids=[" ".join(argv) for argv, _, _ in _EXIT_CODES])
+def test_exit_codes(argv, code, prefix, tmp_path, capsys):
+    (tmp_path / "corpus.g6").write_text("Ch\n")
+    assert run_cli(*(arg.format(dir=tmp_path) for arg in argv)) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [("trace",), ("survey", "--corpus", ".")],
+                         ids=" ".join)
+def test_cli_errors_print_no_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "sapforce.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

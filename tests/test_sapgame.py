@@ -75,6 +75,10 @@ def reference_local_blue_mask(g, coloring, k):
     return mask
 
 
+def reference_local_blue_set(g, coloring, k):
+    return frozenset(bits(reference_local_blue_mask(g, coloring, k)))
+
+
 def reference_allows(g, restriction, k, i):
     if i not in restriction.vertices or i == k:
         return True
@@ -173,6 +177,17 @@ def test_local_blue_sets():
     assert local_blue_set(p4, seeded, 4) == frozenset({2, 3, 4})
     star = families.star(3)
     assert local_blue_set(star, NonEdgeColoring.start(star), 2) == frozenset({1, 2})
+
+
+def test_local_blue_set_matches_reference(connected_upto_6):
+    rng = random.Random(122)
+    for g in connected_upto_6:
+        nes = g.non_edges()
+        for _ in range(3):
+            coloring = NonEdgeColoring.start(g, [e for e in nes if rng.random() < 0.5])
+            for k in g.vertices():
+                assert local_blue_set(g, coloring, k) == \
+                    reference_local_blue_set(g, coloring, k)
 
 
 def test_applicable_forces_p4_first_round():
