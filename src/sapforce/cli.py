@@ -42,13 +42,15 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
     """Resolve --graph: a file path (graph6 or edge-list), a known graph
     name, or a literal graph6 string."""
     path = Path(spec)
-    if path.exists() and path.is_file():
+    if path.is_file():
         text = path.read_text()
-        stripped = text.strip()
-        first = stripped.splitlines()[0].split() if stripped else []
+        lines = text.strip().splitlines()
+        if not lines:
+            raise GraphError(f"{spec}: empty graph file")
+        first = lines[0].split()
         if len(first) == 2 and all(tok.isdigit() for tok in first):
             return parse_edge_list(text, indexing=indexing)
-        return parse_graph6(stripped.splitlines()[0])
+        return parse_graph6(lines[0])
     try:
         return families.by_name(spec)
     except KeyError:

@@ -16,9 +16,10 @@ indexed by pairs (i,k), columns by non-edges) is full column rank exactly
 when A has the property.  It is the exported system matrix and the
 reference the kernel form is tested against.
 
-All arithmetic is exact: entries are fractions, rank, determinant and
-kernel go through fraction-free (Bareiss) elimination after clearing
-denominators.  There is no tolerance anywhere.
+All arithmetic is exact: entries are fractions, and after clearing
+denominators one fraction-free (Bareiss) elimination loop gives rank,
+determinant and, carrying an identity block along, the kernel of A.
+There is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -121,7 +122,14 @@ class RationalMatrix:
 def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
     """Fraction-free elimination of integer rows, in place, with
     first-nonzero pivoting; returns (rank, sign of the row swaps, last
-    pivot)."""
+    pivot).
+
+    Pivots are taken in the first ``cols`` columns only, but every row is
+    updated across its full width, so columns past ``cols`` carry the row
+    operations along: on [A | I] they end as the transform T with T A the
+    echelon form.  Each entry is a minor of the matrix (Bareiss, 1968), so
+    the division by the previous pivot is exact in every column.
+    """
     rows = len(m)
     sign = 1
     prev = 1
@@ -140,54 +148,12 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
         for i in range(r + 1, rows):
             mi = m[i]
             mic = mi[c]
-            for j in range(c + 1, cols):
+            for j in range(c + 1, len(mr)):
                 mi[j] = (mi[j] * piv - mic * mr[j]) // prev
             mi[c] = 0
         prev = piv
         r += 1
     return r, sign, prev
-
-
-def _kernel_basis(m: list[list[int]], cols: int) -> list[list[int]]:
-    """Integer basis of the right kernel of integer rows, one primitive
-    vector per free column.
-
-    Fraction-free Gauss-Jordan elimination (Nakos, Turner and Williams,
-    1997) works on ``m`` in place: each pivot step updates every other row
-    with an exact division by the previous pivot, so the rows end as d times
-    the reduced row echelon form, d the last pivot.
-    """
-    rows = len(m)
-    prev = 1
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        mr = m[r]
-        piv = mr[c]
-        for i in range(rows):
-            if i != r:
-                mi = m[i]
-                mic = mi[c]
-                for j in range(cols):
-                    mi[j] = (mi[j] * piv - mic * mr[j]) // prev
-        prev = piv
-        pivots.append(c)
-    basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        # row t reads d*u[pivots[t]] + m[t][f]*u[f] = 0 with u[f] = d
-        vec = [0] * cols
-        vec[f] = prev
-        for t, c in enumerate(pivots):
-            vec[c] = -m[t][f]
-        g = gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
 
 
 def rank(m: RationalMatrix) -> int:
@@ -373,13 +339,27 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
     coefficient of s_pq for p < q, and twice it for p = q, a column scaling
     that leaves the rank unchanged.  With k <= 1 the answer is yes: S = (s)
     and s u_i^2 = 0 at a vertex where u_i != 0.
+
+    U comes from one ``_bareiss`` pass over [DA | D], pivoting in A's n
+    columns, where the positive diagonal D clears the denominators of A's
+    rows (D = I for an integer A).  Row i starts as [t A | t] with t = d_i
+    e_i, and every step replaces rows by combinations of rows, so each row
+    keeps that form; every step is invertible, so the final right parts t
+    are independent.  The rows past the rank r have t A = 0, hence A t = 0
+    as A is symmetric: these k = n - r rows, each divided by its gcd, are a
+    basis of ker A.
     """
     validate_pattern(g, a)
-    basis = _kernel_basis(a._integer_rows()[0], a.cols)
-    k = len(basis)
+    n = a.cols
+    rows, scales = a._integer_rows()
+    m = [row + [d if i == j else 0 for j in range(n)]
+         for i, (row, d) in enumerate(zip(rows, scales))]
+    r = _bareiss(m, n)[0]
+    k = n - r
     if k <= 1:
         return True
-    u = list(zip(*basis))
+    basis = [row[n:] for row in m[r:]]
+    u = list(zip(*([x // gcd(*t) for x in t] for t in basis)))
     pairs = [(p, q) for p in range(k) for q in range(p, k)]
     system = []
     for i, j in [(v, v) for v in g.vertices()] + g.edges():

@@ -221,8 +221,8 @@ def survey_graphs(graphs: list[Graph], n: int) -> SurveyRow:
 # One JSON record per line, keyed by (canonical graph6, parameter name,
 # code version); the file is never rewritten, so it doubles as an audit log.
 # Lines that do not hold a record (say, one cut short by an interrupted
-# write, or one whose keys are not strings or whose value is not an int)
-# are skipped and counted in ``skipped``.
+# write, or one whose keys are not strings or whose value is not a count,
+# an int >= 0) are skipped and counted in ``skipped``.
 
 class ResultCache:
     def __init__(self, path: str | Path):
@@ -238,7 +238,8 @@ class ResultCache:
             try:
                 rec = json.loads(line)
                 key, value = (rec["graph6"], rec["param"]), rec["value"]
-                if not (all(type(k) is str for k in key) and type(value) is int):
+                if not (all(type(k) is str for k in key)
+                        and type(value) is int and value >= 0):
                     raise TypeError("not a cache record")
             except (ValueError, TypeError, KeyError):
                 self.skipped += 1

@@ -255,6 +255,35 @@ def clique_psd_corpus():
     return corpus
 
 
+@pytest.fixture(scope="module")
+def twin_blowup_corpus():
+    """Seeded twin blow-ups A[i][j] = B[phi(i)][phi(j)] s_i s_j, n <= 7, of a
+    symmetric B on 2..4 base vertices, kept when the nullity is >= 2; the
+    graph is read off A's pattern.  Twins give kernel vectors with disjoint
+    supports, so a row ij of the kernel system often pairs u_ip with u_jq
+    for p != q alone, and only its cross term ui[q] * uj[p] keeps it
+    symmetric in i and j."""
+    rng = random.Random("twin_blowup")
+    corpus = []
+    for _ in range(1000):
+        b = rng.randint(2, 4)
+        n = rng.randint(b + 1, 7)
+        phi = list(range(b)) + [rng.randrange(b) for _ in range(n - b)]
+        rng.shuffle(phi)
+        base = [[0] * b for _ in range(b)]
+        for p in range(b):
+            for q in range(p, b):
+                base[p][q] = base[q][p] = rng.randint(-2, 2)
+        s = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+        rows = [[base[phi[i]][phi[j]] * s[i] * s[j] for j in range(n)] for i in range(n)]
+        a = RationalMatrix.from_rows(rows)
+        if a.nullity() >= 2:
+            g = Graph.from_edges(n, [(i + 1, j + 1) for i in range(n)
+                                     for j in range(i + 1, n) if rows[i][j]])
+            corpus.append((g, a))
+    return corpus
+
+
 def check_against_system_matrix(corpus):
     """Assert the two forms agree; return the matrices, the "no" verdicts and
     the matrices of nullity >= 2."""
@@ -275,11 +304,19 @@ def test_kernel_form_matches_system_matrix_on_clique_psd(clique_psd_corpus):
     assert check_against_system_matrix(clique_psd_corpus) == (1992, 124, 1079)
 
 
+def test_kernel_form_matches_system_matrix_on_twin_blowups(twin_blowup_corpus):
+    assert check_against_system_matrix(twin_blowup_corpus) == (758, 203, 758)
+
+
 def test_kernel_form_hand_cases():
     for n in range(2, 7):
         ones = RationalMatrix.from_rows([[1] * n] * n)
         assert ones.nullity() == n - 1
         assert has_sap(families.complete(n), ones)
+        # congruent to the all-ones matrix; each row has its own denominator
+        ones_scaled = RationalMatrix.from_rows(
+            [[Fraction(1, (i + 1) * (j + 1)) for j in range(n)] for i in range(n)])
+        assert has_sap(families.complete(n), ones_scaled)
         zero = RationalMatrix.from_rows([[0] * n] * n)
         assert not has_sap(families.empty(n), zero)
     p3 = adjacency_matrix(families.path(3))

@@ -85,10 +85,11 @@ def test_cache_survives_truncated_last_line(tmp_path, capsys):
 def test_cache_skips_records_of_the_wrong_type(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     bad = [{"graph6": "CL", "param": "Z", "value": "x"},  # CL is the 4-path
-           {"graph6": [1], "param": "Z", "value": 1}]
+           {"graph6": [1], "param": "Z", "value": 1},
+           {"graph6": "CL", "param": "Z", "value": -5}]  # not a count
     path.write_text("".join(json.dumps(dict(rec, version=CODE_VERSION)) + "\n"
                             for rec in bad))
-    assert ResultCache(path).skipped == 2
+    assert ResultCache(path).skipped == 3
     assert run_cli("param", "--graph", "p4", "--params", "Z,Zl", "--flags", "",
                    "--cache", str(path)) == 0
     assert json.loads(capsys.readouterr().out)["params"] == {"Z": 1, "Zl": 1}
@@ -285,6 +286,10 @@ _EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
      2, "error:"),
     (("survey", "--corpus", "{dir}"), 2, "error:"),
     (("verify-xi", "--n", "1", "--t3-data", "{dir}"), 2, "error:"),
+    (("param", "--graph", "{dir}/empty.txt", "--params", "Z", "--flags", ""),
+     2, "error:"),
+    (("param", "--graph", "{dir}/blank.txt", "--params", "Z", "--flags", ""),
+     2, "error:"),
     (("verify-xi", "--n", "8"), 3, "refused:"),
     (("survey", "--n", "9"), 3, "refused:"),
 ]
@@ -294,6 +299,8 @@ _EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
                          ids=[" ".join(argv) for argv, _, _ in _EXIT_CODES])
 def test_exit_codes(argv, code, prefix, tmp_path, capsys):
     (tmp_path / "corpus.g6").write_text("Ch\n")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "blank.txt").write_text(" \n\t\n")
     assert run_cli(*(arg.format(dir=tmp_path) for arg in argv)) == code
     assert capsys.readouterr().err.startswith(prefix)
 
@@ -306,3 +313,25 @@ def test_cli_errors_print_no_traceback(argv):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_WITHOUT_SYMPY = """
+import pkgutil, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+import sapforce
+for mod in pkgutil.iter_modules(sapforce.__path__):
+    __import__("sapforce." + mod.name)
+from sapforce import RationalMatrix, families, has_sap, xi
+from sapforce.cli import main
+assert has_sap(families.complete(4), RationalMatrix.from_rows([[1] * 4] * 4))
+assert xi(families.kite5()).value == 2
+sys.exit(main(["trace", "--graph", "kite5"]))
+"""
+
+
+def test_library_runs_without_sympy():
+    """sympy is a test oracle only: no module of the package imports it."""
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SYMPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("verdict: all 5 non-edges blue\n")
