@@ -180,11 +180,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.num_edges() != h.num_edges():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return g.n == h.n and canonical_word(g) == canonical_word(h)
 
 
 def _last_vertex_is_max(adj: list[int]) -> bool:

@@ -107,9 +107,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in self.vertices()) // 2
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((self.degree(v) for v in self.vertices()), reverse=True))
-
     # -- derived graphs -----------------------------------------------
 
     def complement(self) -> "Graph":
@@ -223,9 +220,7 @@ class Graph:
         return all(self.degree(v) <= 2 for v in self.vertices())
 
     def is_forest(self) -> bool:
-        return all(
-            self.induced(comp).is_tree() for comp in self.components()
-        )
+        return self.num_edges() == self.n - len(self.component_masks())
 
     def diameter(self) -> int:
         """Longest shortest-path distance; raises on disconnected input."""

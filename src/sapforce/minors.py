@@ -6,16 +6,17 @@ embedding of the pattern at each stage; a hit is translated back into
 disjoint connected branch sets of the original graph, which is the witness
 callers get.  It is the only contraction search: ``hadwiger`` asks it for
 K_1, K_2, ... until one is missing and returns the largest order found with
-its branch sets.  Everything here is exact and takes no size limit: the
-searches are exponential in the vertex count, so callers decide which graphs
-are small enough.
+its branch sets.  ``clique_number`` is the only branch and bound; the
+vertex cover number is read off it on the complement.  Everything here is
+exact and takes no size limit: the searches are exponential in the vertex
+count, so callers decide which graphs are small enough.
 """
 
 from __future__ import annotations
 
 from .canon import canonical_word
 from .families import complete
-from .graphs import Graph, bits
+from .graphs import Graph
 
 BranchSets = tuple[frozenset[int], ...]
 
@@ -132,43 +133,6 @@ def hadwiger(g: Graph) -> tuple[int, BranchSets]:
 
 
 def vertex_cover_number(g: Graph) -> int:
-    """Minimum number of vertices meeting every edge, by branch and bound."""
-    adj = g.adj
-    best = g.n
-
-    def matching_bound(active: int) -> int:
-        rem = active
-        size = 0
-        for v in bits(active):
-            if not rem >> v & 1:
-                continue
-            nb = adj[v] & rem & ~(1 << v)
-            if nb:
-                u = (nb & -nb).bit_length() - 1
-                rem &= ~(1 << v) & ~(1 << u)
-                size += 1
-        return size
-
-    def bb(active: int, chosen: int) -> None:
-        nonlocal best
-        pick, pick_deg = 0, 0
-        for v in bits(active):
-            d = (adj[v] & active).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        if pick_deg == 0:
-            best = min(best, chosen)
-            return
-        if chosen + matching_bound(active) >= best:
-            return
-        # either pick is in the cover, or all of its neighbors are
-        if chosen + 1 < best:
-            bb(active & ~(1 << pick), chosen + 1)
-        nbrs = adj[pick] & active
-        if chosen + nbrs.bit_count() < best:
-            bb(active & ~nbrs & ~(1 << pick), chosen + nbrs.bit_count())
-
-    bb(g.full_mask, 0)
-    # the recursive helper's closure holds it: drop the cycle, not wait for gc
-    del bb
-    return best
+    """Minimum number of vertices meeting every edge: n minus the largest
+    independent set, which is a clique of the complement graph."""
+    return g.n - clique_number(g.complement())

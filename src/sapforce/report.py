@@ -17,13 +17,6 @@ from .zeroforcing import Rule, min_zfs
 
 CODE_VERSION = "0.1.0"
 
-PARAM_NAMES = (
-    "Z", "Zl", "Zplus", "FloorZ",
-    "Zsap", "Zsapl", "Zsapp", "Zvc", "Zvcl",
-    "beta_complement", "hadwiger", "M_small", "xi",
-)
-FLAG_NAMES = ("zsap_zero", "zsapl_zero", "zsapp_zero", "t3_minor")
-
 # The parameters are exhaustive searches, exponential in the graph size, and
 # the library functions take no size limit; these caps, applied only here,
 # keep every report inside bounded time.
@@ -120,6 +113,10 @@ _FLAG_COMPUTERS: dict[str, Callable[[Graph], bool]] = {
     "zsapl_zero": lambda g: is_zsap_zero(g, Rule.ZL),
     "zsapp_zero": lambda g: is_zsap_zero(g, Rule.ZPLUS),
 }
+
+# the names compute_report accepts; it computes "xi" and "t3_minor" itself
+PARAM_NAMES = (*_PARAM_COMPUTERS, "xi")
+FLAG_NAMES = (*_FLAG_COMPUTERS, "t3_minor")
 
 
 def compute_report(

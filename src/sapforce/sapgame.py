@@ -119,9 +119,15 @@ def format_sap_trace(trace: Sequence[SapForce]) -> str:
     return "\n".join(f"step {t}: {f}" for t, f in enumerate(trace, start=1))
 
 
+def _check_host(g: Graph, coloring: NonEdgeColoring) -> None:
+    if coloring.host != g:
+        raise ValueError("coloring belongs to a different host graph")
+
+
 def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int]:
     """Initial blue vertices of the local game at k: every vertex but k's
     white partners."""
+    _check_host(g, coloring)
     return frozenset(bits(g.full_mask & ~_white_masks(g, coloring.blue_nonedges)[k]))
 
 
@@ -184,6 +190,7 @@ def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
 def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycleForce]:
     """All (i->C) moves: components of the white graph inside N(i) that are
     odd cycles, listed with i ascending and cycles by least vertex."""
+    _check_host(g, coloring)
     white = _white_masks(g, coloring.blue_nonedges)
     return [OddCycleForce(i, c) for i in g.vertices()
             for c in _odd_cycles(g.adj[i], white) or ()]
@@ -317,6 +324,7 @@ def applicable_forces(
     restriction: VcRestriction = VcRestriction(),
 ) -> list[SapForce]:
     """All moves at this position: odd cycle applications, then triples."""
+    _check_host(g, coloring)
     return _Game(g, coloring.blue_nonedges, rule, restriction).legal_moves()
 
 
@@ -335,8 +343,7 @@ def sap_closure(
     order independence empirically.
     """
     coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
-    if coloring.host != g:
-        raise ValueError("coloring belongs to a different host graph")
+    _check_host(g, coloring)
     game = _Game(g, coloring.blue_nonedges, rule, restriction)
     trace: list[SapForce] = []
     while True:

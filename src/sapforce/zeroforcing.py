@@ -253,16 +253,16 @@ def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
         total = sum(size for size, _ in pieces)
         witness = frozenset().union(*(wit for _, wit in pieces))
         return total, witness
-    value = max(size for size, _ in pieces)
-    # the witness of a largest component works for the whole graph: hops
-    # carry the process across components once that component is finished
-    best = max(pieces, key=lambda p: p[0])[1]
-    if is_zfs(g, best, rule):
-        return value, best
-    for combo in combinations(list(g.vertices()), value):
-        if is_zfs(g, combo, rule):
-            return value, frozenset(combo)
-    raise AssertionError("component maximum must be attainable for the floor game")
+    value, best = max(pieces, key=lambda p: p[0])
+    # the witness of a largest component wins the whole graph.  Each force
+    # turns one vertex blue and each vertex acts at most once, so a winning
+    # play there leaves ``value`` vertices that never acted; once it is done
+    # none has a white neighbour, so each may hop.  Every other component
+    # needs at most ``value`` hops onto its own witness to start a winning
+    # play, and that play leaves as many vertices unused as it took hops.
+    if not is_zfs(g, best, rule):
+        raise AssertionError("a largest component's witness must win the floor game")
+    return value, best
 
 
 def zero_forcing_number(g: Graph, rule: Rule = Rule.Z) -> int:

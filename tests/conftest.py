@@ -28,6 +28,11 @@ def all_graphs_upto_5():
 
 
 @pytest.fixture(scope="session")
+def all_graphs_upto_7():
+    return [g for n in range(1, 8) for g in enumerate_graphs(n)]
+
+
+@pytest.fixture(scope="session")
 def sampled_n6():
     rng = random.Random(20260809)
     pool = list(enumerate_connected(6))

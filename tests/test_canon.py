@@ -223,6 +223,16 @@ def test_are_isomorphic():
     assert are_isomorphic(families.cycle(6), relabeled_c6)
     assert not are_isomorphic(families.cycle(6), families.path(6))
     assert are_isomorphic(families.octahedron(), families.complete_multipartite(2, 2, 2))
+    # n and the canonical word decide alone: same word, different n; same
+    # degree sequence; same edge count
+    e1, e2 = families.empty(1), families.empty(2)
+    assert canonical_word(e1) == canonical_word(e2) == 0
+    assert not are_isomorphic(e1, e2)
+    two_triangles = families.cycle(3).disjoint_union(families.cycle(3))
+    assert not are_isomorphic(families.cycle(6), two_triangles)
+    assert not are_isomorphic(families.path(4), families.star(3))
+    assert are_isomorphic(two_triangles, Graph.from_edges(
+        6, [(1, 4), (4, 6), (6, 1), (2, 3), (3, 5), (5, 2)]))
 
 
 def test_enumerate_trees_counts():

@@ -112,6 +112,12 @@ def test_components():
     assert h.components() == [frozenset({1, 2, 3}), frozenset({4})]
 
 
+def test_is_forest_means_every_component_is_a_tree(all_graphs_upto_7):
+    assert Graph.empty(0).is_forest()
+    for g in all_graphs_upto_7:
+        assert g.is_forest() == all(g.induced(c).is_tree() for c in g.components())
+
+
 def test_contract_and_delete():
     c5 = families.cycle(5)
     t = c5.contract_edge(1, 2)

@@ -1,8 +1,11 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from sapforce import families
-from sapforce.graphs import Graph
+from sapforce.canon import enumerate_graphs
+from sapforce.graphs import Graph, bits
 from sapforce.minors import clique_number, hadwiger, has_minor, vertex_cover_number
 
 
@@ -113,6 +116,60 @@ def test_vertex_cover_bruteforce_agreement(connected_upto_5):
         return g.n
     for g in connected_upto_5:
         assert vertex_cover_number(g) == brute(g)
+
+
+def reference_vertex_cover_number(g: Graph) -> int:
+    """The library's former cover search, kept as the reference: branch on
+    the vertex of most active edges (it is in the cover, or all of its
+    neighbours are), pruned by a greedy matching bound."""
+    adj = g.adj
+    best = g.n
+
+    def matching_bound(active: int) -> int:
+        rem = active
+        size = 0
+        for v in bits(active):
+            if not rem >> v & 1:
+                continue
+            nb = adj[v] & rem & ~(1 << v)
+            if nb:
+                u = (nb & -nb).bit_length() - 1
+                rem &= ~(1 << v) & ~(1 << u)
+                size += 1
+        return size
+
+    def bb(active: int, chosen: int) -> None:
+        nonlocal best
+        pick, pick_deg = 0, 0
+        for v in bits(active):
+            d = (adj[v] & active).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg == 0:
+            best = min(best, chosen)
+            return
+        if chosen + matching_bound(active) >= best:
+            return
+        if chosen + 1 < best:
+            bb(active & ~(1 << pick), chosen + 1)
+        nbrs = adj[pick] & active
+        if chosen + nbrs.bit_count() < best:
+            bb(active & ~nbrs & ~(1 << pick), chosen + nbrs.bit_count())
+
+    bb(g.full_mask, 0)
+    return best
+
+
+@pytest.mark.slow
+def test_vertex_cover_matches_reference_branch_and_bound():
+    """n minus the clique number of the complement equals the kept cover
+    search on every graph with n <= 8 and on the named larger ones."""
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(n)]
+    assert len(graphs) == 13598
+    graphs += [families.petersen(), families.dodecahedron(), families.icosahedron(),
+               families.cube(), families.complete(10), families.empty(10)]
+    for g in graphs:
+        assert vertex_cover_number(g) == reference_vertex_cover_number(g), g.to_graph6()
 
 
 def test_clique_number():

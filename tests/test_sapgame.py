@@ -285,6 +285,20 @@ def test_floor_rule_refused_on_every_path():
             call()
 
 
+def test_coloring_of_another_host_is_refused():
+    # {1,4} is a non-edge of P4 but an edge of C4: read on C4 it would be a
+    # blue non-edge that does not exist
+    c4 = families.cycle(4)
+    foreign = NonEdgeColoring.start(families.path(4), [(1, 4)])
+    for call in (lambda: applicable_forces(c4, foreign, Rule.Z),
+                 lambda: applicable_triples(c4, foreign, Rule.Z),
+                 lambda: local_blue_set(c4, foreign, 1),
+                 lambda: odd_cycle_applications(c4, foreign),
+                 lambda: sap_closure(c4, foreign, Rule.Z)):
+        with pytest.raises(ValueError, match="different host graph"):
+            call()
+
+
 def test_vc_game(k3_join_o4):
     value, witness = vc_forcing_number(k3_join_o4, Rule.Z)
     assert value == 1 and len(witness) == 1
@@ -326,11 +340,9 @@ def test_order_exploration_matches_deterministic(connected_upto_5, sampled_n6):
             assert final.blue_nonedges == reference.blue_nonedges
 
 
-def test_final_coloring_independent_of_move_order(connected_upto_5, connected_upto_6):
-    """A seeded random move order ends in the deterministic final coloring
-    from every start set (the fact an orbit-pruned Zsap search would need)."""
-    graphs = connected_upto_5 + [g for g in connected_upto_6
-                                 if g.n == 6 and len(g.non_edges()) <= 6]
+def check_move_order_independence(graphs) -> int:
+    """Play every start set of every graph under each conventional rule in
+    policy order and in a seeded random order; return the closure count."""
     closures = 0
     for idx, g in enumerate(graphs):
         nes = g.non_edges()
@@ -342,7 +354,23 @@ def test_final_coloring_independent_of_move_order(connected_upto_5, connected_up
                     assert shuffled.blue_nonedges == final.blue_nonedges, \
                         (g.to_graph6(), rule, start)
                     closures += 1
-    assert closures == 7290
+    return closures
+
+
+def test_final_coloring_independent_of_move_order(connected_upto_5, connected_upto_6):
+    """A seeded random move order ends in the deterministic final coloring
+    from every start set (the fact an orbit-pruned Zsap search would need)."""
+    graphs = connected_upto_5 + [g for g in connected_upto_6
+                                 if g.n == 6 and len(g.non_edges()) <= 6]
+    assert check_move_order_independence(graphs) == 7290
+
+
+@pytest.mark.slow
+def test_final_coloring_independent_of_move_order_sparse_n6(connected_upto_6):
+    """The rest of n = 6: the connected graphs with more than 6 non-edges."""
+    sparse = [g for g in connected_upto_6 if g.n == 6 and len(g.non_edges()) > 6]
+    assert len(sparse) == 60
+    assert check_move_order_independence(sparse) == 61440
 
 
 def test_multipartite_flags():

@@ -129,6 +129,25 @@ def test_floor_disconnected_is_component_max():
     assert min_zfs(g, Rule.Z)[0] == 1 + 2
 
 
+def test_floor_disconnected_witness_is_largest_components(all_graphs_upto_7):
+    """On every disconnected graph with n <= 7 the witness of a largest
+    component wins the floor game on the whole graph, and no smaller set
+    does."""
+    checked = 0
+    for g in all_graphs_upto_7:
+        comps = g.components()
+        if len(comps) == 1:
+            continue
+        largest = max(min_zfs(g.induced(c), Rule.FLOOR)[0] for c in comps)
+        value, witness = min_zfs(g, Rule.FLOOR)
+        assert value == len(witness) == largest, g.to_graph6()
+        assert is_zfs(g, witness, Rule.FLOOR), g.to_graph6()
+        assert not any(is_zfs(g, c, Rule.FLOOR)
+                       for c in combinations(g.vertices(), value - 1)), g.to_graph6()
+        checked += 1
+    assert checked == 1252 - 996
+
+
 def bruteforce_floor_game(g: Graph, blue: frozenset[int]) -> bool:
     """Plain recursive search over play sequences, no memoization."""
     full = g.full_mask

@@ -54,7 +54,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sapforce.canon import canonical_graph, enumerate_connected, enumerate_graphs
-from sapforce.graphs import Graph, bits
+from sapforce.graphs import Graph, bits, format_edge_list
 from sapforce.linalg import RationalMatrix, has_sap, validate_pattern
 from sapforce.minors import has_minor
 from sapforce.sapgame import is_zsap_zero
@@ -256,13 +256,8 @@ def write_data_file() -> None:
         "# separated by blank lines.",
         "",
     ]
-    for idx, (name, g) in enumerate(MEMBERS):
-        lines.append(f"# {name}")
-        lines.append(f"{g.n} {g.num_edges()}")
-        lines.extend(f"{u} {v}" for u, v in g.edges())
-        if idx != len(MEMBERS) - 1:
-            lines.append("")
-    DATA_PATH.write_text("\n".join(lines) + "\n")
+    blocks = [f"# {name}\n{format_edge_list(g)}" for name, g in MEMBERS]
+    DATA_PATH.write_text("\n".join(lines) + "\n" + "\n".join(blocks))
     print(f"wrote {DATA_PATH}")
 
 
