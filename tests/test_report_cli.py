@@ -4,13 +4,18 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from sapforce import families
 from sapforce.cli import build_parser, main
+from sapforce.graphs import parse_graph6
 from sapforce.report import (CODE_VERSION, ParameterReport, ReportInvariantError,
                              ResultCache, SurveyRow, compute_report, survey_graphs)
+from sapforce.sapgame import is_zsap_zero
+from sapforce.zeroforcing import Rule
 
 
 def run_cli(*argv):
@@ -246,6 +251,49 @@ def test_survey_graphs_deterministic(connected_upto_5):
     row1 = survey_graphs(five, 5)
     row2 = survey_graphs(list(five), 5)
     assert row1 == row2 == SurveyRow(5, 21, 18, 20, 20)
+
+
+def reference_survey_graphs(graphs, n):
+    """The survey as three independent games per graph, each from the empty
+    start; ``survey_graphs`` plays each graph once up the rule chain."""
+    counts = [0, 0, 0]
+    for g in graphs:
+        for idx, rule in enumerate((Rule.Z, Rule.ZL, Rule.ZPLUS)):
+            if is_zsap_zero(g, rule):
+                counts[idx] += 1
+    return SurveyRow(n, len(graphs), *counts)
+
+
+def test_survey_graphs_matches_reference(all_graphs_upto_7):
+    """Per graph, on every graph with n <= 7; the one 001 graph fails a
+    chain that never plays Zplus."""
+    verdicts = Counter()
+    for g in all_graphs_upto_7:
+        row = survey_graphs([g], g.n)
+        assert row == reference_survey_graphs([g], g.n), g.to_graph6()
+        verdicts[f"{row.zsap0}{row.zsapl0}{row.zsapp0}"] += 1
+    assert verdicts == {"111": 744, "011": 145, "000": 362, "001": 1}
+
+
+def test_survey_graphs_refuses_another_order():
+    with pytest.raises(ValueError, match="on 5 vertices"):
+        survey_graphs([families.path(3), families.complete(5)], 3)
+    with pytest.raises(ValueError, match="order 8"):
+        survey_graphs([families.path(3), families.complete(5)], 8)
+    assert survey_graphs([], 8) == SurveyRow(8, 0, 0, 0, 0)
+
+
+@pytest.mark.slow
+def test_survey_graphs_matches_survey8_refs():
+    """Per-graph verdicts on all 11,117 connected 8-vertex graphs equal the
+    rule-by-rule table that ``perfbench/make_refs.py`` writes."""
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "survey8.txt"
+    rows = [line.split() for line in refs.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert len(rows) == 11117
+    for g6, *verdicts in rows:
+        row = survey_graphs([parse_graph6(g6)], 8)
+        assert [row.zsap0, row.zsapl0, row.zsapp0] == [int(v) for v in verdicts], g6
 
 
 def _args_read(func):

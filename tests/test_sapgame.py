@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from sapforce import families
+from sapforce.canon import enumerate_connected
 from sapforce.graphs import bits
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
@@ -371,6 +372,45 @@ def test_final_coloring_independent_of_move_order_sparse_n6(connected_upto_6):
     sparse = [g for g in connected_upto_6 if g.n == 6 and len(g.non_edges()) > 6]
     assert len(sparse) == 60
     assert check_move_order_independence(sparse) == 61440
+
+
+def test_final_coloring_independent_of_move_order_n7(connected_upto_7):
+    """From the empty start, a seeded random move order ends in the
+    deterministic final coloring on every connected 7-vertex graph."""
+    seven = [g for g in connected_upto_7 if g.n == 7]
+    closures = 0
+    for idx, g in enumerate(seven):
+        for r, rule in enumerate(CONVENTIONAL_RULES):
+            final, _ = sap_closure(g, (), rule)
+            shuffled, _ = sap_closure(g, (), rule, rng=random.Random(idx * 3 + r))
+            assert shuffled.blue_nonedges == final.blue_nonedges, (g.to_graph6(), rule)
+            closures += 1
+    assert closures == 2559
+
+
+def check_chain_continuation(graphs) -> int:
+    """A stronger rule's closure from where a weaker rule stalled (the rules
+    ordered as in ``CONVENTIONAL_RULES``) ends in its closure from the empty
+    start, the step ``survey_graphs`` takes; return the number of (weaker,
+    stronger) pairs checked."""
+    checks = 0
+    for g in graphs:
+        finals = {rule: sap_closure(g, (), rule)[0] for rule in CONVENTIONAL_RULES}
+        for weaker, stronger in combinations(CONVENTIONAL_RULES, 2):
+            continued, _ = sap_closure(g, finals[weaker], stronger)
+            assert continued.blue_nonedges == finals[stronger].blue_nonedges, \
+                (g.to_graph6(), weaker, stronger)
+            checks += 1
+    return checks
+
+
+def test_chain_continuation_matches_empty_start(connected_upto_7):
+    assert check_chain_continuation(connected_upto_7) == 2988
+
+
+@pytest.mark.slow
+def test_chain_continuation_matches_empty_start_n8():
+    assert check_chain_continuation(enumerate_connected(8)) == 33351
 
 
 def test_multipartite_flags():
