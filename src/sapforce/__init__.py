@@ -2,9 +2,8 @@
 verification, and the small-graph Colin de Verdiere type parameter."""
 
 from . import families
-from .canon import (CanonicalForm, are_isomorphic, canonical_form,
-                    canonical_graph, enumerate_connected, enumerate_graphs,
-                    enumerate_trees)
+from .canon import (are_isomorphic, canonical_form, canonical_graph,
+                    enumerate_connected, enumerate_graphs, enumerate_trees)
 from .graphs import (CapExceededError, Graph, Graph6Error, GraphError,
                      encode_graph6, format_edge_list, parse_edge_list,
                      parse_graph6)

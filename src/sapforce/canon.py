@@ -19,18 +19,10 @@ project needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .graphs import CapExceededError, Graph, bits
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """graph6 string of the canonically relabeled graph."""
-
-    bytes: str
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], stable: frozenset[int]) -> list[int]:
@@ -170,9 +162,10 @@ def _canonical_relabel(g: Graph) -> Graph:
     return g.relabel(perm)
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Equal outputs exactly for isomorphic inputs."""
-    return CanonicalForm(_canonical_relabel(g).to_graph6())
+def canonical_form(g: Graph) -> str:
+    """graph6 string of the canonically relabeled graph: equal exactly for
+    isomorphic inputs."""
+    return _canonical_relabel(g).to_graph6()
 
 
 def canonical_graph(g: Graph) -> Graph:

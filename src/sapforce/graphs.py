@@ -91,9 +91,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self.vertices()), default=0)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
-
     def closed_neighborhood(self, v: int) -> int:
         """Bitset ``N[v] = N(v) + v``."""
         return self.adj[v] | (1 << v)
@@ -196,12 +193,11 @@ class Graph:
         """Vertex sets of the connected components, ordered by least vertex."""
         return [frozenset(bits(comp)) for comp in self.component_masks()]
 
-    def component_masks(self, within: int | None = None) -> list[int]:
-        allowed = self.full_mask if within is None else within
+    def component_masks(self) -> list[int]:
         out = []
-        todo = allowed
+        todo = self.full_mask
         while todo:
-            comp = self.reach(_lowest(todo), allowed)
+            comp = self.reach(_lowest(todo), todo)
             out.append(comp)
             todo &= ~comp
         return out

@@ -71,9 +71,6 @@ class RationalMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
@@ -405,7 +402,6 @@ def perturbation_witness(
     g: Graph,
     a: RationalMatrix,
     vertices: Iterable[int],
-    max_doublings: int = 64,
 ) -> tuple[Fraction, RationalMatrix]:
     """Find x in 0, 1, 2, 4, ... so that A + x*D_B gains the property.
 
@@ -420,12 +416,12 @@ def perturbation_witness(
         return Fraction(0), a
     positions = [v - 1 for v in marked]
     x = Fraction(1)
-    for _ in range(max_doublings):
+    for _ in range(64):
         candidate = a.add_scaled_diagonal(x, positions)
         if has_sap(g, candidate):
             return x, candidate
         x *= 2
     raise PerturbationError(
-        f"no diagonal shift up to 2^{max_doublings - 1} produced the property; "
+        "no diagonal shift up to 2^63 produced the property; "
         "the vertex set is likely not a valid forcing set"
     )

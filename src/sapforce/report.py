@@ -8,7 +8,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable
 
-from .canon import canonical_form
+from .canon import canonical_graph
 from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
 from .sapgame import (NonEdgeColoring, is_zsap_zero, sap_closure, sap_forcing_number,
@@ -130,12 +130,15 @@ def compute_report(
     """Compute the requested fields of a graph on at most ``VERTEX_CAP``
     vertices; a larger graph raises ``CapExceededError``.
 
+    Everything is computed on the canonically relabeled graph, so the
+    certificates' witnesses use the labeling of the report's ``graph6``.
     A parameter refused for its size (Zsap, Zsapl and Zsapp beyond
     ``NONEDGE_CAP`` non-edges, or one outside the range where it is known)
     lands in ``report.refused`` with the reason, and the rest are computed.
     """
     check_vertex_cap(g)
-    g6 = canonical_form(g).bytes
+    g = canonical_graph(g)
+    g6 = g.to_graph6()
     report = ParameterReport(g6)
     for name in params:
         if name not in PARAM_NAMES:

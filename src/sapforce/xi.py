@@ -85,7 +85,7 @@ def _parse_family(text: str, source: str) -> T3FamilyData:
     if len(graphs) != 6:
         raise ConfigurationError(
             f"family data in {source} has {len(graphs)} graphs, expected 6")
-    forms = {canonical_form(g).bytes for g in graphs}
+    forms = {canonical_form(g) for g in graphs}
     if len(forms) != 6:
         raise ConfigurationError(f"family data in {source} has isomorphic duplicates")
     return T3FamilyData(graphs, source)
@@ -141,8 +141,10 @@ class XiCertificate:
     components: tuple["XiCertificate", ...] = field(default=())
 
     def to_record(self, g: Graph) -> dict:
+        """The certificate as a JSON record on ``g``, the graph it was
+        decided on: the witnesses use the labeling of its graph6."""
         return {
-            "graph6": canonical_form(g).bytes,
+            "graph6": g.to_graph6(),
             "xi": self.value,
             "case": self.case,
             "lower_witness": self.lower_witness,

@@ -7,7 +7,7 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import enumerate_connected, enumerate_graphs
-from sapforce.graphs import Graph
+from sapforce.graphs import Graph, parse_graph6
 from sapforce.linalg import (PatternError, PatternFamily, PerturbationError,
                              RationalMatrix, build_sap_matrix, format_matrix,
                              has_sap, nullity, odd_cycle_det, odd_cycle_matrix,
@@ -338,3 +338,13 @@ def test_perturbation_witness_on_non_sap_matrices(adjacency_corpus, clique_psd_c
             assert perturbed.nullity() >= a.nullity() - len(cover)
         ran.append(len(failing))
     assert ran == [12, 16]
+
+
+def test_perturbation_witness_raises_when_no_shift_helps():
+    """An empty vertex set shifts no diagonal entry, so a matrix without the
+    property lacks it after every doubling."""
+    star = parse_graph6("D?{")  # K_{1,4}
+    a = adjacency_matrix(star)
+    assert not has_sap(star, a)
+    with pytest.raises(PerturbationError):
+        perturbation_witness(star, a, ())

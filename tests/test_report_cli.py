@@ -2,20 +2,25 @@ import argparse
 import ast
 import inspect
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from sapforce import families
+from sapforce.canon import canonical_form
 from sapforce.cli import build_parser, main
-from sapforce.graphs import parse_graph6
+from sapforce.graphs import bits, mask_of, parse_graph6
 from sapforce.report import (CODE_VERSION, ParameterReport, ReportInvariantError,
                              ResultCache, SurveyRow, compute_report, survey_graphs)
-from sapforce.sapgame import is_zsap_zero
-from sapforce.zeroforcing import Rule
+from sapforce.sapgame import (VcRestriction, complementary_closure, is_zsap_zero,
+                              sap_closure)
+from sapforce.xi import load_t3_family
+from sapforce.zeroforcing import Rule, is_zfs
 
 
 def run_cli(*argv):
@@ -30,6 +35,55 @@ def test_report_computation(kite):
     assert report.flags == {"zsap_zero": True}
     payload = json.loads(report.to_json())
     assert payload["graph6"] == report.graph6
+
+
+def assert_xi_record_replays(record):
+    """Every witness of an xi record holds on the graph of its own graph6."""
+    g = parse_graph6(record["graph6"])
+    lower, upper = record["lower_witness"], record["upper_witness"]
+    if "zero_forcing_witness" in upper:
+        witness = upper["zero_forcing_witness"]
+        assert len(witness) == lower["max_nullity"] and is_zfs(g, witness, Rule.Z)
+    if "floor_witness" in upper:
+        witness = upper["floor_witness"]
+        assert len(witness) == upper["floor"] and is_zfs(g, witness, Rule.FLOOR)
+    if "vc_witness" in lower:
+        chosen = frozenset(lower["vc_witness"])
+        assert len(chosen) == lower["vc_game_value"]
+        final, _ = sap_closure(g, complementary_closure(g, chosen), Rule.Z,
+                               VcRestriction(chosen))
+        assert final.is_complete()
+    if "branch_sets" in lower:
+        if record["case"] == "hadwiger":
+            order = lower["clique_minor_order"]
+            pattern = combinations(range(1, order + 1), 2)
+        else:
+            member = load_t3_family().graphs[lower["family_member"]]
+            order, pattern = member.n, member.edges()
+        sets = lower["branch_sets"]
+        masks = [mask_of(s) for s in sets]
+        assert len(masks) == order and all(masks)
+        assert len(set().union(*sets)) == sum(map(len, sets)), "branch sets overlap"
+        assert all(g.reach(next(bits(m)), m) == m for m in masks)
+        assert all(any(g.adj[u] & masks[q - 1] for u in bits(masks[p - 1]))
+                   for p, q in pattern)
+
+
+def test_relabeled_reports_use_one_labeling(connected_upto_7):
+    """A relabeled input gives the report of its canonical graph: the same
+    graph6 in the report and its xi record, and witnesses that replay there.
+    n = 7 is where the t3_family case first fires."""
+    rng = random.Random(1)
+    params, flags = ["Z", "FloorZ", "xi"], ["zsap_zero"]
+    for g in connected_upto_7:
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+        h = g.relabel([0] + perm)
+        report = compute_report(h, params, flags)
+        record = report.certificates["xi"]
+        assert report.graph6 == record["graph6"] == canonical_form(h)
+        assert report.to_json() == compute_report(g, params, flags).to_json()
+        assert_xi_record_replays(record)
 
 
 def test_report_validator_catches_violations():
@@ -105,6 +159,14 @@ def test_cli_param_stdout(capsys):
                    "--flags", "zsap_zero") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["params"] == {"Z": 1, "FloorZ": 1, "Zsap": 0, "Zvc": 0, "xi": 1}
+
+
+def test_cli_param_certificate_uses_the_report_labeling(capsys):
+    assert run_cli("param", "--graph", "DKo", "--params", "xi", "--flags", "") == 0
+    payload = json.loads(capsys.readouterr().out)
+    record = payload["certificates"]["xi"]
+    assert payload["graph6"] == record["graph6"] == "DBg"
+    assert_xi_record_replays(record)
 
 
 def test_cli_param_guard(capsys):

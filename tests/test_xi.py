@@ -6,20 +6,20 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import canonical_form, enumerate_trees
-from sapforce.graphs import CapExceededError, Graph
+from sapforce.graphs import CapExceededError, Graph, parse_graph6
 from sapforce.minors import clique_number, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
                          MSizeError, XiCertificate, load_t3_family, m_small,
                          t3_minor, xi)
-from sapforce.zeroforcing import Rule, min_zfs
+from sapforce.zeroforcing import Rule, is_zfs, min_zfs
 
 
 def test_family_data_valid():
     fam = load_t3_family()
     assert len(fam.graphs) == 6
-    forms = {canonical_form(g).bytes for g in fam.graphs}
+    forms = {canonical_form(g) for g in fam.graphs}
     assert len(forms) == 6
     assert sorted(g.n for g in fam.graphs) == [4, 5, 6, 7, 8, 9]
 
@@ -89,6 +89,11 @@ def test_xi_record(kite):
     rec = xi(kite).to_record(kite)
     assert set(rec) == {"graph6", "xi", "case", "lower_witness", "upper_witness"}
     assert rec["xi"] == 2
+    # a record keeps the labeling it was decided on, canonical or not
+    g = parse_graph6("DKo")
+    rec = xi(g).to_record(g)
+    assert rec["graph6"] == "DKo" != canonical_form(g)
+    assert is_zfs(g, rec["upper_witness"]["zero_forcing_witness"], Rule.Z)
 
 
 def test_t3_case_fires_somewhere(connected_upto_7):
