@@ -1,6 +1,9 @@
 """Minor containment, Hadwiger number, clique number, and vertex cover.
 
-``has_minor`` searches the contraction space of the host graph (memoized on
+``has_minor`` first refuses a pattern whose least degree (a lower bound on
+its treewidth) exceeds the width of a least-degree elimination of the host
+(an upper bound on the host's): treewidth does not grow under minors.
+Otherwise it searches the contraction space of the host graph (memoized on
 vertex count and canonical adjacency word) and looks for a subgraph
 embedding of the pattern at each stage; a hit is translated back into
 disjoint connected branch sets of the original graph, which is the witness
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from .canon import canonical_word
 from .families import complete
-from .graphs import Graph
+from .graphs import Graph, bits
 
 BranchSets = tuple[frozenset[int], ...]
 
@@ -57,6 +60,23 @@ def _embed_subgraph(host: Graph, pattern: Graph) -> list[int] | None:
     return image if found else None
 
 
+def _width_bound(g: Graph) -> int:
+    """Width of a least-degree elimination order: an upper bound on tw(g),
+    exact when tw(g) <= 2 (a vertex of degree <= 2 is always there, and
+    eliminating it is a contraction)."""
+    adj = list(g.adj)
+    alive = g.full_mask
+    width = 0
+    while alive:
+        v = min(bits(alive), key=lambda u: (adj[u] & alive).bit_count())
+        nbrs = adj[v] & alive
+        width = max(width, nbrs.bit_count())
+        alive &= ~(1 << v)
+        for u in bits(nbrs):
+            adj[u] |= nbrs & ~(1 << u)
+    return width
+
+
 def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
     """Decide whether h is a minor of g; on success return branch sets.
 
@@ -68,6 +88,9 @@ def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
         return False, None
     if h.n == 0:
         return True, ()
+    # a minor of g has treewidth <= tw(g) <= width; tw(h) >= least degree of h
+    if _width_bound(g) < min(map(h.degree, h.vertices())):
+        return False, None
 
     seen: set[tuple[int, int]] = set()
 

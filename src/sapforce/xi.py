@@ -7,9 +7,11 @@ game completes from nothing; maximum nullity minus the vertex-cover game
 value; clique minor order minus one; 3 when a forbidden-minor family member
 is present) and the upper bound given by the hop-extended forcing number.
 The decision procedure tries the cases in a fixed order and reports the
-first one that closes the gap, together with machine-checkable witnesses;
-the clique-minor case uses the branch sets that ``minors.hadwiger`` returns
-with the order.
+first one that closes the gap, together with machine-checkable witnesses.
+The clique-minor case asks only whether K_{f+1} is a minor, f the floor
+bound: eta - 1 <= xi (minor monotonicity and xi(K_p) >= p - 1; Barioli,
+Fallat and Hogben, ELA 13, 2005) and xi <= f (Barioli et al., J. Graph
+Theory 72, 2013), so eta <= f + 1 and such a minor means eta = f + 1.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_form
+from .families import complete
 from .graphs import CapExceededError, Graph, GraphError, parse_edge_list
 from .minors import BranchSets, has_minor, hadwiger
 from .sapgame import is_zsap_zero, vc_forcing_number
@@ -142,14 +145,21 @@ class XiCertificate:
 
     def to_record(self, g: Graph) -> dict:
         """The certificate as a JSON record on ``g``, the graph it was
-        decided on: the witnesses use the labeling of its graph6."""
-        return {
+        decided on: the witnesses use the labeling of its graph6.  A
+        component maximum also lists each component's vertices in that
+        labeling with the component's own record on its induced graph."""
+        record = {
             "graph6": g.to_graph6(),
             "xi": self.value,
             "case": self.case,
             "lower_witness": self.lower_witness,
             "upper_witness": self.upper_witness,
         }
+        if self.components:
+            record["components"] = [
+                {"vertices": sorted(comp), "record": cert.to_record(g.induced(comp))}
+                for comp, cert in zip(g.components(), self.components)]
+        return record
 
 
 def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
@@ -182,11 +192,12 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
              "vc_witness": sorted(vc_witness)},
             upper,
         )
-    eta, branches = hadwiger(g)
-    if floor == eta - 1:
+    # eta <= floor + 1 (module docstring): ask only for the largest there can be
+    hit, branches = has_minor(g, complete(floor + 1))
+    if hit:
         return XiCertificate(
             CASE_HADWIGER, floor,
-            {"clique_minor_order": eta,
+            {"clique_minor_order": floor + 1,
              "branch_sets": [sorted(b) for b in branches]},
             upper,
         )
@@ -201,7 +212,8 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
                 upper,
             )
     raise XiUnresolvedError(g, {"max_nullity": m, "floor": floor,
-                                "vc_game_value": vc, "clique_minor_order": eta})
+                                "vc_game_value": vc,
+                                "clique_minor_order": hadwiger(g)[0]})
 
 
 def xi(g: Graph, family: T3FamilyData | None = None) -> XiCertificate:

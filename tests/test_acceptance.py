@@ -40,14 +40,15 @@ def ok(criterion: str, detail: str) -> None:
 
 def test_criterion_1_survey_proportions():
     expected = {
-        5: (21, ("0.86", "0.95", "0.95")),
-        6: (112, ("0.79", "0.92", "0.92")),
-        7: (853, ("0.74", "0.89", "0.89")),
+        5: (21, (18, 20, 20), ("0.86", "0.95", "0.95")),
+        6: (112, (88, 103, 103), ("0.79", "0.92", "0.92")),
+        7: (853, (628, 756, 757), ("0.74", "0.89", "0.89")),
     }
     t0 = time.time()
-    for n, (total, props) in expected.items():
+    for n, (total, counts, props) in expected.items():
         row = survey_graphs(list(enumerate_connected(n)), n)
         assert row.total == total, (n, row)
+        assert (row.zsap0, row.zsapl0, row.zsapp0) == counts, (n, row)
         assert row.proportions == props, (n, row)
     elapsed = time.time() - t0
     assert elapsed < 300, f"survey took {elapsed:.0f}s, budget is 5 minutes"

@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from sapforce import families
+from sapforce import families, minors
 from sapforce.canon import enumerate_graphs
 from sapforce.graphs import Graph, bits
 from sapforce.minors import clique_number, hadwiger, has_minor, vertex_cover_number
+from sapforce.xi import load_t3_family
 
 
 def validate_witness(g: Graph, h: Graph, witness) -> None:
@@ -46,6 +47,38 @@ def test_minor_reflexive_and_transitive():
                     h.delete_vertex(rng.randint(1, h.n))
         if h.n >= 1:
             assert has_minor(g, h)[0]
+
+
+def test_width_bound_examples():
+    assert minors._width_bound(families.empty(3)) == 0
+    assert minors._width_bound(families.path(5)) == 1
+    assert minors._width_bound(families.cycle(6)) == 2
+    assert minors._width_bound(families.complete(5)) == 4
+    # K4 has no edge to spare: the bound refuses it without a search
+    assert has_minor(families.cycle(7), families.complete(4)) == (False, None)
+
+
+@pytest.mark.slow
+def test_width_test_only_refuses_what_the_search_refuses(connected_upto_7, monkeypatch):
+    """has_minor with and without the width test at its root gives the same
+    verdict and branch sets on every connected graph with n <= 7, and the
+    test fires on every graph without a K4 minor."""
+    patterns = [families.complete(3), families.complete(4), families.complete(5),
+                *load_t3_family().graphs]
+    width = {g: minors._width_bound(g) for g in connected_upto_7}
+
+    def verdicts():
+        return {(g, i): has_minor(g, h)
+                for g in connected_upto_7 for i, h in enumerate(patterns)}
+
+    with_test = verdicts()
+    # a bound of n never undercuts a least degree, so only the search answers
+    monkeypatch.setattr(minors, "_width_bound", lambda g: g.n)
+    without = verdicts()
+    assert with_test == without
+    no_k4 = [g for g in connected_upto_7 if not without[g, 1][0]]
+    assert len(no_k4) > 100
+    assert all(width[g] <= 2 for g in no_k4)
 
 
 def test_hadwiger_values(connected_upto_6):

@@ -15,11 +15,12 @@ from sapforce import families
 from sapforce.canon import canonical_form
 from sapforce.cli import build_parser, main
 from sapforce.graphs import bits, mask_of, parse_graph6
-from sapforce.report import (CODE_VERSION, ParameterReport, ReportInvariantError,
-                             ResultCache, SurveyRow, compute_report, survey_graphs)
+from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
+                             ReportInvariantError, ResultCache, SurveyRow,
+                             compute_report, survey_graphs)
 from sapforce.sapgame import (VcRestriction, complementary_closure, is_zsap_zero,
                               sap_closure)
-from sapforce.xi import load_t3_family
+from sapforce.xi import load_t3_family, xi
 from sapforce.zeroforcing import Rule, is_zfs
 
 
@@ -67,6 +68,14 @@ def assert_xi_record_replays(record):
         assert all(g.reach(next(bits(m)), m) == m for m in masks)
         assert all(any(g.adj[u] & masks[q - 1] for u in bits(masks[p - 1]))
                    for p, q in pattern)
+    parts = record.get("components", [])
+    if parts:
+        assert mask_of(v for part in parts for v in part["vertices"]) == g.full_mask
+        assert record["xi"] == max(part["record"]["xi"] for part in parts)
+    for part in parts:
+        sub = g.induced(part["vertices"])
+        assert sub.is_connected() and part["record"]["graph6"] == sub.to_graph6()
+        assert_xi_record_replays(part["record"])
 
 
 def test_relabeled_reports_use_one_labeling(connected_upto_7):
@@ -83,6 +92,20 @@ def test_relabeled_reports_use_one_labeling(connected_upto_7):
         record = report.certificates["xi"]
         assert report.graph6 == record["graph6"] == canonical_form(h)
         assert report.to_json() == compute_report(g, params, flags).to_json()
+        assert_xi_record_replays(record)
+
+
+def test_component_max_records_replay(connected_upto_7):
+    """A disconnected graph's xi record carries one record per component,
+    each of which replays on the component it names."""
+    rng = random.Random(2)
+    minor_cases = [g for g in connected_upto_7 if xi(g).case in ("hadwiger", "t3_family")]
+    for _ in range(20):
+        a = rng.choice(minor_cases)
+        b = rng.choice([h for h in connected_upto_7 if h.n <= VERTEX_CAP - a.n])
+        g = b.disjoint_union(a)
+        record = compute_report(g, ["xi"], []).certificates["xi"]
+        assert record["case"] == "component_max" and len(record["components"]) == 2
         assert_xi_record_replays(record)
 
 

@@ -1,19 +1,23 @@
 import gc
+import importlib
 import random
 from types import FunctionType
 
 import pytest
 
-from sapforce import families
+from sapforce import families, minors
 from sapforce.canon import canonical_form, enumerate_trees
-from sapforce.graphs import CapExceededError, Graph, parse_graph6
-from sapforce.minors import clique_number, vertex_cover_number
+from sapforce.graphs import CapExceededError, Graph, format_edge_list, parse_graph6
+from sapforce.minors import clique_number, hadwiger, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
-                         MSizeError, XiCertificate, load_t3_family, m_small,
-                         t3_minor, xi)
+                         MSizeError, XiCertificate, XiUnresolvedError,
+                         load_t3_family, m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
+
+# the package exports the function xi under the module's name
+xi_module = importlib.import_module("sapforce.xi")
 
 
 def test_family_data_valid():
@@ -78,6 +82,18 @@ def test_xi_component_max():
     assert cert.case == CASE_COMPONENT_MAX
     assert cert.value == 3
     assert [c.value for c in cert.components] == [1, 3]
+    # the record keeps each component's witnesses, in the labeling of g
+    rec = cert.to_record(g)
+    assert [c["vertices"] for c in rec["components"]] == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    for entry in rec["components"]:
+        part = g.induced(entry["vertices"])
+        assert entry["record"] == xi(part).to_record(part)
+        assert entry["record"]["graph6"] == part.to_graph6()
+        witness = entry["record"]["upper_witness"]["zero_forcing_witness"]
+        assert is_zfs(part, witness, Rule.Z)
+    assert [c["record"]["xi"] for c in rec["components"]] == [1, 3]
+    # a connected graph's record has no components entry
+    assert "components" not in xi(families.path(4)).to_record(families.path(4))
 
 
 def test_xi_guard():
@@ -103,6 +119,35 @@ def test_t3_case_fires_somewhere(connected_upto_7):
         cases.setdefault(cert.case, 0)
         cases[cert.case] += 1
     assert cases.get(CASE_T3_FAMILY, 0) > 0
+
+
+def test_clique_case_needs_only_k_floor_plus_one(connected_upto_7, monkeypatch):
+    """eta - 1 <= xi <= floor, so asking for K_{floor+1} is the whole clique
+    case: check eta <= floor + 1 and that xi never asks for eta itself."""
+    for g in connected_upto_7:
+        assert hadwiger(g)[0] <= min_zfs(g, Rule.FLOOR)[0] + 1, g.to_graph6()
+    calls = []
+
+    def spy(g):
+        calls.append(g.to_graph6())
+        return hadwiger(g)
+
+    monkeypatch.setattr(minors, "hadwiger", spy)
+    monkeypatch.setattr(xi_module, "hadwiger", spy)
+    for g in connected_upto_7:
+        xi(g)
+    assert calls == []
+
+
+def test_unresolved_error_names_the_hadwiger_number(connected_upto_7, tmp_path):
+    # a family of cliques too big to be minors leaves the t3 case open
+    path = tmp_path / "family.txt"
+    path.write_text("\n".join(format_edge_list(families.complete(k)) for k in range(8, 14)))
+    never = load_t3_family(str(path))
+    g = next(g for g in connected_upto_7 if xi(g).case == CASE_T3_FAMILY)
+    with pytest.raises(XiUnresolvedError) as err:
+        xi(g, never)
+    assert err.value.details["clique_minor_order"] == hadwiger(g)[0] == 3
 
 
 def test_minor_monotonicity_200_pairs(connected_upto_6):
