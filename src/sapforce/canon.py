@@ -10,17 +10,21 @@ child in the orbit of a child already searched under the automorphisms
 found so far that fix its individualized vertices.  Skipped subtrees are
 images of searched ones, so the result is that of the full search.
 
-Enumeration extends each (n-1)-vertex class by a new vertex in every way,
-keeps only the extensions in which the new vertex has the greatest
-isomorphism invariant (degree, then sorted neighbour degrees), and
-de-duplicates those by canonical form; this covers the n <= 8 range the
-project needs.
+As in nauty, the automorphisms the search finds generate the whole
+automorphism group (checked by brute force on every graph with n <= 7);
+``automorphism_generators`` returns them.
+
+Enumeration extends each (n-1)-vertex class by a new vertex n, with one
+neighbourhood per orbit of the class's automorphism group, keeps only the
+extensions in which n has the greatest isomorphism invariant (degree, then
+sorted neighbour degrees), and de-duplicates those by canonical word; this
+covers the n <= 8 range the project needs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import CapExceededError, Graph, bits
 
@@ -75,8 +79,9 @@ def _encode_labeling(adj: tuple[int, ...], order: list[int]) -> int:
     return word
 
 
-def _search(g: Graph) -> tuple[list[int], int]:
-    """The first leaf, in search order, of least adjacency word, and that word.
+def _search(n: int, adj: Sequence[int]) -> tuple[list[int], int, list[list[int]]]:
+    """The first leaf, in search order, of least adjacency word, that word,
+    and the automorphisms found (as images, slot 0 fixed).
 
     Children of a node are its target cell's vertices in increasing order.
     A leaf whose word equals the first or the best leaf's word gives an
@@ -84,9 +89,8 @@ def _search(g: Graph) -> tuple[list[int], int]:
     paths share; the rest of the current child of their deepest shared node
     is then the image of a child already searched.
     """
-    n, adj = g.n, g.adj
     if n == 0:
-        return [], 0
+        return [], 0, []
     path: list[int] = []
     autos: list[list[int]] = []
     refs: list[tuple[list[int], tuple[int, ...], int]] = []  # first, best leaf
@@ -137,39 +141,50 @@ def _search(g: Graph) -> tuple[list[int], int]:
             searched.append(v)
         return depth
 
-    search([g.full_mask], frozenset())
+    search([(1 << (n + 1)) - 2], frozenset())
     # the recursive helper's closure holds it: drop the cycle, not wait for gc
     del search
     best = refs[-1]
-    return best[0], best[2]
+    return best[0], best[2], autos
 
 
 def canonical_labeling(g: Graph) -> list[int]:
     """Vertex order whose relabeling minimizes the adjacency word."""
-    return _search(g)[0]
+    return _search(g.n, g.adj)[0]
 
 
 def canonical_word(g: Graph) -> int:
     """Least adjacency word over all labelings: with ``g.n``, equal exactly
     for isomorphic graphs, and cheaper to get than ``canonical_form``."""
-    return _search(g)[1]
+    return _search(g.n, g.adj)[1]
 
 
-def _canonical_relabel(g: Graph) -> Graph:
-    perm = [0] * (g.n + 1)
-    for new, old in enumerate(canonical_labeling(g), start=1):
-        perm[old] = new
-    return g.relabel(perm)
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms that generate Aut(g), each as images ``p[v]`` of the
+    vertices with ``p[0] == 0``; none for a graph whose group is trivial."""
+    return _search(g.n, g.adj)[2]
+
+
+def _word_graph(n: int, word: int) -> Graph:
+    """The graph on n vertices whose adjacency word is ``word``."""
+    adj = [0] * (n + 1)
+    for i in range(n - 1, 0, -1):  # the last bit is the pair {n-1, n}
+        for j in range(n, i, -1):
+            if word & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            word >>= 1
+    return Graph(n, tuple(adj))
 
 
 def canonical_form(g: Graph) -> str:
     """graph6 string of the canonically relabeled graph: equal exactly for
     isomorphic inputs."""
-    return _canonical_relabel(g).to_graph6()
+    return _word_graph(g.n, canonical_word(g)).to_graph6()
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return _canonical_relabel(g)
+    return _word_graph(g.n, canonical_word(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -198,22 +213,38 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
 
     Every class has a vertex of greatest invariant whose deletion leaves a
     listed (n-1)-vertex class, so it suffices to extend each of those by a
-    new vertex n in every way and canonicalize the extensions in which n
-    has the greatest invariant.
+    new vertex n and canonicalize the extensions in which n has the greatest
+    invariant.  An automorphism of the parent, extended by n -> n, maps the
+    extension by S onto the extension by its image of S: the same class,
+    and the same verdict of the invariant filter.  So one S per orbit is
+    tried, and its whole orbit is marked done.  An S smaller than the
+    parent's greatest degree is skipped unbuilt: n would lose on degree.
     """
     if n <= 1:
         return (Graph.empty(n),)
     new = 1 << n
-    out: dict[str, Graph] = {}
+    out: dict[int, Graph] = {}
     for base in _all_graphs(n - 1):
-        for subset in range(1 << (n - 1)):
-            m = subset << 1  # neighbors of the new vertex n among 1..n-1
+        gens, least = automorphism_generators(base), base.max_degree()
+        done = bytearray(new)  # by neighbour set of n, a bitset of 1..n-1
+        for m in range(0, new, 2):
+            if done[m] or m.bit_count() < least:
+                continue
+            done[m] = 1
+            orbit = [m]
+            for s in orbit:
+                for p in gens:
+                    t = sum(1 << p[v] for v in bits(s))
+                    if not done[t]:
+                        done[t] = 1
+                        orbit.append(t)
             adj = [a | new if m >> v & 1 else a for v, a in enumerate(base.adj)]
             adj.append(m)
             if _last_vertex_is_max(adj):
-                cg = canonical_graph(Graph(n, tuple(adj)))
-                out.setdefault(cg.to_graph6(), cg)
-    return tuple(out[k] for k in sorted(out))
+                word = _search(n, adj)[1]
+                if word not in out:
+                    out[word] = _word_graph(n, word)
+    return tuple(sorted(out.values(), key=Graph.to_graph6))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -13,13 +13,14 @@ import math
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from sapforce import canon, families
-from sapforce.canon import (are_isomorphic, canonical_form, canonical_labeling,
-                            canonical_word, enumerate_connected, enumerate_graphs,
-                            enumerate_trees)
+from sapforce.canon import (are_isomorphic, automorphism_generators, canonical_form,
+                            canonical_labeling, canonical_word, enumerate_connected,
+                            enumerate_graphs, enumerate_trees)
 from sapforce.graphs import CapExceededError, Graph, bits, mask_of, parse_graph6
 
 
@@ -160,6 +161,31 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def is_automorphism(g: Graph, p) -> bool:
+    return (p[0] == 0 and sorted(p) == list(range(g.n + 1))
+            and all(mask_of(p[u] for u in bits(g.adj[v])) == g.adj[p[v]]
+                    for v in g.vertices()))
+
+
+def brute_force_automorphism_count(g: Graph) -> int:
+    edges = g.edges()
+    return sum(all(g.adj[perm[u - 1]] >> perm[v - 1] & 1 for u, v in edges)
+               for perm in permutations(range(1, g.n + 1)))
+
+
+def generated_order(n: int, gens) -> int:
+    group = {tuple(range(n + 1))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for p in gens:
+            q = tuple(p[x] for x in h)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
 def test_enumeration_counts_match_burnside_euler():
     totals = [burnside_graph_count(n) for n in range(1, 8)]
     assert totals == [1, 2, 4, 11, 34, 156, 1044]
@@ -274,6 +300,51 @@ def test_filtered_enumeration_matches_reference():
         assert list(enumerate_graphs(n)) == list(reference_all_graphs(n))
 
 
+@pytest.mark.slow
+def test_enumeration_matches_classes8_refs():
+    """The 12,346 classes on 8 vertices equal, in order, the list that
+    ``perfbench/make_refs.py`` writes."""
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "classes8.g6"
+    want = [line for line in refs.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert len(want) == 12346
+    assert [g.to_graph6() for g in enumerate_graphs(8)] == want
+
+
+@pytest.mark.parametrize("n, classes, searches",
+                         [(7, 1044, 1090), pytest.param(8, 12346, 13178, marks=pytest.mark.slow)])
+def test_enumeration_searches_one_extension_per_orbit(monkeypatch, n, classes, searches):
+    """Extensions of a parent that its automorphisms map onto each other are
+    canonicalized once: exact counts, since the generators are complete for
+    every parent (checked below)."""
+    extensions = []
+    search = canon._search
+
+    def counted(m, adj):
+        if m == n:
+            extensions.append(adj)
+        return search(m, adj)
+
+    monkeypatch.setattr(canon, "_search", counted)
+    canon._all_graphs.cache_clear()
+    assert len(list(enumerate_graphs(n))) == classes
+    assert len(extensions) == searches
+
+
+@pytest.mark.parametrize("sizes", [range(1, 7), pytest.param([7], marks=pytest.mark.slow)],
+                         ids=["n<=6", "n=7"])
+def test_automorphism_generators_generate_the_group(sizes):
+    rng = random.Random(14)
+    for n in sizes:
+        for g in reference_all_graphs(n):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            h = g.relabel([0] + perm)
+            gens = automorphism_generators(h)
+            assert all(is_automorphism(h, p) for p in gens)
+            assert generated_order(n, gens) == brute_force_automorphism_count(h), h.to_graph6()
+
+
 @pytest.mark.parametrize("g, g6", [(Graph.empty(10), "I????????"),
                                    (families.complete(10), "I~~~~~~~w")], ids=["E10", "K10"])
 def test_symmetric_graph_visits_few_leaves(monkeypatch, g, g6):
@@ -287,3 +358,5 @@ def test_symmetric_graph_visits_few_leaves(monkeypatch, g, g6):
     monkeypatch.setattr(canon, "_encode_labeling", counted)
     assert canonical_form(g) == g6
     assert 0 < len(leaves) <= 20  # a search without pruning visits all 10! leaves
+    gens = automorphism_generators(g)
+    assert gens and all(is_automorphism(g, p) for p in gens)
