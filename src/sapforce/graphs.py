@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -179,15 +179,7 @@ class Graph:
     def reach(self, start: int, within: int | None = None) -> int:
         """Bitset of vertices reachable from ``start`` (restricted to ``within``)."""
         allowed = self.full_mask if within is None else within
-        seen = (1 << start) & allowed
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return seen
+        return _grow(self.adj, (1 << start) & allowed, allowed)[0]
 
     def components(self) -> list[frozenset[int]]:
         """Vertex sets of the connected components, ordered by least vertex."""
@@ -197,7 +189,7 @@ class Graph:
         out = []
         todo = self.full_mask
         while todo:
-            comp = self.reach(_lowest(todo), todo)
+            comp = _grow(self.adj, todo & -todo, todo)[0]
             out.append(comp)
             todo &= ~comp
         return out
@@ -254,8 +246,20 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _grow(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:
+    """The component of ``seed`` (a bitset inside ``within``) in ``adj``
+    restricted to ``within``, and every vertex adjacent to it: the one
+    component walk behind ``reach``, Zplus and the odd cycle rule."""
+    comp = frontier = seed
+    touched = 0
+    while frontier:  # bits walked inline: the games call this per component
+        low = frontier & -frontier
+        frontier ^= low
+        touched |= adj[low.bit_length() - 1]
+        if not frontier:
+            frontier = touched & within & ~comp
+            comp |= frontier
+    return comp, touched
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -263,6 +267,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _vertex_mask(g: Graph, vertices: Collection[int]) -> int:
+    """``mask_of(vertices)``; a ``ValueError`` names the first vertex outside 1..n."""
+    mask = 0
+    try:
+        for v in vertices:
+            mask |= 1 << v
+    except ValueError:  # a negative shift count
+        mask = -1
+    # mask_of inlined, full_mask not built: min_zfs calls this once per subset tried
+    if mask & 1 or mask >> g.n + 1:
+        bad = next(v for v in vertices if not 1 <= v <= g.n)
+        raise ValueError(f"vertex {bad} outside 1..{g.n}")
+    return mask
 
 
 NonEdgePair = tuple[int, int]

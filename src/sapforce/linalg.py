@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NonEdgePair, _pair, sorted_non_edge
+from .graphs import Graph, NonEdgePair, _pair, _vertex_mask, sorted_non_edge
 
 
 class PatternError(ValueError):
@@ -412,6 +412,7 @@ def perturbation_witness(
     """
     validate_pattern(g, a)
     marked = sorted(set(vertices))
+    _vertex_mask(g, marked)
     if has_sap(g, a):
         return Fraction(0), a
     positions = [v - 1 for v in marked]

@@ -143,7 +143,9 @@ def compute_report(
     for name in params:
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}; expected one of {PARAM_NAMES}")
-        cached = cache.get(g6, name) if cache else None
+        # the cache holds values only; xi's value is reported with its certificate
+        store = cache if name != "xi" else None
+        cached = store.get(g6, name) if store else None
         if cached is not None:
             report.params[name] = cached
             continue
@@ -159,8 +161,8 @@ def compute_report(
         except CapExceededError as exc:
             report.refused[name] = str(exc)
             continue
-        if cache:
-            cache.put(g6, name, report.params[name])
+        if store:
+            store.put(g6, name, report.params[name])
     for name in flags or []:
         if name == "t3_minor":
             report.flags[name] = t3_minor(g, t3)[0]

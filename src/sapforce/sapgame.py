@@ -34,7 +34,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NonEdgePair, _pair, bits, mask_of, sorted_non_edge
+from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits, mask_of,
+                     sorted_non_edge)
 from .zeroforcing import (CONVENTIONAL_RULES, Rule, _force_pairs,
                           smallest_winning_set)
 
@@ -128,17 +129,8 @@ def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int
     """Initial blue vertices of the local game at k: every vertex but k's
     white partners."""
     _check_host(g, coloring)
-    return frozenset(bits(g.full_mask & ~_white_masks(g, coloring.blue_nonedges)[k]))
-
-
-def _white_masks(g: Graph, blue: Iterable[NonEdgePair]) -> list[int]:
-    """``white[v]``: the white non-edge partners of v."""
-    full = g.full_mask
-    white = [0] + [full & ~g.closed_neighborhood(v) for v in g.vertices()]
-    for u, v in blue:
-        white[u] &= ~(1 << v)
-        white[v] &= ~(1 << u)
-    return white
+    _vertex_mask(g, (k,))
+    return frozenset(bits(g.full_mask & ~_Game(g, coloring.blue_nonedges).white[k]))
 
 
 def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
@@ -162,16 +154,7 @@ def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
     out: list[tuple[int, ...]] = []
     todo = ring
     while todo:
-        comp = todo & -todo
-        frontier = comp
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= white[low.bit_length() - 1]
-            if not frontier:
-                frontier = reach & ring & ~comp
-                comp |= frontier
+        comp, reach = _grow(white, todo & -todo, ring)
         todo &= ~comp
         size = comp.bit_count()
         if size % 2 == 0 or reach & nbhd & ~comp:
@@ -191,13 +174,11 @@ def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycle
     """All (i->C) moves: components of the white graph inside N(i) that are
     odd cycles, listed with i ascending and cycles by least vertex."""
     _check_host(g, coloring)
-    white = _white_masks(g, coloring.blue_nonedges)
-    return [OddCycleForce(i, c) for i in g.vertices()
-            for c in _odd_cycles(g.adj[i], white) or ()]
+    return _Game(g, coloring.blue_nonedges).cycle_moves()
 
 
 class _Game:
-    """The position of one closure, updated in place move by move.
+    """A position of the non-edge game; closures update it in place move by move.
 
     Holds the white-adjacency masks, and per vertex the odd cycles of the
     white graph inside its neighborhood and the first-round forces of its
@@ -206,13 +187,18 @@ class _Game:
     docstring); each query refreshes the stale ones first.
     """
 
-    def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
-                 restriction: VcRestriction) -> None:
+    def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
+                 restriction: VcRestriction = VcRestriction()) -> None:
         if rule not in CONVENTIONAL_RULES:
             raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
         self.g = g
         self.rule = rule
-        self.white = _white_masks(g, blue)
+        # white[v]: the white non-edge partners of v
+        full = g.full_mask
+        self.white = white = [0] + [full & ~g.closed_neighborhood(v) for v in g.vertices()]
+        for u, v in blue:
+            white[u] &= ~(1 << v)
+            white[v] &= ~(1 << u)
         self.veto = restriction.vetoes(g)
         self.cycles: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
         self.has_cycle = 0
@@ -278,14 +264,16 @@ class _Game:
         k, j = (a, b) if self.least[a] == (a, b) else (b, a)
         return TripleForce(k, next(i for i, t in self.forces[k] if t == j), j)
 
-    def legal_moves(self) -> list[SapForce]:
-        """Every legal move in policy order: odd cycle applications (vertices
-        ascending), then forcing triples lexicographic by (non-edge,
-        local-game vertex, forcer)."""
+    def cycle_moves(self) -> list[OddCycleForce]:
+        """Every odd cycle application, vertices ascending, cycles by least vertex."""
         self._refresh_cycles()
+        return [OddCycleForce(i, c) for i in bits(self.has_cycle) for c in self.cycles[i]]
+
+    def legal_moves(self) -> list[SapForce]:
+        """Every legal move in policy order: odd cycle applications, then
+        forcing triples lexicographic by (non-edge, local-game vertex, forcer)."""
+        moves: list[SapForce] = list(self.cycle_moves())
         self._refresh_forces()
-        moves: list[SapForce] = [OddCycleForce(i, c) for i in bits(self.has_cycle)
-                                 for c in self.cycles[i]]
         for a in self.g.vertices():
             for b in bits(self.white[a] >> (a + 1) << (a + 1)):
                 for k, j in ((a, b), (b, a)):
@@ -356,10 +344,7 @@ def sap_closure(
             break
         game.play(move)
         trace.append(move)
-    if trace:
-        colored = coloring.blue_nonedges.union(*(m.colored() for m in trace))
-        coloring = NonEdgeColoring(g, colored)
-    return coloring, trace
+    return _played(coloring, trace), trace
 
 
 def replay_trace(
@@ -376,8 +361,15 @@ def replay_trace(
         if move not in game.legal_moves():
             raise ValueError(f"step {t}: {move} is not applicable")
         game.play(move)
+    return _played(coloring, trace)
+
+
+def _played(coloring: NonEdgeColoring, trace: Sequence[SapForce]) -> NonEdgeColoring:
+    """The coloring after ``trace`` is played from ``coloring``."""
+    if not trace:
+        return coloring
     colored = coloring.blue_nonedges.union(*(m.colored() for m in trace))
-    return NonEdgeColoring(g, colored)
+    return NonEdgeColoring(coloring.host, colored)
 
 
 def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:

@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable, Sequence, TypeVar
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, _grow, _vertex_mask, bits
 
 T = TypeVar("T")
 
@@ -91,17 +91,8 @@ def _force_pairs(g: Graph, blue: int, rule: Rule) -> list[tuple[int, int]]:
     elif rule is Rule.ZPLUS:
         rest = white
         while rest:
-            # grow the white component of the least vertex left, and the
-            # set of vertices it touches
-            comp = frontier = rest & -rest
-            touched = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                touched |= adj[low.bit_length() - 1]
-                if not frontier:
-                    frontier = touched & white & ~comp
-                    comp |= frontier
+            # the white component of the least vertex left, and what it touches
+            comp, touched = _grow(adj, rest & -rest, white)
             rest &= ~comp
             sources = blue & touched
             while sources:
@@ -137,7 +128,7 @@ def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[froz
     """Least fixed point and a replayable trace (first applicable force each step)."""
     if rule not in CONVENTIONAL_RULES:
         raise ValueError("closure is defined for conventional rules only")
-    mask = mask_of(blue)
+    mask = _vertex_mask(g, blue)
     trace: list[Force] = []
     while forces := single_forces(g, mask, rule):
         f = forces[0]
@@ -205,12 +196,12 @@ def floor_force_sequence(g: Graph, blue: set[int] | frozenset[int]) -> list[Forc
     every vertex.  Useful for traces; membership tests should prefer
     ``is_zfs`` which short-circuits through the plain closure.
     """
-    return _floor_game_sequence(g, mask_of(blue))
+    return _floor_game_sequence(g, _vertex_mask(g, blue))
 
 
 def is_zfs(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> bool:
     """Can the given start set force the whole vertex set under the rule?"""
-    mask = mask_of(blue)
+    mask = _vertex_mask(g, blue)
     if rule in CONVENTIONAL_RULES:
         return _closure_mask(g, mask, rule) == g.full_mask
     # floor game: a plain-Z completion needs no hops and is always a win

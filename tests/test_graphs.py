@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapforce import families
-from sapforce.canon import enumerate_connected
-from sapforce.graphs import (Graph, Graph6Error, GraphError, encode_graph6,
-                             format_edge_list, parse_edge_list, parse_graph6)
+from sapforce.canon import enumerate_connected, enumerate_graphs
+from sapforce.graphs import (Graph, Graph6Error, GraphError, _grow, bits,
+                             encode_graph6, format_edge_list, parse_edge_list,
+                             parse_graph6)
 
 
 def test_single_vertex_decodes():
@@ -143,3 +144,39 @@ def test_graph_validation():
         Graph(2, (0, 2, 0))  # asymmetric
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(1, 3)])
+
+
+def reference_reach(g, start, within):
+    """Layered breadth-first search from ``start`` inside the vertex bitset
+    ``within``, one vertex at a time."""
+    if not within >> start & 1:
+        return 0
+    seen = {start}
+    layer = [start]
+    while layer:
+        next_layer = []
+        for v in layer:
+            for u in g.vertices():
+                if g.has_edge(v, u) and within >> u & 1 and u not in seen:
+                    seen.add(u)
+                    next_layer.append(u)
+        layer = next_layer
+    return sum(1 << v for v in seen)
+
+
+def test_reach_matches_layered_bfs_on_every_graph_upto_6():
+    """``reach`` from every start inside the whole vertex set and three
+    seeded masks, and the walk's ``touched``: the OR of adj over the component."""
+    rng = random.Random(20261018)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert len(corpus) == 208
+    for g in corpus:
+        masks = [g.full_mask] + [rng.getrandbits(g.n) << 1 for _ in range(3)]
+        for v in g.vertices():
+            for within in masks:
+                comp = g.reach(v, within)
+                assert comp == reference_reach(g, v, within), (g.to_graph6(), v, within)
+                touched = 0
+                for w in bits(comp):
+                    touched |= g.adj[w]
+                assert _grow(g.adj, (1 << v) & within, within) == (comp, touched)

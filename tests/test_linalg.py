@@ -348,3 +348,12 @@ def test_perturbation_witness_raises_when_no_shift_helps():
     assert not has_sap(star, a)
     with pytest.raises(PerturbationError):
         perturbation_witness(star, a, ())
+
+
+def test_perturbation_witness_refuses_vertices_outside_the_graph():
+    # unchecked, B = {0} would shift position -1, the diagonal entry of vertex 5
+    star = parse_graph6("D?{")  # K_{1,4}
+    a = adjacency_matrix(star)
+    for marked in ({0}, {6}, {2, -1}):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            perturbation_witness(star, a, marked)

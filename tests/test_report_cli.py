@@ -132,10 +132,12 @@ def test_survey_row_rounding():
 def test_cache_roundtrip(tmp_path, kite):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
-    r1 = compute_report(kite, ["Z", "Zsap"], [], cache=cache)
+    r1 = compute_report(kite, ["Z", "Zsap", "xi"], [], cache=cache)
     warm = ResultCache(path)
     assert warm.get(r1.graph6, "Z") == 2
-    r2 = compute_report(kite, ["Z", "Zsap"], [], cache=warm)
+    assert warm.get(r1.graph6, "xi") is None
+    # the cache holds counts only: xi is recomputed, so its certificate stays
+    r2 = compute_report(kite, ["Z", "Zsap", "xi"], [], cache=warm)
     assert r1.to_json() == r2.to_json()
     # append-only: recomputing does not grow the file
     size = path.stat().st_size

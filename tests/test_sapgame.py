@@ -180,6 +180,15 @@ def test_local_blue_sets():
     assert local_blue_set(star, NonEdgeColoring.start(star), 2) == frozenset({1, 2})
 
 
+def test_local_blue_set_refuses_vertices_outside_the_graph():
+    # unchecked, k = 0 would give every vertex and k = -1 the answer for vertex 4
+    p4 = families.path(4)
+    empty = NonEdgeColoring.start(p4)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError, match=f"vertex {k} outside 1..4"):
+            local_blue_set(p4, empty, k)
+
+
 def test_local_blue_set_matches_reference(connected_upto_6):
     rng = random.Random(122)
     for g in connected_upto_6:

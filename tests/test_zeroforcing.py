@@ -6,8 +6,9 @@ import pytest
 from sapforce import families
 from sapforce.graphs import CapExceededError, Graph, mask_of
 from sapforce.report import compute_report
-from sapforce.zeroforcing import (Force, Rule, closure, format_trace, is_zfs,
-                                  min_zfs, single_forces, zero_forcing_number)
+from sapforce.zeroforcing import (Force, Rule, closure, floor_force_sequence,
+                                  format_trace, is_zfs, min_zfs, single_forces,
+                                  zero_forcing_number)
 
 
 def test_closure_examples():
@@ -188,7 +189,6 @@ def test_zero_forcing_number_alias(kite):
 
 
 def test_floor_force_sequence_replay():
-    from sapforce.zeroforcing import floor_force_sequence
     g = families.cycle(3).disjoint_union(families.cycle(3))
     seq = floor_force_sequence(g, {1, 2})
     assert seq is not None
@@ -200,3 +200,27 @@ def test_floor_force_sequence_replay():
     assert blue == g.full_mask
     assert "hop: " in format_trace(seq)
     assert floor_force_sequence(families.star(3), {2}) is None
+
+
+def test_closure_refuses_vertices_outside_the_graph():
+    # unchecked, vertex 0 would come back as forced and vertex 7 index past adj
+    p4 = families.path(4)
+    for blue, bad in (({0}, 0), ({1, 7}, 7), ({-1}, -1)):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 1..4"):
+            closure(p4, blue, Rule.Z)
+
+
+def test_is_zfs_refuses_vertices_outside_the_graph():
+    # unchecked, {0, 1} would lose the floor game although {1} forces P4
+    p4 = families.path(4)
+    assert is_zfs(p4, {1}, Rule.FLOOR)
+    for blue, rule in (({0, 1}, Rule.FLOOR), ({1, 99}, Rule.Z), ({0}, Rule.ZPLUS)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            is_zfs(p4, blue, rule)
+
+
+def test_floor_force_sequence_refuses_vertices_outside_the_graph():
+    p4 = families.path(4)
+    for blue in ({0}, {5}, {1, -2}):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            floor_force_sequence(p4, blue)
