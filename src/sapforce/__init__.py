@@ -22,6 +22,6 @@ from .sapgame import (NonEdgeColoring, OddCycleForce, SapForce, TripleForce,
 from .xi import (MSizeError, T3FamilyData, XiCertificate, XiUnresolvedError,
                  load_t3_family, m_small, t3_minor, xi)
 from .zeroforcing import (Force, Rule, closure, floor_force_sequence,
-                          format_trace, is_zfs, min_zfs, zero_forcing_number)
+                          format_trace, is_zfs, min_zfs)
 
 __version__ = "0.1.0"

@@ -148,11 +148,6 @@ def _search(n: int, adj: Sequence[int]) -> tuple[list[int], int, list[list[int]]
     return best[0], best[2], autos
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """Vertex order whose relabeling minimizes the adjacency word."""
-    return _search(g.n, g.adj)[0]
-
-
 def canonical_word(g: Graph) -> int:
     """Least adjacency word over all labelings: with ``g.n``, equal exactly
     for isomorphic graphs, and cheaper to get than ``canonical_form``."""

@@ -7,7 +7,7 @@ operation returns a new graph and is safe to call from concurrent code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -37,13 +37,16 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    #: bitset of vertices 1..n
+    full_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise GraphError("vertex count must be nonnegative")
         if len(self.adj) != self.n + 1 or self.adj[0] != 0:
             raise GraphError("adjacency table must have slots 0..n with slot 0 empty")
-        full = self.full_mask
+        full = (1 << (self.n + 1)) - 2
+        object.__setattr__(self, "full_mask", full)
         for v in range(1, self.n + 1):
             a = self.adj[v]
             if a & ~full:
@@ -74,10 +77,6 @@ class Graph:
         return Graph(n, tuple(adj))
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << (self.n + 1)) - 2
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -179,7 +178,7 @@ class Graph:
     def reach(self, start: int, within: int | None = None) -> int:
         """Bitset of vertices reachable from ``start`` (restricted to ``within``)."""
         allowed = self.full_mask if within is None else within
-        return _grow(self.adj, (1 << start) & allowed, allowed)[0]
+        return _grow(self.adj, _vertex_mask(self, (start,)) & allowed, allowed)[0]
 
     def components(self) -> list[frozenset[int]]:
         """Vertex sets of the connected components, ordered by least vertex."""
@@ -262,23 +261,16 @@ def _grow(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:
     return comp, touched
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _vertex_mask(g: Graph, vertices: Collection[int]) -> int:
-    """``mask_of(vertices)``; a ``ValueError`` names the first vertex outside 1..n."""
+    """The bitset of ``vertices``, the one vertex-set-to-bitset conversion;
+    a ``ValueError`` names the first vertex outside 1..n."""
     mask = 0
     try:
         for v in vertices:
             mask |= 1 << v
     except ValueError:  # a negative shift count
         mask = -1
-    # mask_of inlined, full_mask not built: min_zfs calls this once per subset tried
-    if mask & 1 or mask >> g.n + 1:
+    if mask & ~g.full_mask:
         bad = next(v for v in vertices if not 1 <= v <= g.n)
         raise ValueError(f"vertex {bad} outside 1..{g.n}")
     return mask

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .graphs import Graph, NonEdgePair, _pair, _vertex_mask, sorted_non_edge
+from .graphs import Graph, NonEdgePair, _vertex_mask, sorted_non_edge
 
 
 class PatternError(ValueError):
@@ -65,20 +65,11 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         return RationalMatrix(len(data), ncols, data)
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i]
             for i in range(self.rows) for j in range(i + 1, self.cols)
         )
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def add_scaled_diagonal(self, scale: Entry, positions: Iterable[int]) -> "RationalMatrix":
         """Add ``scale`` to the listed 0-based diagonal positions."""
@@ -159,37 +150,6 @@ def rank(m: RationalMatrix) -> int:
 
 def nullity(m: RationalMatrix) -> int:
     return m.nullity()
-
-
-# -- matrix text format -------------------------------------------------
-#
-# Line 1: "n"; lines 2..n+1: n whitespace-separated entries, integers or
-# "p/q" fractions.  Symmetry is checked on load.
-
-def parse_matrix(text: str) -> RationalMatrix:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty matrix text")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(parts)}")
-        rows.append([Fraction(p) for p in parts])
-    m = RationalMatrix.from_rows(rows)
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    return m
-
-
-def format_matrix(m: RationalMatrix) -> str:
-    lines = [str(m.rows)]
-    for row in m.entries:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 # -- pattern families ----------------------------------------------------
@@ -275,29 +235,8 @@ class SapMatrix:
     nonedge_order: tuple[NonEdgePair, ...]
     psi: RationalMatrix
 
-    def row_index(self, i: int, k: int) -> int:
-        return (k - 1) * self.host.n + (i - 1)
-
-    def column_index(self, e: NonEdgePair) -> int:
-        return self.nonedge_order.index(_pair(*e))
-
     def rank(self) -> int:
         return self.psi.rank()
-
-    def is_full_column_rank(self) -> bool:
-        return self.rank() == len(self.nonedge_order)
-
-    def to_sparse_text(self) -> str:
-        """One line per nonzero entry: ``i k j h value``."""
-        lines = []
-        n = self.host.n
-        for col, (j, h) in enumerate(self.nonedge_order):
-            for r in range(self.psi.rows):
-                val = self.psi.entries[r][col]
-                if val:
-                    k, i = divmod(r, n)
-                    lines.append(f"{i + 1} {k + 1} {j} {h} {val}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def build_sap_matrix(
@@ -389,14 +328,6 @@ def odd_cycle_det(a: Sequence[Entry]) -> Fraction:
 
 
 # -- diagonal perturbation ---------------------------------------------------
-
-def diagonal_indicator(g: Graph, vertices: Iterable[int]) -> RationalMatrix:
-    """Diagonal 0/1 matrix marking the given vertices."""
-    marked = set(vertices)
-    return RationalMatrix.from_rows(
-        [[1 if (i == j and i + 1 in marked) else 0 for j in range(g.n)] for i in range(g.n)]
-    )
-
 
 def perturbation_witness(
     g: Graph,

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits, mask_of,
+from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
 from .zeroforcing import (CONVENTIONAL_RULES, Rule, _force_pairs,
                           smallest_winning_set)
@@ -75,7 +75,7 @@ class VcRestriction:
 
     def vetoes(self, host: Graph) -> list[int]:
         """``vetoes(host)[k]``: bitset of the forcers vetoed in the local game at k."""
-        chosen = mask_of(v for v in self.vertices if 1 <= v <= host.n)
+        chosen = _vertex_mask(host, self.vertices)
         if not chosen:
             return [0] * (host.n + 1)
         return [0] + [chosen & ~host.closed_neighborhood(k) for k in host.vertices()]
@@ -293,18 +293,6 @@ class _Game:
             self.stale_cycles |= adj[u] & adj[v]
 
 
-def applicable_triples(
-    g: Graph,
-    coloring: NonEdgeColoring,
-    rule: Rule,
-    restriction: VcRestriction = VcRestriction(),
-) -> list[TripleForce]:
-    """Every forcing triple available at this position, lexicographic by
-    (non-edge, local-game vertex, forcer)."""
-    return [m for m in applicable_forces(g, coloring, rule, restriction)
-            if isinstance(m, TripleForce)]
-
-
 def applicable_forces(
     g: Graph,
     coloring: NonEdgeColoring,
@@ -384,11 +372,10 @@ def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[No
         g.non_edges(), lambda combo: sap_closure(g, combo, rule)[0].is_complete())
 
 
-def complementary_closure(g: Graph, vertices: Iterable[int]) -> frozenset[NonEdgePair]:
+def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonEdgePair]:
     """All non-edges incident to the given vertex set."""
-    vs = set(vertices)
     full = g.full_mask
-    return frozenset(_pair(v, u) for v in g.vertices() if v in vs
+    return frozenset(_pair(v, u) for v in bits(_vertex_mask(g, vertices))
                      for u in bits(full & ~g.closed_neighborhood(v)))
 
 

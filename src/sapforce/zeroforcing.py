@@ -254,7 +254,3 @@ def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     if not is_zfs(g, best, rule):
         raise AssertionError("a largest component's witness must win the floor game")
     return value, best
-
-
-def zero_forcing_number(g: Graph, rule: Rule = Rule.Z) -> int:
-    return min_zfs(g, rule)[0]

@@ -180,3 +180,12 @@ def test_reach_matches_layered_bfs_on_every_graph_upto_6():
                 for w in bits(comp):
                     touched |= g.adj[w]
                 assert _grow(g.adj, (1 << v) & within, within) == (comp, touched)
+
+
+def test_reach_refuses_vertices_outside_the_graph():
+    # unchecked, reach(9) would be empty and reach(-1) a negative shift
+    p4 = families.path(4)
+    assert p4.reach(4) == p4.full_mask
+    for start in (0, 5, 9, -1):
+        with pytest.raises(ValueError, match=f"vertex {start} outside 1..4"):
+            p4.reach(start)

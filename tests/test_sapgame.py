@@ -9,8 +9,8 @@ from sapforce.graphs import bits
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               VcRestriction, applicable_forces,
-                              applicable_triples, complementary_closure,
-                              format_sap_trace, is_zsap_zero, local_blue_set,
+                              complementary_closure, format_sap_trace,
+                              is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
 from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
@@ -279,6 +279,26 @@ def test_complementary_closure(k3_join_o4):
     assert complementary_closure(g, comp_cover) == frozenset(g.non_edges())
 
 
+def test_complementary_closure_refuses_vertices_outside_the_graph():
+    # unchecked, {0, 9} would give no non-edge: a vertex-cover game from nothing
+    p4 = families.path(4)
+    for vertices in ({0, 9}, {1, 5}, {-1}):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            complementary_closure(p4, vertices)
+
+
+def test_vc_restriction_refuses_vertices_outside_the_graph():
+    # unchecked, {0, 9} would veto no forcer: an unrestricted game
+    p4 = families.path(4)
+    assert VcRestriction(frozenset({1})).vetoes(p4) == [0, 0, 0, 2, 2]
+    for vertices in ({0, 9}, {2, 5}, {-1}):
+        restriction = VcRestriction(frozenset(vertices))
+        with pytest.raises(ValueError, match="outside 1..4"):
+            restriction.vetoes(p4)
+        with pytest.raises(ValueError, match="outside 1..4"):
+            sap_closure(p4, (), Rule.Z, restriction)
+
+
 def test_floor_rule_refused_on_every_path():
     # star(3) finishes by one odd cycle application, so no local game runs;
     # the rule must still be refused before the first move
@@ -289,7 +309,6 @@ def test_floor_rule_refused_on_every_path():
                  lambda: sap_closure(star, (), Rule.FLOOR, rng=random.Random(0)),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
                  lambda: applicable_forces(star, start, Rule.FLOOR),
-                 lambda: applicable_triples(star, start, Rule.FLOOR),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
             call()
@@ -301,7 +320,6 @@ def test_coloring_of_another_host_is_refused():
     c4 = families.cycle(4)
     foreign = NonEdgeColoring.start(families.path(4), [(1, 4)])
     for call in (lambda: applicable_forces(c4, foreign, Rule.Z),
-                 lambda: applicable_triples(c4, foreign, Rule.Z),
                  lambda: local_blue_set(c4, foreign, 1),
                  lambda: odd_cycle_applications(c4, foreign),
                  lambda: sap_closure(c4, foreign, Rule.Z)):
@@ -333,8 +351,8 @@ def test_triple_monotonicity(connected_upto_5):
             extra = base | {e for e in nes if rng.random() < 0.3}
             c1 = NonEdgeColoring.start(g, base)
             c2 = NonEdgeColoring.start(g, extra)
-            t1 = {(f.k, f.i, f.j) for f in applicable_triples(g, c1, Rule.Z)}
-            t2 = {(f.k, f.i, f.j) for f in applicable_triples(g, c2, Rule.Z)}
+            t1, t2 = ({(f.k, f.i, f.j) for f in applicable_forces(g, c, Rule.Z)
+                       if isinstance(f, TripleForce)} for c in (c1, c2))
             for (k, i, j) in t1:
                 a, b = min(j, k), max(j, k)
                 if (a, b) not in c2.blue_nonedges:

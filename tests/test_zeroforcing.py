@@ -4,11 +4,10 @@ from itertools import combinations
 import pytest
 
 from sapforce import families
-from sapforce.graphs import CapExceededError, Graph, mask_of
+from sapforce.graphs import CapExceededError, Graph
 from sapforce.report import compute_report
 from sapforce.zeroforcing import (Force, Rule, closure, floor_force_sequence,
-                                  format_trace, is_zfs, min_zfs, single_forces,
-                                  zero_forcing_number)
+                                  format_trace, is_zfs, min_zfs, single_forces)
 
 
 def test_closure_examples():
@@ -86,7 +85,7 @@ def test_closure_order_independence(connected_upto_6):
         b = {v for v in g.vertices() if rng.random() < 0.4}
         reference, _ = closure(g, b, Rule.Z)
         for _ in range(10):
-            blue = mask_of(b)
+            blue = sum(1 << v for v in b)
             while True:
                 forces = [f for f in single_forces(g, blue, Rule.Z)
                           if not blue >> f.target & 1]
@@ -173,7 +172,7 @@ def bruteforce_floor_game(g: Graph, blue: frozenset[int]) -> bool:
                 if white and not white & (white - 1):
                     moves.append((i, white.bit_length() - 1))
         return any(run(mask | (1 << j), used | (1 << i), depth + 1) for i, j in moves)
-    return run(mask_of(blue), 0, 0)
+    return run(sum(1 << v for v in blue), 0, 0)
 
 
 def test_floor_game_matches_bruteforce(connected_upto_5):
@@ -184,16 +183,12 @@ def test_floor_game_matches_bruteforce(connected_upto_5):
             assert is_zfs(g, b, Rule.FLOOR) == bruteforce_floor_game(g, b)
 
 
-def test_zero_forcing_number_alias(kite):
-    assert zero_forcing_number(kite) == 2
-
-
 def test_floor_force_sequence_replay():
     g = families.cycle(3).disjoint_union(families.cycle(3))
     seq = floor_force_sequence(g, {1, 2})
     assert seq is not None
     assert any(f.hop for f in seq)
-    blue = mask_of({1, 2})
+    blue = sum(1 << v for v in {1, 2})
     for f in seq:
         assert blue >> f.source & 1 and not blue >> f.target & 1
         blue |= 1 << f.target
