@@ -15,10 +15,9 @@ from .minors import clique_number, hadwiger, has_minor, vertex_cover_number
 from .report import (ParameterReport, ReportInvariantError, ResultCache,
                      SurveyRow, compute_report, survey_graphs)
 from .sapgame import (NonEdgeColoring, OddCycleForce, SapForce, TripleForce,
-                      VcRestriction, applicable_forces, complementary_closure,
-                      format_sap_trace, is_zsap_zero, local_blue_set,
-                      replay_trace, sap_closure, sap_forcing_number,
-                      vc_forcing_number)
+                      applicable_forces, complementary_closure, format_sap_trace,
+                      is_zsap_zero, local_blue_set, replay_trace, sap_closure,
+                      sap_forcing_number, vc_forcing_number)
 from .xi import (MSizeError, T3FamilyData, XiCertificate, XiUnresolvedError,
                  load_t3_family, m_small, t3_minor, xi)
 from .zeroforcing import (Force, Rule, closure, floor_force_sequence,

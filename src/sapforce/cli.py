@@ -25,8 +25,7 @@ from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
                      SurveyRow, check_vertex_cap, compute_report, survey_graphs)
 from .sapgame import format_sap_trace, is_zsap_zero, replay_trace, sap_closure
-from .xi import (XI_COMPONENT_LIMIT, ConfigurationError, XiUnresolvedError,
-                 load_t3_family, xi)
+from .xi import XI_COMPONENT_LIMIT, ConfigurationError, XiUnresolvedError, xi
 from .zeroforcing import Rule, min_zfs
 
 EXIT_OK = 0
@@ -64,9 +63,8 @@ def cmd_param(args) -> int:
         p for p in args.params.split(",") if p)
     flags = FLAG_NAMES if args.flags == "all" else tuple(
         f for f in args.flags.split(",") if f)
-    t3 = load_t3_family(args.t3_data)
     cache = ResultCache(args.cache) if args.cache else None
-    report = compute_report(g, list(params), list(flags), t3, cache)
+    report = compute_report(g, list(params), list(flags), cache)
     out = report.to_json()
     if args.out:
         Path(args.out).write_text(out + "\n")
@@ -156,14 +154,13 @@ def cmd_verify_xi(args) -> int:
         raise CapExceededError(
             f"the pipeline only covers graphs on at most {XI_COMPONENT_LIMIT} "
             f"vertices, got {args.n}")
-    t3 = load_t3_family(args.t3_data)
     exceptions = []
     unresolved = []
     total = 0
     for g in enumerate_connected(args.n):
         total += 1
         try:
-            cert = xi(g, t3)
+            cert = xi(g)
         except XiUnresolvedError:
             unresolved.append(g.to_graph6())
             continue
@@ -211,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param", help="compute parameters and flags for one graph")
     graph_options(p)
-    p.add_argument("--t3-data", dest="t3_data",
-                   help="override the bundled forbidden-minor data file")
     p.add_argument("--cache", help="append-only result cache path")
     p.add_argument("--out", help="write output to this path")
     p.add_argument("--params", default="all",
@@ -242,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-xi", help="check the parameter against the floor bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t3-data", dest="t3_data",
-                   help="override the bundled forbidden-minor data file")
     p.set_defaults(func=cmd_verify_xi)
 
     p = sub.add_parser("minors", help="minor containment or largest complete minor")

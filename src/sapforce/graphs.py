@@ -148,20 +148,24 @@ class Graph:
         return self.induced(u for u in self.vertices() if u != v)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
-        """Contract edge {u,v}: merge v into u, drop parallel edges and loops."""
+        """Contract edge {u,v}: merge v into u, drop parallel edges and loops;
+        the vertices above v move down by one."""
         if not self.has_edge(u, v):
             raise GraphError(f"cannot contract non-edge {{{u},{v}}}")
-        merged = (self.adj[u] | self.adj[v]) & ~(1 << u) & ~(1 << v)
-        adj = list(self.adj)
-        adj[u] = merged
+        below = (1 << v) - 1
+        adj = [0]
         for w in self.vertices():
-            if w != u and merged >> w & 1:
-                adj[w] = (adj[w] | (1 << u)) & ~(1 << v)
-            else:
-                adj[w] &= ~(1 << v)
-        adj[v] = 0
-        squashed = Graph(self.n, tuple(adj))
-        return squashed.induced(w for w in self.vertices() if w != v)
+            if w == v:
+                continue
+            m = self.adj[w]
+            if w == u:
+                m = (m | self.adj[v]) & ~(1 << u)
+            elif m >> v & 1:
+                m |= 1 << u
+            m &= ~(1 << v)
+            # bit v is clear: the bits above it move down by one
+            adj.append(m & below | m >> 1 & ~below)
+        return Graph(self.n - 1, tuple(adj))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply a permutation given as ``perm[old] = new`` (slot 0 ignored)."""

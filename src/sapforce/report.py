@@ -13,7 +13,7 @@ from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
 from .sapgame import (NonEdgeColoring, is_zsap_zero, sap_closure, sap_forcing_number,
                       vc_forcing_number)
-from .xi import T3FamilyData, m_small, t3_minor, xi
+from .xi import m_small, t3_minor, xi
 from .zeroforcing import Rule, min_zfs
 
 CODE_VERSION = "0.1.0"
@@ -113,18 +113,18 @@ _FLAG_COMPUTERS: dict[str, Callable[[Graph], bool]] = {
     "zsap_zero": lambda g: is_zsap_zero(g, Rule.Z),
     "zsapl_zero": lambda g: is_zsap_zero(g, Rule.ZL),
     "zsapp_zero": lambda g: is_zsap_zero(g, Rule.ZPLUS),
+    "t3_minor": lambda g: t3_minor(g)[0],
 }
 
-# the names compute_report accepts; it computes "xi" and "t3_minor" itself
+# the names compute_report accepts; it computes "xi" itself
 PARAM_NAMES = (*_PARAM_COMPUTERS, "xi")
-FLAG_NAMES = (*_FLAG_COMPUTERS, "t3_minor")
+FLAG_NAMES = tuple(_FLAG_COMPUTERS)
 
 
 def compute_report(
     g: Graph,
     params: list[str],
     flags: list[str] | None = None,
-    t3: T3FamilyData | None = None,
     cache: "ResultCache | None" = None,
 ) -> ParameterReport:
     """Compute the requested fields of a graph on at most ``VERTEX_CAP``
@@ -153,7 +153,7 @@ def compute_report(
             if name in _NONEDGE_CAPPED:
                 _check_cap(len(g.non_edges()), NONEDGE_CAP, "non-edge count")
             if name == "xi":
-                cert = xi(g, t3)
+                cert = xi(g)
                 report.params[name] = cert.value
                 report.certificates["xi"] = cert.to_record(g)
             else:
@@ -164,12 +164,9 @@ def compute_report(
         if store:
             store.put(g6, name, report.params[name])
     for name in flags or []:
-        if name == "t3_minor":
-            report.flags[name] = t3_minor(g, t3)[0]
-        elif name in _FLAG_COMPUTERS:
-            report.flags[name] = _FLAG_COMPUTERS[name](g)
-        else:
+        if name not in _FLAG_COMPUTERS:
             raise ValueError(f"unknown flag {name!r}; expected one of {FLAG_NAMES}")
+        report.flags[name] = _FLAG_COMPUTERS[name](g)
     report.validate()
     return report
 

@@ -11,10 +11,10 @@ a pivot structure that the vertex-cover variant depends on.
 
 The second rule colors a whole odd cycle at once: if the white non-edges
 inside the neighborhood of some vertex i have a component that is an odd
-cycle C, every non-edge of C turns blue.  The vertex-cover variant starts
-from all non-edges touching a chosen vertex set B and forbids triples whose
-forcer i lies in B with {i,k} a non-edge; the odd cycle rule is never
-restricted.
+cycle C, every non-edge of C turns blue.  The vertex-cover game takes one
+vertex set B, its cover: it starts from all non-edges touching B as well and
+forbids triples whose forcer i lies in B with {i,k} a non-edge; the odd
+cycle rule is never restricted.
 
 A closure keeps one position (``_Game``) and updates it in place.  Two
 exact facts say what a move can change.  The local game at k starts from
@@ -64,21 +64,6 @@ class NonEdgeColoring:
     def is_complete(self) -> bool:
         n = self.host.n
         return len(self.blue_nonedges) == n * (n - 1) // 2 - self.host.num_edges()
-
-
-@dataclass(frozen=True)
-class VcRestriction:
-    """Forcer veto for the vertex-cover game: blocks (k: i->j) when the
-    forcer i is a chosen vertex and {i,k} is a non-edge of the host."""
-
-    vertices: frozenset[int] = frozenset()
-
-    def vetoes(self, host: Graph) -> list[int]:
-        """``vetoes(host)[k]``: bitset of the forcers vetoed in the local game at k."""
-        chosen = _vertex_mask(host, self.vertices)
-        if not chosen:
-            return [0] * (host.n + 1)
-        return [0] + [chosen & ~host.closed_neighborhood(k) for k in host.vertices()]
 
 
 @dataclass(frozen=True)
@@ -182,13 +167,14 @@ class _Game:
 
     Holds the white-adjacency masks, and per vertex the odd cycles of the
     white graph inside its neighborhood and the first-round forces of its
-    local game as (forcer, target) pairs with vetoed forcers dropped.  A
-    move marks stale only the caches it can change (see the module
-    docstring); each query refreshes the stale ones first.
+    local game as (forcer, target) pairs with vetoed forcers dropped: those
+    in the bitset ``cover`` that are not adjacent to the local game's
+    vertex.  A move marks stale only the caches it can change (see the
+    module docstring); each query refreshes the stale ones first.
     """
 
     def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
-                 restriction: VcRestriction = VcRestriction()) -> None:
+                 cover: int = 0) -> None:
         if rule not in CONVENTIONAL_RULES:
             raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
         self.g = g
@@ -199,7 +185,9 @@ class _Game:
         for u, v in blue:
             white[u] &= ~(1 << v)
             white[v] &= ~(1 << u)
-        self.veto = restriction.vetoes(g)
+        # veto[k]: the forcers vetoed in the local game at k
+        self.veto = ([0] + [cover & ~g.closed_neighborhood(k) for k in g.vertices()]
+                     if cover else [0] * (g.n + 1))
         self.cycles: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
         self.has_cycle = 0
         self.may_cycle = g.full_mask
@@ -293,34 +281,44 @@ class _Game:
             self.stale_cycles |= adj[u] & adj[v]
 
 
+def _start(g: Graph, blue: Iterable[NonEdgePair] | NonEdgeColoring, rule: Rule,
+           cover: Collection[int]) -> tuple[NonEdgeColoring, _Game]:
+    """The start coloring, ``blue`` plus every non-edge touching ``cover``,
+    and the game position on it."""
+    coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
+    _check_host(g, coloring)
+    if cover:
+        coloring = NonEdgeColoring(g, coloring.blue_nonedges | complementary_closure(g, cover))
+    return coloring, _Game(g, coloring.blue_nonedges, rule, _vertex_mask(g, cover))
+
+
 def applicable_forces(
     g: Graph,
     coloring: NonEdgeColoring,
     rule: Rule,
-    restriction: VcRestriction = VcRestriction(),
+    cover: Collection[int] = (),
 ) -> list[SapForce]:
-    """All moves at this position: odd cycle applications, then triples."""
-    _check_host(g, coloring)
-    return _Game(g, coloring.blue_nonedges, rule, restriction).legal_moves()
+    """All moves at this position, with the non-edges touching ``cover``
+    blue as well: odd cycle applications, then triples."""
+    return _start(g, coloring, rule, cover)[1].legal_moves()
 
 
 def sap_closure(
     g: Graph,
     blue: Iterable[NonEdgePair] | NonEdgeColoring = (),
     rule: Rule = Rule.Z,
-    restriction: VcRestriction = VcRestriction(),
+    cover: Collection[int] = (),
     rng: random.Random | None = None,
 ) -> tuple[NonEdgeColoring, list[SapForce]]:
-    """Run the game to a fixed point.
+    """Run the game to a fixed point; a nonempty ``cover`` plays the
+    vertex-cover game on that vertex set.
 
     Deterministic by default: every step makes the first legal move in
     policy order.  Passing ``rng`` picks a uniformly random legal move at
     every step instead, which is the order-exploration mode used to probe
     order independence empirically.
     """
-    coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
-    _check_host(g, coloring)
-    game = _Game(g, coloring.blue_nonedges, rule, restriction)
+    coloring, game = _start(g, blue, rule, cover)
     trace: list[SapForce] = []
     while True:
         if rng is None:
@@ -340,11 +338,10 @@ def replay_trace(
     blue: Iterable[NonEdgePair],
     trace: Sequence[SapForce],
     rule: Rule,
-    restriction: VcRestriction = VcRestriction(),
+    cover: Collection[int] = (),
 ) -> NonEdgeColoring:
     """Re-apply a recorded trace, checking every move is legal at its step."""
-    coloring = NonEdgeColoring.start(g, blue)
-    game = _Game(g, coloring.blue_nonedges, rule, restriction)
+    coloring, game = _start(g, blue, rule, cover)
     for t, move in enumerate(trace, start=1):
         if move not in game.legal_moves():
             raise ValueError(f"step {t}: {move} is not applicable")
@@ -380,14 +377,8 @@ def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonE
 
 
 def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:
-    """Minimum vertex set whose complementary closure forces all non-edges
-    under the restricted game."""
+    """Minimum vertex set whose vertex-cover game forces all non-edges."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-
-    def wins(combo: tuple[int, ...]) -> bool:
-        chosen = frozenset(combo)
-        start = NonEdgeColoring(g, complementary_closure(g, chosen))
-        return sap_closure(g, start, rule, VcRestriction(chosen))[0].is_complete()
-
-    return smallest_winning_set(g.vertices(), wins)
+    return smallest_winning_set(
+        g.vertices(), lambda combo: sap_closure(g, (), rule, combo)[0].is_complete())

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
-from functools import lru_cache
-from pathlib import Path
-from typing import Iterable
+from functools import cache
 
 from .canon import canonical_form
 from .families import complete
@@ -68,10 +66,9 @@ class T3FamilyData:
     """The six minor-minimal graphs whose presence certifies xi >= 3."""
 
     graphs: tuple[Graph, ...]
-    source: str
 
 
-def _parse_family(text: str, source: str) -> T3FamilyData:
+def _parse_family(text: str) -> T3FamilyData:
     lines = [ln for ln in (s.rstrip() for s in text.splitlines())
              if not ln.lstrip().startswith("#")]
     blocks: list[list[str]] = [[]]
@@ -84,37 +81,31 @@ def _parse_family(text: str, source: str) -> T3FamilyData:
     try:
         graphs = tuple(parse_edge_list("\n".join(b)) for b in blocks)
     except (GraphError, ValueError) as exc:
-        raise ConfigurationError(f"bad family data in {source}: {exc}") from exc
+        raise ConfigurationError(f"bad bundled family data: {exc}") from exc
     if len(graphs) != 6:
         raise ConfigurationError(
-            f"family data in {source} has {len(graphs)} graphs, expected 6")
+            f"bundled family data has {len(graphs)} graphs, expected 6")
     forms = {canonical_form(g) for g in graphs}
     if len(forms) != 6:
-        raise ConfigurationError(f"family data in {source} has isomorphic duplicates")
-    return T3FamilyData(graphs, source)
+        raise ConfigurationError("bundled family data has isomorphic duplicates")
+    return T3FamilyData(graphs)
 
 
-@lru_cache(maxsize=4)
-def load_t3_family(path: str | None = None) -> T3FamilyData:
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigurationError(f"family data file not found: {p}")
-        return _parse_family(p.read_text(), str(p))
+@cache
+def load_t3_family() -> T3FamilyData:
+    """The bundled family (Hogben and van der Holst, 2007), read once."""
     resource = importlib.resources.files("sapforce").joinpath("data/t3_family.txt")
     try:
         text = resource.read_text()
     except FileNotFoundError as exc:
         raise ConfigurationError("bundled family data file is missing") from exc
-    return _parse_family(text, "bundled t3_family.txt")
+    return _parse_family(text)
 
 
-def t3_minor(g: Graph, family: T3FamilyData | None = None
-             ) -> tuple[bool, tuple[int, BranchSets] | None]:
+def t3_minor(g: Graph) -> tuple[bool, tuple[int, BranchSets] | None]:
     """Does the graph contain any family member as a minor?  On success the
     witness is (member index, branch sets)."""
-    fam = family or load_t3_family()
-    for idx, member in enumerate(fam.graphs):
+    for idx, member in enumerate(load_t3_family().graphs):
         if member.n > g.n:
             continue
         hit, branches = has_minor(g, member)
@@ -162,7 +153,7 @@ class XiCertificate:
         return record
 
 
-def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
+def _xi_connected(g: Graph) -> XiCertificate:
     if g.n > XI_COMPONENT_LIMIT:
         raise CapExceededError(
             f"xi is only computed for components with at most "
@@ -202,7 +193,7 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
             upper,
         )
     if floor == 3:
-        hit, witness = t3_minor(g, family)
+        hit, witness = t3_minor(g)
         if hit:
             idx, branches = witness
             return XiCertificate(
@@ -216,15 +207,15 @@ def _xi_connected(g: Graph, family: T3FamilyData | None) -> XiCertificate:
                                 "clique_minor_order": hadwiger(g)[0]})
 
 
-def xi(g: Graph, family: T3FamilyData | None = None) -> XiCertificate:
+def xi(g: Graph) -> XiCertificate:
     """Certified parameter value; disconnected input takes the component
     maximum and keeps the per-component certificates."""
     comps = g.components()
     if len(comps) <= 1:
-        return _xi_connected(g, family)
+        return _xi_connected(g)
     certs = []
     for comp in comps:
-        certs.append(_xi_connected(g.induced(comp), family))
+        certs.append(_xi_connected(g.induced(comp)))
     best = max(certs, key=lambda c: c.value)
     return XiCertificate(
         CASE_COMPONENT_MAX, best.value,

@@ -125,6 +125,34 @@ def test_contract_and_delete():
     assert t.n == 4 and t.num_edges() == 4
     p = families.path(4).delete_vertex(1)
     assert sorted(p.edges()) == [(1, 2), (2, 3)]
+    with pytest.raises(GraphError, match="non-edge"):
+        families.path(4).contract_edge(1, 3)
+
+
+def reference_contract_edge(g, u, v):
+    """Merge v into u on the whole vertex set, then drop v with ``induced``."""
+    merged = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
+    adj = list(g.adj)
+    adj[u] = merged
+    for w in g.vertices():
+        if w != u and merged >> w & 1:
+            adj[w] = (adj[w] | (1 << u)) & ~(1 << v)
+        else:
+            adj[w] &= ~(1 << v)
+    adj[v] = 0
+    return Graph(g.n, tuple(adj)).induced(w for w in g.vertices() if w != v)
+
+
+def test_contract_edge_matches_reference_on_every_graph_upto_6():
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for a, b in g.edges():
+                for u, v in ((a, b), (b, a)):
+                    assert g.contract_edge(u, v) == reference_contract_edge(g, u, v), \
+                        (g.to_graph6(), u, v)
+                    checked += 1
+    assert checked == 2760
 
 
 def test_edge_list_io():

@@ -18,8 +18,7 @@ from sapforce.graphs import bits, parse_graph6
 from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
                              ReportInvariantError, ResultCache, SurveyRow,
                              compute_report, survey_graphs)
-from sapforce.sapgame import (VcRestriction, complementary_closure, is_zsap_zero,
-                              sap_closure)
+from sapforce.sapgame import is_zsap_zero, sap_closure
 from sapforce.xi import load_t3_family, xi
 from sapforce.zeroforcing import Rule, is_zfs
 
@@ -51,9 +50,7 @@ def assert_xi_record_replays(record):
     if "vc_witness" in lower:
         chosen = frozenset(lower["vc_witness"])
         assert len(chosen) == lower["vc_game_value"]
-        final, _ = sap_closure(g, complementary_closure(g, chosen), Rule.Z,
-                               VcRestriction(chosen))
-        assert final.is_complete()
+        assert sap_closure(g, (), Rule.Z, chosen)[0].is_complete()
     if "branch_sets" in lower:
         if record["case"] == "hadwiger":
             order = lower["clique_minor_order"]
@@ -401,10 +398,11 @@ def test_every_declared_option_is_read():
 
 # options that each subcommand once accepted and never read
 _UNREAD_OPTIONS = {
+    ("param", "--graph", "p4"): ("--t3-data",),
     ("trace", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
     ("verify-sap", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
     ("survey", "--n", "4"): ("--graph", "--indexing", "--t3-data", "--cache"),
-    ("verify-xi", "--n", "4"): ("--graph", "--indexing", "--cache", "--out"),
+    ("verify-xi", "--n", "4"): ("--graph", "--indexing", "--t3-data", "--cache", "--out"),
     ("minors", "--graph", "p4"): ("--t3-data", "--cache", "--out"),
 }
 _USAGE_ERRORS = [base + (opt, "1") for base, opts in _UNREAD_OPTIONS.items()
@@ -420,7 +418,6 @@ _EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
     (("param", "--graph", "p4", "--params", "Z", "--flags", "", "--cache", "{dir}"),
      2, "error:"),
     (("survey", "--corpus", "{dir}"), 2, "error:"),
-    (("verify-xi", "--n", "1", "--t3-data", "{dir}"), 2, "error:"),
     (("param", "--graph", "{dir}/empty.txt", "--params", "Z", "--flags", ""),
      2, "error:"),
     (("param", "--graph", "{dir}/blank.txt", "--params", "Z", "--flags", ""),

@@ -8,9 +8,8 @@ from sapforce.canon import enumerate_connected
 from sapforce.graphs import bits
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
-                              VcRestriction, applicable_forces,
-                              complementary_closure, format_sap_trace,
-                              is_zsap_zero, local_blue_set,
+                              applicable_forces, complementary_closure,
+                              format_sap_trace, is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
 from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
@@ -80,13 +79,13 @@ def reference_local_blue_set(g, coloring, k):
     return frozenset(bits(reference_local_blue_mask(g, coloring, k)))
 
 
-def reference_allows(g, restriction, k, i):
-    if i not in restriction.vertices or i == k:
+def reference_allows(g, cover, k, i):
+    if i not in cover or i == k:
         return True
     return g.has_edge(i, k)
 
 
-def reference_legal_moves(g, coloring, rule, restriction):
+def reference_legal_moves(g, coloring, rule, cover=()):
     if rule not in CONVENTIONAL_RULES:
         raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
 
@@ -98,17 +97,18 @@ def reference_legal_moves(g, coloring, rule, restriction):
                 if k not in local_forces:
                     local_forces[k] = single_forces(g, reference_local_blue_mask(g, coloring, k), rule)
                 for f in local_forces[k]:
-                    if f.target == j and reference_allows(g, restriction, k, f.source):
+                    if f.target == j and reference_allows(g, cover, k, f.source):
                         yield TripleForce(k, f.source, j)
 
     return moves()
 
 
-def reference_sap_closure(g, blue=(), rule=Rule.Z, restriction=VcRestriction(), rng=None):
-    coloring = NonEdgeColoring.start(g, blue)
+def reference_sap_closure(g, blue=(), rule=Rule.Z, cover=(), rng=None):
+    touching = [e for e in g.non_edges() if set(e) & set(cover)]
+    coloring = NonEdgeColoring.start(g, [*blue, *touching])
     trace = []
     while True:
-        moves = reference_legal_moves(g, coloring, rule, restriction)
+        moves = reference_legal_moves(g, coloring, rule, cover)
         if rng is None:
             move = next(moves, None)
         else:
@@ -120,11 +120,11 @@ def reference_sap_closure(g, blue=(), rule=Rule.Z, restriction=VcRestriction(), 
         trace.append(move)
 
 
-def assert_same_closure(g, blue, rule, restriction=VcRestriction(), seed=None):
+def assert_same_closure(g, blue, rule, cover=(), seed=None):
     rngs = [None, None] if seed is None else [random.Random(seed), random.Random(seed)]
-    final, trace = sap_closure(g, blue, rule, restriction, rng=rngs[0])
-    want_final, want_trace = reference_sap_closure(g, blue, rule, restriction, rng=rngs[1])
-    assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), seed)
+    final, trace = sap_closure(g, blue, rule, cover, rng=rngs[0])
+    want_final, want_trace = reference_sap_closure(g, blue, rule, cover, rng=rngs[1])
+    assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), cover, seed)
     assert final.blue_nonedges == want_final.blue_nonedges
 
 
@@ -137,11 +137,9 @@ def test_closure_matches_reference_from_empty_start(connected_upto_7):
 def test_closure_matches_reference_from_vertex_cover_starts(connected_upto_6):
     for g in connected_upto_6:
         for size in range(3):
-            for combo in combinations(g.vertices(), size):
-                chosen = frozenset(combo)
-                start = complementary_closure(g, chosen)
+            for cover in combinations(g.vertices(), size):
                 for rule in (Rule.Z, Rule.ZL):
-                    assert_same_closure(g, start, rule, VcRestriction(chosen))
+                    assert_same_closure(g, (), rule, cover)
 
 
 def test_closure_matches_reference_from_random_starts(connected_upto_7):
@@ -162,7 +160,7 @@ def test_random_order_matches_reference(connected_upto_5):
             _, trace = reference_sap_closure(g, (), rule, rng=random.Random(idx))
             coloring = NonEdgeColoring.start(g)
             for move in trace + [None]:
-                want = list(reference_legal_moves(g, coloring, rule, VcRestriction()))
+                want = list(reference_legal_moves(g, coloring, rule))
                 assert applicable_forces(g, coloring, rule) == want
                 assert odd_cycle_applications(g, coloring) == \
                     reference_odd_cycle_applications(g, coloring)
@@ -222,12 +220,25 @@ def test_applicable_forces_star_odd_cycle():
 
 def test_vc_restricted_forces(k3_join_o4):
     g = k3_join_o4
-    restriction = VcRestriction(frozenset({4}))
-    start = NonEdgeColoring.start(g, complementary_closure(g, {4}))
-    moves = applicable_forces(g, start, Rule.Z, restriction)
+    moves = applicable_forces(g, NonEdgeColoring.start(g), Rule.Z, {4})
     assert any(isinstance(m, OddCycleForce) for m in moves)
-    final, _ = sap_closure(g, start, Rule.Z, restriction)
+    final, _ = sap_closure(g, (), Rule.Z, {4})
     assert final.is_complete()
+
+
+def test_vc_game_starts_from_and_vetoes_its_cover():
+    # cover {1} of P4 colors {1,3} and {1,4}; forcer 1 is not adjacent to
+    # 4, so the triple (4: 1->2) of the plain game from that start is vetoed
+    p4 = families.path(4)
+    touching = NonEdgeColoring.start(p4, [(1, 3), (1, 4)])
+    assert TripleForce(4, 1, 2) in applicable_forces(p4, touching, Rule.Z)
+    assert applicable_forces(p4, NonEdgeColoring.start(p4), Rule.Z, {1}) == \
+        [TripleForce(2, 3, 4), TripleForce(4, 3, 2)]
+    final, trace = sap_closure(p4, (), Rule.Z, {1})
+    assert final.is_complete() and trace[0] == TripleForce(2, 3, 4)
+    assert replay_trace(p4, (), trace, Rule.Z, {1}) == final
+    with pytest.raises(ValueError, match="not applicable"):
+        replay_trace(p4, (), [TripleForce(4, 1, 2)], Rule.Z, {1})
 
 
 def test_sap_closure_examples(kite):
@@ -288,15 +299,15 @@ def test_complementary_closure_refuses_vertices_outside_the_graph():
 
 
 def test_vc_restriction_refuses_vertices_outside_the_graph():
-    # unchecked, {0, 9} would veto no forcer: an unrestricted game
+    # unchecked, {0, 9} would color and veto nothing: a plain game from nothing
     p4 = families.path(4)
-    assert VcRestriction(frozenset({1})).vetoes(p4) == [0, 0, 0, 2, 2]
-    for vertices in ({0, 9}, {2, 5}, {-1}):
-        restriction = VcRestriction(frozenset(vertices))
-        with pytest.raises(ValueError, match="outside 1..4"):
-            restriction.vetoes(p4)
-        with pytest.raises(ValueError, match="outside 1..4"):
-            sap_closure(p4, (), Rule.Z, restriction)
+    empty = NonEdgeColoring.start(p4)
+    for cover in ({0, 9}, {2, 5}, {-1}):
+        for call in (lambda: sap_closure(p4, (), Rule.Z, cover),
+                     lambda: applicable_forces(p4, empty, Rule.Z, cover),
+                     lambda: replay_trace(p4, (), [], Rule.Z, cover)):
+            with pytest.raises(ValueError, match="outside 1..4"):
+                call()
 
 
 def test_floor_rule_refused_on_every_path():
@@ -340,23 +351,28 @@ def test_vc_zero_iff_zsap_zero(connected_upto_5):
         assert (vc_forcing_number(g, Rule.Z)[0] == 0) == is_zsap_zero(g, Rule.Z)
 
 
-def test_triple_monotonicity(connected_upto_5):
+def test_triple_monotonicity(connected_upto_6):
+    """A forcing triple legal at a position stays legal at every position
+    with more blue non-edges, as long as its own non-edge is white there:
+    single-step forcing is monotone in the local start set under Z, Zl and
+    Zplus."""
     rng = random.Random(23)
-    for g in rng.sample(connected_upto_5, 12):
+    checks = 0
+    for g in connected_upto_6:
         nes = g.non_edges()
-        if not nes:
-            continue
-        for _ in range(6):
-            base = {e for e in nes if rng.random() < 0.3}
-            extra = base | {e for e in nes if rng.random() < 0.3}
-            c1 = NonEdgeColoring.start(g, base)
-            c2 = NonEdgeColoring.start(g, extra)
-            t1, t2 = ({(f.k, f.i, f.j) for f in applicable_forces(g, c, Rule.Z)
-                       if isinstance(f, TripleForce)} for c in (c1, c2))
-            for (k, i, j) in t1:
-                a, b = min(j, k), max(j, k)
-                if (a, b) not in c2.blue_nonedges:
-                    assert (k, i, j) in t2
+        for rule in CONVENTIONAL_RULES:
+            for _ in range(6 if nes else 0):
+                base = {e for e in nes if rng.random() < 0.3}
+                extra = base | {e for e in nes if rng.random() < 0.3}
+                c1 = NonEdgeColoring.start(g, base)
+                c2 = NonEdgeColoring.start(g, extra)
+                t1, t2 = ({f for f in applicable_forces(g, c, rule)
+                           if isinstance(f, TripleForce)} for c in (c1, c2))
+                for f in t1:
+                    if f.colored()[0] not in c2.blue_nonedges:
+                        assert f in t2, (g.to_graph6(), rule, sorted(base), sorted(extra))
+                        checks += 1
+    assert checks == 16353
 
 
 def test_order_exploration_matches_deterministic(connected_upto_5, sampled_n6):

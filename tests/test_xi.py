@@ -13,7 +13,7 @@ from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
                          MSizeError, XiCertificate, XiUnresolvedError,
-                         load_t3_family, m_small, t3_minor, xi)
+                         _parse_family, load_t3_family, m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
 
 # the package exports the function xi under the module's name
@@ -28,13 +28,20 @@ def test_family_data_valid():
     assert sorted(g.n for g in fam.graphs) == [4, 5, 6, 7, 8, 9]
 
 
-def test_family_data_rejects_bad_files(tmp_path):
-    bad = tmp_path / "family.txt"
-    bad.write_text("3 1\n1 2\n")
-    with pytest.raises(ConfigurationError):
-        load_t3_family(str(bad))
-    with pytest.raises(ConfigurationError):
-        load_t3_family(str(tmp_path / "missing.txt"))
+def test_family_data_rejects_bad_files(tmp_path, monkeypatch):
+    k4, k5 = (format_edge_list(families.complete(k)) for k in (4, 5))
+    for text, reason in (("3 1\n1 2\n", "has 1 graphs"),
+                         ("3 1\n1 4\n", "bad bundled family data"),
+                         ("\n".join([k4, k5] * 3), "isomorphic duplicates")):
+        with pytest.raises(ConfigurationError, match=reason):
+            _parse_family(text)
+    # the package resource itself missing
+    monkeypatch.setattr(xi_module.importlib.resources, "files", lambda package: tmp_path)
+    load_t3_family.cache_clear()
+    with pytest.raises(ConfigurationError, match="missing"):
+        load_t3_family()
+    monkeypatch.undo()
+    assert len(load_t3_family().graphs) == 6
 
 
 def test_t3_minor_examples():
@@ -139,14 +146,14 @@ def test_clique_case_needs_only_k_floor_plus_one(connected_upto_7, monkeypatch):
     assert calls == []
 
 
-def test_unresolved_error_names_the_hadwiger_number(connected_upto_7, tmp_path):
+def test_unresolved_error_names_the_hadwiger_number(connected_upto_7, monkeypatch):
     # a family of cliques too big to be minors leaves the t3 case open
-    path = tmp_path / "family.txt"
-    path.write_text("\n".join(format_edge_list(families.complete(k)) for k in range(8, 14)))
-    never = load_t3_family(str(path))
+    never = _parse_family("\n".join(format_edge_list(families.complete(k))
+                                     for k in range(8, 14)))
     g = next(g for g in connected_upto_7 if xi(g).case == CASE_T3_FAMILY)
+    monkeypatch.setattr(xi_module, "load_t3_family", lambda: never)
     with pytest.raises(XiUnresolvedError) as err:
-        xi(g, never)
+        xi(g)
     assert err.value.details["clique_minor_order"] == hadwiger(g)[0] == 3
 
 
