@@ -90,6 +90,9 @@ class Graph:
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self.vertices()), default=0)
 
+    def min_degree(self) -> int:
+        return min((self.degree(v) for v in self.vertices()), default=0)
+
     def closed_neighborhood(self, v: int) -> int:
         """Bitset ``N[v] = N(v) + v``."""
         return self.adj[v] | (1 << v)

@@ -29,35 +29,46 @@ def _embed_subgraph(host: Graph, pattern: Graph) -> list[int] | None:
 
     Returns ``image`` with ``image[p]`` the host vertex for pattern vertex p,
     or None.  Ordinary subgraph embedding: host may have extra edges.
+    Pattern vertices are placed by degree, highest first; each one tries,
+    ascending, the unused host vertices of large enough degree adjacent to
+    every image of an earlier pattern neighbour, so the first image found
+    is the least in that order.
     """
     p_order = sorted(pattern.vertices(), key=pattern.degree, reverse=True)
-    image = [0] * (pattern.n + 1)
+    adj = host.adj
+    # per step: the host vertices of large enough degree, the earlier steps adjacent
+    fits = [sum(1 << v for v in host.vertices() if host.degree(v) >= pattern.degree(p))
+            for p in p_order]
+    needed = [[t for t in range(idx) if pattern.has_edge(p, p_order[t])]
+              for idx, p in enumerate(p_order)]
+    steps = len(p_order)
+    chosen = [0] * steps
+    # a step's candidates are set on the way down to it; step 0 has no constraint
+    candidates = list(fits)
     used = 0
-
-    def place(idx: int) -> bool:
-        nonlocal used
-        if idx == len(p_order):
-            return True
-        p = p_order[idx]
-        needed = [q for q in p_order[:idx] if pattern.has_edge(p, q)]
-        for v in host.vertices():
-            if used >> v & 1:
-                continue
-            if host.degree(v) < pattern.degree(p):
-                continue
-            if any(not host.has_edge(v, image[q]) for q in needed):
-                continue
-            image[p] = v
-            used |= 1 << v
-            if place(idx + 1):
-                return True
-            used &= ~(1 << v)
-        return False
-
-    found = place(0)
-    # the recursive helper's closure holds it: drop the cycle, not wait for gc
-    del place
-    return image if found else None
+    idx = 0
+    while idx < steps:
+        c = candidates[idx]
+        if not c:
+            idx -= 1
+            if idx < 0:
+                return None
+            used ^= 1 << chosen[idx]
+            continue
+        low = c & -c
+        candidates[idx] = c ^ low
+        chosen[idx] = low.bit_length() - 1
+        used |= low
+        idx += 1
+        if idx < steps:
+            c = fits[idx] & ~used
+            for t in needed[idx]:
+                c &= adj[chosen[t]]
+            candidates[idx] = c
+    image = [0] * (pattern.n + 1)
+    for p, v in zip(p_order, chosen):
+        image[p] = v
+    return image
 
 
 def _width_bound(g: Graph) -> int:
@@ -97,12 +108,14 @@ def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
     def dfs(cur: Graph, blobs: list[frozenset[int]]) -> BranchSets | None:
         if cur.n < h.n or cur.num_edges() < h.num_edges():
             return None
-        key = (cur.n, canonical_word(cur))
-        if key in seen:
-            return None
         image = _embed_subgraph(cur, h)
         if image is not None:
             return tuple(blobs[image[p] - 1] for p in h.vertices())
+        # a class already in ``seen`` had no embedding either: embedding first
+        # changes only the work
+        key = (cur.n, canonical_word(cur))
+        if key in seen:
+            return None
         seen.add(key)
         for u, v in cur.edges():
             nxt = cur.contract_edge(u, v)

@@ -165,10 +165,11 @@ def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycle
 class _Game:
     """A position of the non-edge game; closures update it in place move by move.
 
-    Holds the white-adjacency masks, and per vertex the odd cycles of the
-    white graph inside its neighborhood and the first-round forces of its
-    local game as (forcer, target) pairs with vetoed forcers dropped: those
-    in the bitset ``cover`` that are not adjacent to the local game's
+    The start colors ``blue`` and every non-edge touching the bitset
+    ``cover``.  Holds the white-adjacency masks, and per vertex the odd
+    cycles of the white graph inside its neighborhood and the first-round
+    forces of its local game as (forcer, target) pairs with vetoed forcers
+    dropped: those in ``cover`` that are not adjacent to the local game's
     vertex.  A move marks stale only the caches it can change (see the
     module docstring); each query refreshes the stale ones first.
     """
@@ -179,9 +180,12 @@ class _Game:
             raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
         self.g = g
         self.rule = rule
-        # white[v]: the white non-edge partners of v
-        full = g.full_mask
-        self.white = white = [0] + [full & ~g.closed_neighborhood(v) for v in g.vertices()]
+        # white[v]: the white non-edge partners of v; a non-edge touching
+        # the cover is blue
+        uncovered = g.full_mask & ~cover
+        self.white = white = [0] + [
+            0 if cover >> v & 1 else uncovered & ~g.closed_neighborhood(v)
+            for v in g.vertices()]
         for u, v in blue:
             white[u] &= ~(1 << v)
             white[v] &= ~(1 << u)
@@ -287,9 +291,10 @@ def _start(g: Graph, blue: Iterable[NonEdgePair] | NonEdgeColoring, rule: Rule,
     and the game position on it."""
     coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
     _check_host(g, coloring)
+    game = _Game(g, coloring.blue_nonedges, rule, _vertex_mask(g, cover))
     if cover:
         coloring = NonEdgeColoring(g, coloring.blue_nonedges | complementary_closure(g, cover))
-    return coloring, _Game(g, coloring.blue_nonedges, rule, _vertex_mask(g, cover))
+    return coloring, game
 
 
 def applicable_forces(
@@ -380,5 +385,12 @@ def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int
     """Minimum vertex set whose vertex-cover game forces all non-edges."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-    return smallest_winning_set(
-        g.vertices(), lambda combo: sap_closure(g, (), rule, combo)[0].is_complete())
+
+    def wins(cover: tuple[int, ...]) -> bool:
+        # the deterministic closure, read off the position: no coloring or trace
+        game = _Game(g, (), rule, sum(1 << v for v in cover))
+        while (move := game.first_move()) is not None:
+            game.play(move)
+        return not any(game.white)
+
+    return smallest_winning_set(g.vertices(), wins)

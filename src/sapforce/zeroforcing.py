@@ -117,11 +117,48 @@ def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
 
 
 def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
-    """Apply every available force until none is left."""
-    while pairs := _force_pairs(g, blue, rule):
-        for _, j in pairs:
-            blue |= 1 << j
-    return blue
+    """Apply every available force until none is left.
+
+    Z and Zl closures are least fixed points of monotone rules, so forces
+    apply as soon as they are found, in any order.  A blue vertex with no
+    white neighbour never forces again (white only shrinks), so it leaves
+    ``active`` for good; a forcer leaves it at once.  Zplus plays rounds of
+    ``_force_pairs``, which refuses any other rule."""
+    if rule is not Rule.Z and rule is not Rule.ZL:
+        while pairs := _force_pairs(g, blue, rule):
+            for _, j in pairs:
+                blue |= 1 << j
+        return blue
+    adj = g.adj
+    full = g.full_mask
+    white = full & ~blue
+    active = blue
+    changed = True
+    while changed and white:
+        changed = False
+        rest = active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = adj[low.bit_length() - 1] & white
+            if not w & (w - 1):
+                # no white neighbour left, or one that it forces now
+                active ^= low
+                if w:
+                    white ^= w
+                    active |= w
+                    changed = True
+        if rule is Rule.ZL:
+            rest = white
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if adj[j] and not adj[j] & white:
+                    white ^= low
+                    active |= low
+                    changed = True
+    return full & ~white
 
 
 def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[frozenset[int], list[Force]]:
@@ -222,7 +259,18 @@ def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], boo
 
 
 def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
-    return smallest_winning_set(g.vertices(), lambda combo: is_zfs(g, combo, rule))
+    # Under Z, Zl and FloorZ a start set S with |S| < least degree d has no
+    # first move, so it loses (S is not everything: |S| < d < n).  A blue
+    # vertex has >= d - (|S| - 1) >= 2 white neighbours, so it cannot force;
+    # a Zl self-force needs all >= d neighbours of a white vertex blue; a hop
+    # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1;
+    # a free floor force needs a vertex that has already acted.  Refusing
+    # those sets unplayed keeps the first winner in (size, combinations)
+    # order.  Zplus forces into one white component at a time, so it may
+    # move from fewer.
+    least = 0 if rule is Rule.ZPLUS else g.min_degree()
+    return smallest_winning_set(
+        g.vertices(), lambda combo: len(combo) >= least and is_zfs(g, combo, rule))
 
 
 def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

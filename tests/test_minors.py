@@ -49,6 +49,52 @@ def test_minor_reflexive_and_transitive():
             assert has_minor(g, h)[0]
 
 
+def reference_embed_subgraph(host: Graph, pattern: Graph) -> list[int] | None:
+    """The library's former embedding, kept as the reference: backtrack over
+    host vertices ascending, filtering each by use, degree and adjacency to
+    the images of earlier pattern neighbours."""
+    p_order = sorted(pattern.vertices(), key=pattern.degree, reverse=True)
+    image = [0] * (pattern.n + 1)
+    used = 0
+
+    def place(idx: int) -> bool:
+        nonlocal used
+        if idx == len(p_order):
+            return True
+        p = p_order[idx]
+        needed = [q for q in p_order[:idx] if pattern.has_edge(p, q)]
+        for v in host.vertices():
+            if used >> v & 1:
+                continue
+            if host.degree(v) < pattern.degree(p):
+                continue
+            if any(not host.has_edge(v, image[q]) for q in needed):
+                continue
+            image[p] = v
+            used |= 1 << v
+            if place(idx + 1):
+                return True
+            used &= ~(1 << v)
+        return False
+
+    return image if place(0) else None
+
+
+def test_embedding_matches_reference(connected_upto_6):
+    """The same first image, or None, on every connected host with n <= 6
+    for complete patterns, the T3 family and every graph with n <= 4."""
+    patterns = [*(families.complete(p) for p in range(1, 7)), *load_t3_family().graphs,
+                *(h for n in range(1, 5) for h in enumerate_graphs(n))]
+    found = 0
+    for g in connected_upto_6:
+        for h in patterns:
+            image = minors._embed_subgraph(g, h)
+            assert image == reference_embed_subgraph(g, h), (g.to_graph6(), h.to_graph6())
+            found += image is not None
+    # 2,786 of the 143 * 30 pairs embed, so both answers are checked
+    assert found == 2786
+
+
 def test_width_bound_examples():
     assert minors._width_bound(families.empty(3)) == 0
     assert minors._width_bound(families.path(5)) == 1

@@ -12,7 +12,8 @@ from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
                               format_sap_trace, is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
-from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, single_forces
+from sapforce.zeroforcing import (CONVENTIONAL_RULES, Rule, single_forces,
+                                  smallest_winning_set)
 
 # -- the closure that rebuilds its position before every move ---------------
 #
@@ -344,6 +345,20 @@ def test_vc_game(k3_join_o4):
     assert next(iter(witness)) in {4, 5, 6, 7}
     with pytest.raises(ValueError):
         vc_forcing_number(k3_join_o4, Rule.ZPLUS)
+
+
+def reference_vc_forcing_number(g, rule):
+    """The former search: the first cover, by size and then in combinations
+    order, whose whole vertex-cover closure colors every non-edge."""
+    return smallest_winning_set(
+        g.vertices(), lambda cover: sap_closure(g, (), rule, cover)[0].is_complete())
+
+
+def test_vc_forcing_number_matches_reference(all_graphs_upto_7):
+    for g in all_graphs_upto_7:
+        for rule in (Rule.Z, Rule.ZL):
+            assert vc_forcing_number(g, rule) == reference_vc_forcing_number(g, rule), \
+                (g.to_graph6(), rule)
 
 
 def test_vc_zero_iff_zsap_zero(connected_upto_5):

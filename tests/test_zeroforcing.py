@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from sapforce import families
+from sapforce import families, zeroforcing
+from sapforce.canon import enumerate_connected
 from sapforce.graphs import CapExceededError, Graph
 from sapforce.report import compute_report
-from sapforce.zeroforcing import (Force, Rule, closure, floor_force_sequence,
-                                  format_trace, is_zfs, min_zfs, single_forces)
+from sapforce.zeroforcing import (CONVENTIONAL_RULES, Rule, closure, floor_force_sequence,
+                                  format_trace, is_zfs, min_zfs, single_forces,
+                                  smallest_winning_set)
 
 
 def test_closure_examples():
@@ -219,3 +221,57 @@ def test_floor_force_sequence_refuses_vertices_outside_the_graph():
     for blue in ({0}, {5}, {1, -2}):
         with pytest.raises(ValueError, match="outside 1..4"):
             floor_force_sequence(p4, blue)
+
+
+# -- the round loop and plain search the library replaced -------------------
+#
+# The library closes Z and Zl in place, dropping spent vertices, and refuses
+# start sets smaller than the least degree before playing them.  These keep
+# the former closure (apply every force of a round, round after round) and
+# the plain search over it; the tests below require the same closures and
+# the same value and witness.
+
+
+def reference_closure_mask(g: Graph, blue: int, rule: Rule) -> int:
+    while forces := single_forces(g, blue, rule):
+        for f in forces:
+            blue |= 1 << f.target
+    return blue
+
+
+def reference_min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
+    def wins(combo):
+        if rule in CONVENTIONAL_RULES:
+            return reference_closure_mask(g, sum(1 << v for v in combo), rule) == g.full_mask
+        # the floor game: a plain-Z completion, else a winning play
+        return (reference_closure_mask(g, sum(1 << v for v in combo), Rule.Z) == g.full_mask
+                or floor_force_sequence(g, combo) is not None)
+    return smallest_winning_set(g.vertices(), wins)
+
+
+def test_closure_matches_reference_from_every_start(connected_upto_6):
+    checked = 0
+    for g in connected_upto_6:
+        for blue in range(0, g.full_mask + 1, 2):
+            for rule in (Rule.Z, Rule.ZL):
+                assert zeroforcing._closure_mask(g, blue, rule) == \
+                    reference_closure_mask(g, blue, rule), (g.to_graph6(), blue, rule)
+                checked += 1
+    assert checked == 2 * sum(2 ** g.n for g in connected_upto_6)
+
+
+def test_min_zfs_matches_reference_search(connected_upto_7):
+    """Value and witness of every rule on every connected graph with n <= 7,
+    among them K_n, where Z = n - 1 is the least degree itself."""
+    for g in connected_upto_7:
+        for rule in Rule:
+            assert min_zfs(g, rule) == reference_min_zfs_connected(g, rule), \
+                (g.to_graph6(), rule)
+
+
+@pytest.mark.slow
+def test_min_zfs_matches_reference_search_n8():
+    for g in enumerate_connected(8):
+        for rule in (Rule.Z, Rule.ZL):
+            assert min_zfs(g, rule) == reference_min_zfs_connected(g, rule), \
+                (g.to_graph6(), rule)
