@@ -192,13 +192,7 @@ class Graph:
         return [frozenset(bits(comp)) for comp in self.component_masks()]
 
     def component_masks(self) -> list[int]:
-        out = []
-        todo = self.full_mask
-        while todo:
-            comp = _grow(self.adj, todo & -todo, todo)[0]
-            out.append(comp)
-            todo &= ~comp
-        return out
+        return _components(self.adj, self.full_mask)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -255,7 +249,8 @@ def bits(mask: int) -> Iterator[int]:
 def _grow(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:
     """The component of ``seed`` (a bitset inside ``within``) in ``adj``
     restricted to ``within``, and every vertex adjacent to it: the one
-    component walk behind ``reach``, Zplus and the odd cycle rule."""
+    component walk behind ``reach``, ``_components``, Zplus and the odd
+    cycle rule."""
     comp = frontier = seed
     touched = 0
     while frontier:  # bits walked inline: the games call this per component
@@ -266,6 +261,16 @@ def _grow(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:
             frontier = touched & within & ~comp
             comp |= frontier
     return comp, touched
+
+
+def _components(adj: Sequence[int], within: int) -> list[int]:
+    """The components of ``adj`` restricted to ``within``, by least vertex."""
+    out = []
+    while within:
+        comp = _grow(adj, within & -within, within)[0]
+        out.append(comp)
+        within &= ~comp
+    return out
 
 
 def _vertex_mask(g: Graph, vertices: Collection[int]) -> int:

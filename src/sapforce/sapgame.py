@@ -36,7 +36,7 @@ from typing import Collection, Iterable, Sequence
 
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
-from .zeroforcing import (CONVENTIONAL_RULES, Rule, _force_pairs,
+from .zeroforcing import (CONVENTIONAL_RULES, Rule, _forcers, _targets,
                           smallest_winning_set)
 
 
@@ -167,11 +167,14 @@ class _Game:
 
     The start colors ``blue`` and every non-edge touching the bitset
     ``cover``.  Holds the white-adjacency masks, and per vertex the odd
-    cycles of the white graph inside its neighborhood and the first-round
-    forces of its local game as (forcer, target) pairs with vetoed forcers
-    dropped: those in ``cover`` that are not adjacent to the local game's
-    vertex.  A move marks stale only the caches it can change (see the
-    module docstring); each query refreshes the stale ones first.
+    cycles of the white graph inside its neighborhood and, as one bitset,
+    the vertices its local game forces in its first round.  The local game
+    at k has white set ``white[k]``, so ``zeroforcing._targets`` reads those
+    targets off k's white partners, not off every blue vertex; a move's
+    forcers are derived when they are asked for.  Vetoed forcers, those in
+    ``cover`` that are not adjacent to k, never count.  A move marks stale
+    only the caches it can change (see the module docstring); each query
+    refreshes the stale ones first.
     """
 
     def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
@@ -189,13 +192,14 @@ class _Game:
         for u, v in blue:
             white[u] &= ~(1 << v)
             white[v] &= ~(1 << u)
-        # veto[k]: the forcers vetoed in the local game at k
-        self.veto = ([0] + [cover & ~g.closed_neighborhood(k) for k in g.vertices()]
-                     if cover else [0] * (g.n + 1))
+        # allowed[k]: the vertices not vetoed as forcers in the local game at k
+        self.allowed = [0] + [g.full_mask & ~(cover & ~g.closed_neighborhood(k))
+                              for k in g.vertices()]
         self.cycles: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
         self.has_cycle = 0
         self.may_cycle = g.full_mask
-        self.forces: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+        # hits[k]: the vertices forced in the first round of the local game at k
+        self.hits = [0] * (g.n + 1)
         # least[k]: the least non-edge forced at k; ``none`` when there is none
         self.none = (g.n + 1, g.n + 1)
         self.least = [self.none] * (g.n + 1)
@@ -220,24 +224,25 @@ class _Game:
         self.stale_cycles = 0
 
     def _refresh_forces(self) -> None:
-        g, rule, white, veto = self.g, self.rule, self.white, self.veto
-        full = g.full_mask
+        adj, rule, white, allowed = self.g.adj, self.rule, self.white, self.allowed
         stale = self.stale_forces
         while stale:
             low = stale & -stale
             stale ^= low
             k = low.bit_length() - 1
-            pairs = _force_pairs(g, full & ~white[k], rule) if white[k] else []
-            if veto[k]:
-                pairs = [(i, j) for i, j in pairs if not veto[k] >> i & 1]
-            hit = 0
-            for _, j in pairs:
-                hit |= 1 << j
-            self.forces[k] = pairs
+            w = white[k]
+            hit = _targets(adj, w, allowed[k] & ~w, rule) if w else 0
+            self.hits[k] = hit
             # the least non-edge forced at k is {k, its least target}
             j = (hit & -hit).bit_length() - 1
             self.least[k] = self.none if not hit else (j, k) if j < k else (k, j)
         self.stale_forces = 0
+
+    def _forcers(self, k: int, j: int) -> tuple[int, bool]:
+        """The allowed forcers of j in the local game at k as a bitset, and
+        whether j forces itself under Zl."""
+        w = self.white[k]
+        return _forcers(self.g.adj, w, self.allowed[k] & ~w, self.rule, j)
 
     def first_move(self) -> SapForce | None:
         """The policy's move: the least vertex with an odd cycle, its cycle of
@@ -254,7 +259,9 @@ class _Game:
         # {a,b} is the least non-edge forced anywhere, so it is the least
         # one forced at a whenever a forces b
         k, j = (a, b) if self.least[a] == (a, b) else (b, a)
-        return TripleForce(k, next(i for i, t in self.forces[k] if t == j), j)
+        forcers, _ = self._forcers(k, j)
+        # no forcer from outside: j forces itself
+        return TripleForce(k, (forcers & -forcers).bit_length() - 1 if forcers else j, j)
 
     def cycle_moves(self) -> list[OddCycleForce]:
         """Every odd cycle application, vertices ascending, cycles by least vertex."""
@@ -263,13 +270,19 @@ class _Game:
 
     def legal_moves(self) -> list[SapForce]:
         """Every legal move in policy order: odd cycle applications, then
-        forcing triples lexicographic by (non-edge, local-game vertex, forcer)."""
+        forcing triples lexicographic by (non-edge, local-game vertex, forcer),
+        a Zl self-force after the other forcers of its target."""
         moves: list[SapForce] = list(self.cycle_moves())
         self._refresh_forces()
+        hits = self.hits
         for a in self.g.vertices():
             for b in bits(self.white[a] >> (a + 1) << (a + 1)):
                 for k, j in ((a, b), (b, a)):
-                    moves.extend(TripleForce(k, i, j) for i, t in self.forces[k] if t == j)
+                    if hits[k] >> j & 1:
+                        forcers, itself = self._forcers(k, j)
+                        moves += [TripleForce(k, i, j) for i in bits(forcers)]
+                        if itself:
+                            moves.append(TripleForce(k, j, j))
         return moves
 
     def play(self, move: SapForce) -> None:
@@ -388,9 +401,11 @@ def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int
 
     def wins(cover: tuple[int, ...]) -> bool:
         # the deterministic closure, read off the position: no coloring or trace
-        game = _Game(g, (), rule, sum(1 << v for v in cover))
+        game = _Game(g, (), rule, sum(cover))
         while (move := game.first_move()) is not None:
             game.play(move)
         return not any(game.white)
 
-    return smallest_winning_set(g.vertices(), wins)
+    # covers are tried as sums of vertex bits, in the order of their vertices
+    size, cover = smallest_winning_set([1 << v for v in g.vertices()], wins)
+    return size, frozenset(b.bit_length() - 1 for b in cover)

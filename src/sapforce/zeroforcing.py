@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable, Sequence, TypeVar
 
-from .graphs import Graph, _grow, _vertex_mask, bits
+from .graphs import Graph, _components, _grow, _vertex_mask, bits
 
 T = TypeVar("T")
 
@@ -45,6 +45,9 @@ class Rule(Enum):
 
 
 CONVENTIONAL_RULES = (Rule.Z, Rule.ZL, Rule.ZPLUS)
+# Reading a member off the class, as in ``Rule.ZL``, costs about as much as
+# a whole force step on CPython 3.11; the game loops compare with these.
+_Z, _ZL, _ZPLUS, _FLOOR = Rule.Z, Rule.ZL, Rule.ZPLUS, Rule.FLOOR
 
 
 @dataclass(frozen=True)
@@ -64,46 +67,53 @@ def format_trace(forces: list[Force]) -> str:
     return "\n".join(str(f) for f in forces)
 
 
-def _force_pairs(g: Graph, blue: int, rule: Rule) -> list[tuple[int, int]]:
-    """Every (source, target) force the rule allows at this exact state, in
-    the order ``single_forces`` documents.  The one force kernel: the
-    conventional closures and the local games of the non-edge game use it."""
-    adj = g.adj
-    white = g.full_mask & ~blue
-    out: list[tuple[int, int]] = []
-    # bits are walked inline: this is the innermost loop of every game
-    if rule is Rule.Z or rule is Rule.ZL:
-        rest = blue
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = adj[low.bit_length() - 1] & white
-            if w and not w & (w - 1):
-                out.append((low.bit_length() - 1, w.bit_length() - 1))
-        if rule is Rule.ZL:
-            rest = white
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                if adj[j] and not adj[j] & white:
-                    out.append((j, j))
-    elif rule is Rule.ZPLUS:
-        rest = white
-        while rest:
-            # the white component of the least vertex left, and what it touches
-            comp, touched = _grow(adj, rest & -rest, white)
-            rest &= ~comp
-            sources = blue & touched
-            while sources:
-                low = sources & -sources
-                sources ^= low
-                w = adj[low.bit_length() - 1] & comp
-                if not w & (w - 1):
-                    out.append((low.bit_length() - 1, w.bit_length() - 1))
-    else:
-        raise ValueError("single_forces handles conventional rules only")
-    return out
+def _one_neighbour(adj: Sequence[int], group: int) -> int:
+    """The vertices with exactly one neighbour in the bitset ``group``: the
+    one force kernel.  A blue vertex forces when it has exactly one white
+    neighbour, so every conventional game reads its forces off this, in
+    |group| steps: ``single_forces``, the Zplus rounds of ``_closure_mask``
+    and the local games of the non-edge game."""
+    one = two = 0
+    while group:  # bits walked inline: this is the innermost loop of every game
+        low = group & -group
+        group ^= low
+        a = adj[low.bit_length() - 1]
+        two |= one & a
+        one |= a
+    return one & ~two
+
+
+def _targets(adj: Sequence[int], white: int, allowed: int, rule: Rule) -> int:
+    """The white vertices that some single force turns blue, the forcers
+    taken from ``allowed`` (blue vertices); a Zl self-force needs no forcer.
+    Zplus forces are the Z forces into each white component."""
+    if rule is _ZPLUS:
+        hit = 0
+        for comp in _components(adj, white):
+            hit |= _targets(adj, comp, allowed, _Z)
+        return hit
+    forcers = _one_neighbour(adj, white) & allowed
+    zl = rule is _ZL
+    hit = 0
+    rest = white
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = adj[low.bit_length() - 1]
+        # a forcer next to a white vertex has no other white neighbour
+        if a & forcers or zl and a and not a & white:
+            hit |= low
+    return hit
+
+
+def _forcers(adj: Sequence[int], white: int, allowed: int, rule: Rule, j: int) -> tuple[int, bool]:
+    """The forcers from ``allowed`` of the white vertex j as a bitset, and
+    whether j forces itself under Zl, which ``single_forces`` lists after
+    them."""
+    group = _grow(adj, 1 << j, white)[0] if rule is _ZPLUS else white
+    a = adj[j]
+    return (_one_neighbour(adj, group) & allowed & a,
+            rule is _ZL and a != 0 and not a & white)
 
 
 def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
@@ -113,7 +123,16 @@ def single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
     regular ones, ascending); Zplus forces are grouped by white component,
     then ascending by source within each component.
     """
-    return [Force(i, j) for i, j in _force_pairs(g, blue, rule)]
+    if rule not in CONVENTIONAL_RULES:
+        raise ValueError("single_forces handles conventional rules only")
+    adj = g.adj
+    white = g.full_mask & ~blue
+    groups = _components(adj, white) if rule is _ZPLUS else [white]
+    out = [Force(i, (adj[i] & group).bit_length() - 1)
+           for group in groups for i in bits(_one_neighbour(adj, group) & blue)]
+    if rule is _ZL:
+        out += [Force(j, j) for j in bits(white) if adj[j] and not adj[j] & white]
+    return out
 
 
 def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
@@ -122,15 +141,14 @@ def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
     Z and Zl closures are least fixed points of monotone rules, so forces
     apply as soon as they are found, in any order.  A blue vertex with no
     white neighbour never forces again (white only shrinks), so it leaves
-    ``active`` for good; a forcer leaves it at once.  Zplus plays rounds of
-    ``_force_pairs``, which refuses any other rule."""
-    if rule is not Rule.Z and rule is not Rule.ZL:
-        while pairs := _force_pairs(g, blue, rule):
-            for _, j in pairs:
-                blue |= 1 << j
-        return blue
+    ``active`` for good; a forcer leaves it at once.  Zplus plays rounds:
+    every target of ``_targets`` turns blue at once."""
     adj = g.adj
     full = g.full_mask
+    if rule is _ZPLUS:
+        while hit := _targets(adj, full & ~blue, blue, rule):
+            blue |= hit
+        return blue
     white = full & ~blue
     active = blue
     changed = True
@@ -148,7 +166,7 @@ def _closure_mask(g: Graph, blue: int, rule: Rule) -> int:
                     white ^= w
                     active |= w
                     changed = True
-        if rule is Rule.ZL:
+        if rule is _ZL:
             rest = white
             while rest:
                 low = rest & -rest
@@ -236,15 +254,18 @@ def floor_force_sequence(g: Graph, blue: set[int] | frozenset[int]) -> list[Forc
     return _floor_game_sequence(g, _vertex_mask(g, blue))
 
 
+def _wins(g: Graph, blue: int, rule: Rule) -> bool:
+    """Does the start bitset ``blue`` force the whole vertex set?"""
+    if rule is not _FLOOR:
+        return _closure_mask(g, blue, rule) == g.full_mask
+    # floor game: a plain-Z completion needs no hops and is always a win
+    return (_closure_mask(g, blue, _Z) == g.full_mask
+            or _floor_game_sequence(g, blue) is not None)
+
+
 def is_zfs(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> bool:
     """Can the given start set force the whole vertex set under the rule?"""
-    mask = _vertex_mask(g, blue)
-    if rule in CONVENTIONAL_RULES:
-        return _closure_mask(g, mask, rule) == g.full_mask
-    # floor game: a plain-Z completion needs no hops and is always a win
-    if _closure_mask(g, mask, Rule.Z) == g.full_mask:
-        return True
-    return _floor_game_sequence(g, mask) is not None
+    return _wins(g, _vertex_mask(g, blue), rule)
 
 
 def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], bool]
@@ -267,10 +288,13 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # a free floor force needs a vertex that has already acted.  Refusing
     # those sets unplayed keeps the first winner in (size, combinations)
     # order.  Zplus forces into one white component at a time, so it may
-    # move from fewer.
-    least = 0 if rule is Rule.ZPLUS else g.min_degree()
-    return smallest_winning_set(
-        g.vertices(), lambda combo: len(combo) >= least and is_zfs(g, combo, rule))
+    # move from fewer.  Start sets are tried as sums of vertex bits, in the
+    # order of their vertices, and played by the mask-level ``_wins``.
+    least = 0 if rule is _ZPLUS else g.min_degree()
+    size, combo = smallest_winning_set(
+        [1 << v for v in g.vertices()],
+        lambda combo: len(combo) >= least and _wins(g, sum(combo), rule))
+    return size, frozenset(b.bit_length() - 1 for b in combo)
 
 
 def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

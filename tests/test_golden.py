@@ -2,8 +2,9 @@
 
 Each test hashes one kind of output over every connected graph with at most
 six vertices (the linear algebra test uses seeded random rational matrices
-instead) and compares the sha256 with a digest recorded from the reference
-implementation.  A refactor that keeps every trace, witness, certificate
+instead, and a slow test the non-edge game on every connected graph with
+eight vertices) and compares the sha256 with a digest recorded from the
+reference implementation.  A refactor that keeps every trace, witness, certificate
 and determinant byte-identical keeps every digest; any drift changes one.
 """
 
@@ -16,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from sapforce import (RationalMatrix, Rule, closure, floor_force_sequence,
-                      format_sap_trace, format_trace, hadwiger, min_zfs, rank,
-                      sap_closure, sap_forcing_number, vc_forcing_number, xi)
+from sapforce import (RationalMatrix, Rule, closure, enumerate_connected,
+                      floor_force_sequence, format_sap_trace, format_trace,
+                      hadwiger, min_zfs, rank, sap_closure, sap_forcing_number,
+                      survey_graphs, vc_forcing_number, xi)
 
 CONVENTIONAL = (Rule.Z, Rule.ZL, Rule.ZPLUS)
 
@@ -39,6 +41,15 @@ def _sap_lines(graphs):
                 yield f"{g.to_graph6()} {rule.value} {rng is None}"
                 yield format_sap_trace(trace)
                 yield repr(sorted(final.blue_nonedges))
+
+
+def _sap_empty_lines(graphs):
+    for g in graphs:
+        for rule in CONVENTIONAL:
+            final, trace = sap_closure(g, (), rule)
+            yield f"{g.to_graph6()} {rule.value}"
+            yield format_sap_trace(trace)
+            yield repr(sorted(final.blue_nonedges))
 
 
 def _closure_lines(graphs):
@@ -152,3 +163,13 @@ def test_golden_graph_outputs(name, connected_upto_6):
 def test_golden_rank_and_determinant():
     assert _digest(_linalg_lines()) == (
         "2d324cbd63843f51b62ccb7d3a9bab722995d9b909dc68d37a64095099a831eb")
+
+
+@pytest.mark.slow
+def test_golden_sap_traces_n8():
+    """The deterministic empty-start trace and final coloring under Z, Zl and
+    Zplus on all 11,117 connected 8-vertex graphs, and their survey row."""
+    graphs = list(enumerate_connected(8))
+    assert _digest(_sap_empty_lines(graphs)) == (
+        "ca3526c1e43c3beded8da45dcc28590ac4991adaeba1fc5df7ffc0e4be7668e2")
+    assert survey_graphs(graphs, 8).to_csv().startswith("8,11117,8164,9753,9784,")

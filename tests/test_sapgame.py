@@ -169,6 +169,40 @@ def test_random_order_matches_reference(connected_upto_5):
                     coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
 
 
+def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
+    """``applicable_forces`` equals the reference's legal moves, in order, at
+    every position the reference closure passes through."""
+    _, trace = reference_sap_closure(g, blue, rule, cover, rng)
+    touching = [e for e in g.non_edges() if set(e) & set(cover)]
+    coloring = NonEdgeColoring.start(g, [*blue, *touching])
+    for move in trace + [None]:
+        want = list(reference_legal_moves(g, coloring, rule, cover))
+        assert applicable_forces(g, coloring, rule, cover) == want, \
+            (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
+        if move is not None:
+            coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
+
+
+def test_legal_moves_match_reference_at_every_position(connected_upto_5):
+    """The game caches only the targets of each local game and derives their
+    forcers when asked; these lists pin that derivation: vetoed forcers
+    dropped, a Zl self-force after the other forcers of its target, and
+    Zplus forcers per white component."""
+    rng = random.Random(19)
+    for g in connected_upto_5:
+        nes = g.non_edges()
+        for rule in CONVENTIONAL_RULES:
+            for size in range(3):
+                for cover in combinations(g.vertices(), size):
+                    assert_moves_match_along_reference_closure(g, (), rule, cover)
+            for _ in range(4):
+                density = rng.random()
+                blue = [e for e in nes if rng.random() < density]
+                assert_moves_match_along_reference_closure(g, blue, rule)
+                assert_moves_match_along_reference_closure(
+                    g, blue, rule, rng=random.Random(rng.randrange(1 << 30)))
+
+
 def test_local_blue_sets():
     p4 = families.path(4)
     empty = NonEdgeColoring.start(p4)

@@ -4,10 +4,10 @@ from itertools import combinations
 import pytest
 
 from sapforce import families, zeroforcing
-from sapforce.canon import enumerate_connected
-from sapforce.graphs import CapExceededError, Graph
+from sapforce.canon import enumerate_connected, enumerate_graphs
+from sapforce.graphs import CapExceededError, Graph, bits
 from sapforce.report import compute_report
-from sapforce.zeroforcing import (CONVENTIONAL_RULES, Rule, closure, floor_force_sequence,
+from sapforce.zeroforcing import (CONVENTIONAL_RULES, Force, Rule, closure, floor_force_sequence,
                                   format_trace, is_zfs, min_zfs, single_forces,
                                   smallest_winning_set)
 
@@ -275,3 +275,57 @@ def test_min_zfs_matches_reference_search_n8():
         for rule in (Rule.Z, Rule.ZL):
             assert min_zfs(g, rule) == reference_min_zfs_connected(g, rule), \
                 (g.to_graph6(), rule)
+
+
+# -- the per-vertex force loop the kernel replaced --------------------------
+#
+# The library reads every force off ``_one_neighbour``, which walks the
+# vertices of one white group.  This keeps the former loop, which checked
+# every blue vertex for a single white neighbour; the tests below require
+# the kernel to match its definition and ``single_forces`` to match this
+# loop, order included.
+
+
+def reference_single_forces(g: Graph, blue: int, rule: Rule) -> list[Force]:
+    adj = g.adj
+    white = g.full_mask & ~blue
+    if rule is Rule.ZPLUS:
+        groups, seen = [], 0
+        for v in bits(white):
+            if not seen >> v & 1:
+                groups.append(g.reach(v, white))
+                seen |= groups[-1]
+    else:
+        groups = [white]
+    out = []
+    for group in groups:
+        for i in bits(blue):
+            w = adj[i] & group
+            if w and not w & (w - 1):
+                out.append(Force(i, w.bit_length() - 1))
+    if rule is Rule.ZL:
+        out += [Force(j, j) for j in bits(white) if adj[j] and not adj[j] & white]
+    return out
+
+
+def graphs_upto_6():
+    return [g for n in range(1, 7) for g in enumerate_graphs(n)]
+
+
+def test_one_neighbour_kernel_matches_its_definition():
+    checked = 0
+    for g in graphs_upto_6():
+        for group in range(0, g.full_mask + 1, 2):
+            want = sum(1 << v for v in g.vertices() if (g.adj[v] & group).bit_count() == 1)
+            assert zeroforcing._one_neighbour(g.adj, group) == want, (g.to_graph6(), group)
+            checked += 1
+    assert checked == sum(2 ** n * count for n, count in
+                          enumerate((1, 2, 4, 11, 34, 156), start=1))
+
+
+def test_single_forces_match_the_per_vertex_loop():
+    for g in graphs_upto_6():
+        for blue in range(0, g.full_mask + 1, 2):
+            for rule in CONVENTIONAL_RULES:
+                assert single_forces(g, blue, rule) == reference_single_forces(g, blue, rule), \
+                    (g.to_graph6(), blue, rule)
