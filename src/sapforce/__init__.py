@@ -8,9 +8,8 @@ from .graphs import (CapExceededError, Graph, Graph6Error, GraphError,
                      encode_graph6, format_edge_list, parse_edge_list,
                      parse_graph6)
 from .linalg import (PatternError, PatternFamily, PerturbationError,
-                     RationalMatrix, SapMatrix, build_sap_matrix, has_sap,
-                     nullity, odd_cycle_det, perturbation_witness, rank,
-                     sample_matrix)
+                     RationalMatrix, build_sap_matrix, has_sap, nullity,
+                     odd_cycle_det, perturbation_witness, rank, sample_matrix)
 from .minors import clique_number, hadwiger, has_minor, vertex_cover_number
 from .report import (ParameterReport, ReportInvariantError, ResultCache,
                      SurveyRow, compute_report, survey_graphs)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from . import families
 from .canon import enumerate_connected
@@ -26,7 +28,7 @@ from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
                      SurveyRow, check_vertex_cap, compute_report, survey_graphs)
 from .sapgame import format_sap_trace, is_zsap_zero, replay_trace, sap_closure
 from .xi import XI_COMPONENT_LIMIT, ConfigurationError, XiUnresolvedError, xi
-from .zeroforcing import Rule, min_zfs
+from .zeroforcing import CONVENTIONAL_RULES, Rule, min_zfs
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,6 +37,15 @@ EXIT_GUARD = 3
 
 FAMILY_RULES = {PatternFamily.S: Rule.Z, PatternFamily.S_ELL: Rule.ZL,
                 PatternFamily.S_PLUS: Rule.ZPLUS}
+
+
+def parse_label(label: str, choices: Iterable[Enum], what: str) -> Enum:
+    """The member of ``choices`` whose value is ``label``, ignoring case."""
+    for choice in choices:
+        if choice.value.lower() == label.lower():
+            return choice
+    raise ValueError(f"unknown {what} {label!r}; expected one of "
+                     f"{', '.join(c.value for c in choices)}")
 
 
 def load_graph(spec: str, indexing: int = 1) -> Graph:
@@ -76,10 +87,9 @@ def cmd_param(args) -> int:
 
 def cmd_trace(args) -> int:
     g = load_graph(args.graph, args.indexing)
-    rule = Rule.from_label(args.rule)
+    rule = parse_label(args.rule, CONVENTIONAL_RULES, "rule")
     final, trace = sap_closure(g, (), rule)
-    replay = replay_trace(g, (), trace, rule)
-    if replay.blue_nonedges != final.blue_nonedges:
+    if replay_trace(g, (), trace, rule) != final:
         print("internal error: trace failed replay verification", file=sys.stderr)
         return EXIT_VIOLATION
     text = format_sap_trace(trace)
@@ -98,7 +108,7 @@ def cmd_verify_sap(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     g = load_graph(args.graph, args.indexing)
-    family = PatternFamily.from_label(args.family)
+    family = parse_label(args.family, PatternFamily, "family")
     rule = FAMILY_RULES[family]
     flag = is_zsap_zero(g, rule)
     passes = 0

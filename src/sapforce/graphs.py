@@ -310,6 +310,9 @@ def sorted_non_edge(g: Graph, u: int, v: int) -> NonEdgePair:
 # each offset by 63.
 
 _G6_HEADER = ">>graph6<<"
+# the largest vertex count the 4-byte form of N(n) holds, so the largest
+# order ``encode_graph6`` writes and ``parse_edge_list`` reads
+_MAX_ORDER = 258047
 
 
 def _g6_read_n(data: bytes) -> tuple[int, int]:
@@ -377,10 +380,10 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= 258047:
+    elif n <= _MAX_ORDER:
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
-        raise Graph6Error("vertex counts above 258047 are not supported")
+        raise Graph6Error(f"vertex counts above {_MAX_ORDER} are not supported")
     nbits = n * (n - 1) // 2
     bitstream = 0
     for col in range(1, n):
@@ -408,6 +411,8 @@ def parse_edge_list(text: str, indexing: int = 1) -> Graph:
     if len(head) != 2:
         raise GraphError(f"expected header 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n > _MAX_ORDER:
+        raise GraphError(f"vertex count {n} exceeds {_MAX_ORDER}")
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     shift = 1 - indexing

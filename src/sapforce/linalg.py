@@ -11,10 +11,11 @@ symmetric S with u_i^T S u_j = 0 for every edge ij and every i = j: a
 system of n + |E| rows in k(k+1)/2 unknowns.
 
 ``build_sap_matrix`` keeps the direct form: one variable per non-edge of X
-turns AX = O into an n^2 x m linear system whose coefficient matrix (rows
-indexed by pairs (i,k), columns by non-edges) is full column rank exactly
-when A has the property.  It is the exported system matrix and the
-reference the kernel form is tested against.
+turns AX = O into an n^2 x m linear system whose coefficient matrix Psi, a
+plain ``RationalMatrix`` (rows indexed by pairs (i,k), columns by
+non-edges), has full column rank exactly when A has the property.  It is
+the exported system matrix and the reference the kernel form is tested
+against.
 
 All arithmetic is exact: entries are fractions, and after clearing
 denominators one fraction-free (Bareiss) elimination loop gives rank,
@@ -159,13 +160,6 @@ class PatternFamily(Enum):
     S_ELL = "S_ell"
     S_PLUS = "S_plus"
 
-    @staticmethod
-    def from_label(label: str) -> "PatternFamily":
-        for fam in PatternFamily:
-            if fam.value.lower() == label.lower():
-                return fam
-        raise ValueError(f"unknown family {label!r}")
-
 
 def validate_pattern(g: Graph, a: RationalMatrix) -> None:
     """Check A is symmetric with off-diagonal support exactly the edge set."""
@@ -221,30 +215,20 @@ def sample_matrix(g: Graph, family: PatternFamily, seed: int) -> RationalMatrix:
 
 # -- the SAP system matrix ------------------------------------------------
 
-@dataclass(frozen=True)
-class SapMatrix:
-    """Coefficient matrix of AX = O over the non-edge variables of X.
-
-    Rows are indexed by pairs (i,k) ordered by k then i, so the k-th block
-    of n rows carries the equations from column k of AX.  In the column of
-    non-edge {i,j}, block i holds column j of A, block j holds column i,
-    and every other block is zero.
-    """
-
-    host: Graph
-    nonedge_order: tuple[NonEdgePair, ...]
-    psi: RationalMatrix
-
-    def rank(self) -> int:
-        return self.psi.rank()
-
-
 def build_sap_matrix(
     g: Graph,
     a: RationalMatrix,
     order: Sequence[NonEdgePair] | None = None,
-) -> SapMatrix:
-    """Assemble the system matrix for A against a chosen non-edge order."""
+) -> RationalMatrix:
+    """The system matrix Psi of AX = O over the non-edge variables of X.
+
+    Its columns follow ``order``, a list of every non-edge once, or
+    ``g.non_edges()`` when no order is given.  Rows are indexed by pairs
+    (i,k) ordered by k then i, so the k-th block of n rows carries the
+    equations from column k of AX.  In the column of non-edge {i,j}, block
+    i holds column j of A, block j holds column i, and every other block is
+    zero.
+    """
     validate_pattern(g, a)
     canonical = [sorted_non_edge(g, u, v) for u, v in (order or g.non_edges())]
     if sorted(canonical) != sorted(g.non_edges()) or len(set(canonical)) != len(canonical):
@@ -256,7 +240,7 @@ def build_sap_matrix(
             # block j gets column h of A, block h gets column j
             rows[(j - 1) * n + (i - 1)][col] = a.entries[i - 1][h - 1]
             rows[(h - 1) * n + (i - 1)][col] = a.entries[i - 1][j - 1]
-    return SapMatrix(g, tuple(canonical), RationalMatrix.from_rows(rows))
+    return RationalMatrix.from_rows(rows)
 
 
 def has_sap(g: Graph, a: RationalMatrix) -> bool:

@@ -11,8 +11,7 @@ from typing import Callable
 from .canon import canonical_graph
 from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
-from .sapgame import (NonEdgeColoring, is_zsap_zero, sap_closure, sap_forcing_number,
-                      vc_forcing_number)
+from .sapgame import is_zsap_zero, sap_closure, sap_forcing_number, vc_forcing_number
 from .xi import m_small, t3_minor, xi
 from .zeroforcing import Rule, min_zfs
 
@@ -233,13 +232,14 @@ def survey_graphs(graphs: list[Graph], n: int) -> SurveyRow:
     for g in graphs:
         if g.n != n:
             raise ValueError(f"survey of order {n} got {g.to_graph6()} on {g.n} vertices")
-        coloring = NonEdgeColoring.start(g)
+        blue = frozenset()
         for idx, rule in enumerate((Rule.Z, Rule.ZL, Rule.ZPLUS)):
-            coloring, _ = sap_closure(g, coloring, rule)
-            if coloring.is_complete():
+            final, _ = sap_closure(g, blue, rule)
+            if final.is_complete():
                 for stronger in range(idx, 3):
                     counts[stronger] += 1
                 break
+            blue = final.blue_nonedges
     return SurveyRow(n, len(graphs), *counts)
 
 

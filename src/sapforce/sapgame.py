@@ -105,17 +105,11 @@ def format_sap_trace(trace: Sequence[SapForce]) -> str:
     return "\n".join(f"step {t}: {f}" for t, f in enumerate(trace, start=1))
 
 
-def _check_host(g: Graph, coloring: NonEdgeColoring) -> None:
-    if coloring.host != g:
-        raise ValueError("coloring belongs to a different host graph")
-
-
-def local_blue_set(g: Graph, coloring: NonEdgeColoring, k: int) -> frozenset[int]:
-    """Initial blue vertices of the local game at k: every vertex but k's
-    white partners."""
-    _check_host(g, coloring)
+def local_blue_set(g: Graph, blue: Iterable[NonEdgePair], k: int) -> frozenset[int]:
+    """Initial blue vertices of the local game at k from the start ``blue``:
+    every vertex but k's white partners."""
     _vertex_mask(g, (k,))
-    return frozenset(bits(g.full_mask & ~_Game(g, coloring.blue_nonedges).white[k]))
+    return frozenset(bits(g.full_mask & ~_start(g, blue, Rule.Z, ())[1].white[k]))
 
 
 def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
@@ -155,11 +149,11 @@ def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
     return out
 
 
-def odd_cycle_applications(g: Graph, coloring: NonEdgeColoring) -> list[OddCycleForce]:
-    """All (i->C) moves: components of the white graph inside N(i) that are
-    odd cycles, listed with i ascending and cycles by least vertex."""
-    _check_host(g, coloring)
-    return _Game(g, coloring.blue_nonedges).cycle_moves()
+def odd_cycle_applications(g: Graph, blue: Iterable[NonEdgePair]) -> list[OddCycleForce]:
+    """All (i->C) moves from the start ``blue``: components of the white
+    graph inside N(i) that are odd cycles, listed with i ascending and
+    cycles by least vertex."""
+    return _start(g, blue, Rule.Z, ())[1].cycle_moves()
 
 
 class _Game:
@@ -298,12 +292,14 @@ class _Game:
             self.stale_cycles |= adj[u] & adj[v]
 
 
-def _start(g: Graph, blue: Iterable[NonEdgePair] | NonEdgeColoring, rule: Rule,
+def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
            cover: Collection[int]) -> tuple[NonEdgeColoring, _Game]:
     """The start coloring, ``blue`` plus every non-edge touching ``cover``,
-    and the game position on it."""
-    coloring = blue if isinstance(blue, NonEdgeColoring) else NonEdgeColoring.start(g, blue)
-    _check_host(g, coloring)
+    and the game position on it.  The one check of a start: a pair that is
+    not a non-edge of g (``NonEdgeColoring.start``), a cover vertex outside
+    g (``_vertex_mask``) or a rule but Z, Zl and Zplus (``_Game``) raises
+    ``ValueError``."""
+    coloring = NonEdgeColoring.start(g, blue)
     game = _Game(g, coloring.blue_nonedges, rule, _vertex_mask(g, cover))
     if cover:
         coloring = NonEdgeColoring(g, coloring.blue_nonedges | complementary_closure(g, cover))
@@ -312,18 +308,18 @@ def _start(g: Graph, blue: Iterable[NonEdgePair] | NonEdgeColoring, rule: Rule,
 
 def applicable_forces(
     g: Graph,
-    coloring: NonEdgeColoring,
+    blue: Iterable[NonEdgePair],
     rule: Rule,
     cover: Collection[int] = (),
 ) -> list[SapForce]:
-    """All moves at this position, with the non-edges touching ``cover``
-    blue as well: odd cycle applications, then triples."""
-    return _start(g, coloring, rule, cover)[1].legal_moves()
+    """All moves from the start ``blue``, with the non-edges touching
+    ``cover`` blue as well: odd cycle applications, then triples."""
+    return _start(g, blue, rule, cover)[1].legal_moves()
 
 
 def sap_closure(
     g: Graph,
-    blue: Iterable[NonEdgePair] | NonEdgeColoring = (),
+    blue: Iterable[NonEdgePair] = (),
     rule: Rule = Rule.Z,
     cover: Collection[int] = (),
     rng: random.Random | None = None,

@@ -35,14 +35,6 @@ class Rule(Enum):
     ZPLUS = "Zplus"
     FLOOR = "FloorZ"
 
-    @staticmethod
-    def from_label(label: str) -> "Rule":
-        for rule in Rule:
-            if rule.value.lower() == label.lower():
-                return rule
-        raise ValueError(f"unknown rule {label!r}; expected one of "
-                         f"{[r.value for r in Rule]}")
-
 
 CONVENTIONAL_RULES = (Rule.Z, Rule.ZL, Rule.ZPLUS)
 # Reading a member off the class, as in ``Rule.ZL``, costs about as much as

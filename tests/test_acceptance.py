@@ -87,7 +87,7 @@ def test_criterion_3_system_matrix_regression():
         [-1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0],
         [0, -1, 1], [0, 1, -1], [0, 0, 1], [0, 0, 0],
     ]
-    assert [[int(x) for x in row] for row in sm.psi.entries] == printed
+    assert [[int(x) for x in row] for row in sm.entries] == printed
     assert sm.rank() == 3
     ok("criterion 3", "16x3 system matrix reproduced entry-for-entry, rank 3")
 

@@ -167,6 +167,13 @@ def test_edge_list_io():
         parse_edge_list("2 1\n1 1\n")  # self loop
 
 
+def test_edge_list_refuses_orders_graph6_cannot_write():
+    # refused from the header, before an adjacency list of n + 1 ints exists
+    for n in (258048, 10 ** 12):
+        with pytest.raises(GraphError, match=f"vertex count {n} exceeds 258047"):
+            parse_edge_list(f"{n} 0\n")
+
+
 def test_graph_validation():
     with pytest.raises(GraphError):
         Graph(2, (0, 2, 0))  # asymmetric

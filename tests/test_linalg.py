@@ -30,9 +30,9 @@ P4_SYSTEM = [
 
 def test_system_matrix_regression():
     sm = build_sap_matrix(families.path(4), P4_MATRIX, [(1, 3), (1, 4), (2, 4)])
-    got = [[int(x) for x in row] for row in sm.psi.entries]
+    got = [[int(x) for x in row] for row in sm.entries]
     assert got == P4_SYSTEM
-    assert sm.rank() == len(sm.nonedge_order) == 3
+    assert sm.rank() == sm.cols == 3
 
 
 def test_star_submatrix():
@@ -41,7 +41,7 @@ def test_star_submatrix():
                                   [a2, 0, 1, 0], [a3, 0, 0, 1]])
     sm = build_sap_matrix(families.star(3), a, [(2, 3), (3, 4), (2, 4)])
     # row (i,k) is row (k - 1) * n + (i - 1); here i = 1 and n = 4
-    rows = [[int(x) for x in sm.psi.entries[(k - 1) * 4]] for k in (2, 3, 4)]
+    rows = [[int(x) for x in sm.entries[(k - 1) * 4]] for k in (2, 3, 4)]
     assert rows == [[a2, 0, a3], [a1, a3, 0], [0, a2, a1]]
 
 
@@ -178,8 +178,8 @@ def test_block_structure_random():
         g = rng.choice(pool)
         a = sample_matrix(g, PatternFamily.S, rng.randrange(10 ** 9))
         sm = build_sap_matrix(g, a)
-        for col, (i, j) in enumerate(sm.nonedge_order):
-            column = tuple(row[col] for row in sm.psi.entries)
+        for col, (i, j) in enumerate(g.non_edges()):
+            column = tuple(row[col] for row in sm.entries)
             for k in range(1, g.n + 1):
                 block = column[(k - 1) * g.n: k * g.n]
                 if k == i:
@@ -269,7 +269,7 @@ def check_against_system_matrix(corpus):
     for g, a in corpus:
         verdict = has_sap(g, a)
         sm = build_sap_matrix(g, a)
-        assert verdict == (sm.rank() == len(sm.nonedge_order)), (g.to_graph6(), a)
+        assert verdict == (sm.rank() == sm.cols), (g.to_graph6(), a)
         no += not verdict
         nullity2 += a.nullity() >= 2
     return len(corpus), no, nullity2

@@ -225,6 +225,22 @@ def test_cli_trace(capsys, kite):
     assert run_cli("trace", "--graph", "k1,3", "--rule", "Z") == 0
     out = capsys.readouterr().out
     assert "(1->C)" in out and "{2,3}" in out
+    # labels are read ignoring case
+    assert run_cli("trace", "--graph", "p4", "--rule", "zPLUS") == 0
+    assert capsys.readouterr().out.endswith("verdict: all 3 non-edges blue\n")
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (("trace", "--graph", "p4", "--rule", "q"), "'q'; expected one of Z, Zl, Zplus"),
+    (("verify-sap", "--graph", "p4", "--family", "t"),
+     "'t'; expected one of S, S_ell, S_plus"),
+], ids=["trace --rule q", "verify-sap --family t"])
+def test_cli_unknown_label_names_the_accepted_values(argv, accepted, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown")
+    assert captured.err.rstrip().endswith(accepted)
 
 
 def test_cli_verify_sap(capsys):
@@ -422,6 +438,10 @@ _EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
      2, "error:"),
     (("param", "--graph", "{dir}/blank.txt", "--params", "Z", "--flags", ""),
      2, "error:"),
+    # a vertex count no graph6 string can hold is refused from the header
+    (("param", "--graph", "{dir}/huge.txt", "--params", "Z", "--flags", ""),
+     2, "error:"),
+    (("trace", "--graph", "{dir}/huge.txt", "--rule", "Z"), 2, "error:"),
     (("verify-xi", "--n", "8"), 3, "refused:"),
     (("survey", "--n", "9"), 3, "refused:"),
 ]
@@ -433,14 +453,18 @@ def test_exit_codes(argv, code, prefix, tmp_path, capsys):
     (tmp_path / "corpus.g6").write_text("Ch\n")
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "blank.txt").write_text(" \n\t\n")
+    (tmp_path / "huge.txt").write_text("1000000000000 0\n")
     assert run_cli(*(arg.format(dir=tmp_path) for arg in argv)) == code
     assert capsys.readouterr().err.startswith(prefix)
 
 
-@pytest.mark.parametrize("argv", [("trace",), ("survey", "--corpus", ".")],
+@pytest.mark.parametrize("argv", [("trace",), ("survey", "--corpus", "."),
+                                  ("trace", "--graph", "{dir}/huge.txt")],
                          ids=" ".join)
-def test_cli_errors_print_no_traceback(argv):
-    proc = subprocess.run([sys.executable, "-m", "sapforce.cli", *argv],
+def test_cli_errors_print_no_traceback(argv, tmp_path):
+    (tmp_path / "huge.txt").write_text("1000000000000 0\n")
+    proc = subprocess.run([sys.executable, "-m", "sapforce.cli",
+                           *(arg.format(dir=tmp_path) for arg in argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "error:" in proc.stderr

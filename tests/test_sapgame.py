@@ -162,8 +162,8 @@ def test_random_order_matches_reference(connected_upto_5):
             coloring = NonEdgeColoring.start(g)
             for move in trace + [None]:
                 want = list(reference_legal_moves(g, coloring, rule))
-                assert applicable_forces(g, coloring, rule) == want
-                assert odd_cycle_applications(g, coloring) == \
+                assert applicable_forces(g, coloring.blue_nonedges, rule) == want
+                assert odd_cycle_applications(g, coloring.blue_nonedges) == \
                     reference_odd_cycle_applications(g, coloring)
                 if move is not None:
                     coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
@@ -177,7 +177,7 @@ def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None
     coloring = NonEdgeColoring.start(g, [*blue, *touching])
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
-        assert applicable_forces(g, coloring, rule, cover) == want, \
+        assert applicable_forces(g, coloring.blue_nonedges, rule, cover) == want, \
             (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
@@ -205,21 +205,17 @@ def test_legal_moves_match_reference_at_every_position(connected_upto_5):
 
 def test_local_blue_sets():
     p4 = families.path(4)
-    empty = NonEdgeColoring.start(p4)
-    assert local_blue_set(p4, empty, 4) == frozenset({3, 4})
-    seeded = NonEdgeColoring.start(p4, [(2, 4)])
-    assert local_blue_set(p4, seeded, 4) == frozenset({2, 3, 4})
-    star = families.star(3)
-    assert local_blue_set(star, NonEdgeColoring.start(star), 2) == frozenset({1, 2})
+    assert local_blue_set(p4, (), 4) == frozenset({3, 4})
+    assert local_blue_set(p4, [(2, 4)], 4) == frozenset({2, 3, 4})
+    assert local_blue_set(families.star(3), (), 2) == frozenset({1, 2})
 
 
 def test_local_blue_set_refuses_vertices_outside_the_graph():
     # unchecked, k = 0 would give every vertex and k = -1 the answer for vertex 4
     p4 = families.path(4)
-    empty = NonEdgeColoring.start(p4)
     for k in (0, -1, 5):
         with pytest.raises(ValueError, match=f"vertex {k} outside 1..4"):
-            local_blue_set(p4, empty, k)
+            local_blue_set(p4, (), k)
 
 
 def test_local_blue_set_matches_reference(connected_upto_6):
@@ -229,13 +225,13 @@ def test_local_blue_set_matches_reference(connected_upto_6):
         for _ in range(3):
             coloring = NonEdgeColoring.start(g, [e for e in nes if rng.random() < 0.5])
             for k in g.vertices():
-                assert local_blue_set(g, coloring, k) == \
+                assert local_blue_set(g, coloring.blue_nonedges, k) == \
                     reference_local_blue_set(g, coloring, k)
 
 
 def test_applicable_forces_p4_first_round():
     p4 = families.path(4)
-    forces = applicable_forces(p4, NonEdgeColoring.start(p4), Rule.Z)
+    forces = applicable_forces(p4, (), Rule.Z)
     triples = {(f.k, f.i, f.j) for f in forces if isinstance(f, TripleForce)}
     assert (2, 3, 4) in triples
     assert (3, 2, 1) in triples
@@ -245,7 +241,7 @@ def test_applicable_forces_p4_first_round():
 
 def test_applicable_forces_star_odd_cycle():
     star = families.star(3)
-    forces = applicable_forces(star, NonEdgeColoring.start(star), Rule.Z)
+    forces = applicable_forces(star, (), Rule.Z)
     assert len(forces) == 1
     (cycle,) = forces
     assert isinstance(cycle, OddCycleForce)
@@ -255,7 +251,7 @@ def test_applicable_forces_star_odd_cycle():
 
 def test_vc_restricted_forces(k3_join_o4):
     g = k3_join_o4
-    moves = applicable_forces(g, NonEdgeColoring.start(g), Rule.Z, {4})
+    moves = applicable_forces(g, (), Rule.Z, {4})
     assert any(isinstance(m, OddCycleForce) for m in moves)
     final, _ = sap_closure(g, (), Rule.Z, {4})
     assert final.is_complete()
@@ -265,9 +261,8 @@ def test_vc_game_starts_from_and_vetoes_its_cover():
     # cover {1} of P4 colors {1,3} and {1,4}; forcer 1 is not adjacent to
     # 4, so the triple (4: 1->2) of the plain game from that start is vetoed
     p4 = families.path(4)
-    touching = NonEdgeColoring.start(p4, [(1, 3), (1, 4)])
-    assert TripleForce(4, 1, 2) in applicable_forces(p4, touching, Rule.Z)
-    assert applicable_forces(p4, NonEdgeColoring.start(p4), Rule.Z, {1}) == \
+    assert TripleForce(4, 1, 2) in applicable_forces(p4, [(1, 3), (1, 4)], Rule.Z)
+    assert applicable_forces(p4, (), Rule.Z, {1}) == \
         [TripleForce(2, 3, 4), TripleForce(4, 3, 2)]
     final, trace = sap_closure(p4, (), Rule.Z, {1})
     assert final.is_complete() and trace[0] == TripleForce(2, 3, 4)
@@ -336,10 +331,9 @@ def test_complementary_closure_refuses_vertices_outside_the_graph():
 def test_vc_restriction_refuses_vertices_outside_the_graph():
     # unchecked, {0, 9} would color and veto nothing: a plain game from nothing
     p4 = families.path(4)
-    empty = NonEdgeColoring.start(p4)
     for cover in ({0, 9}, {2, 5}, {-1}):
         for call in (lambda: sap_closure(p4, (), Rule.Z, cover),
-                     lambda: applicable_forces(p4, empty, Rule.Z, cover),
+                     lambda: applicable_forces(p4, (), Rule.Z, cover),
                      lambda: replay_trace(p4, (), [], Rule.Z, cover)):
             with pytest.raises(ValueError, match="outside 1..4"):
                 call()
@@ -349,12 +343,11 @@ def test_floor_rule_refused_on_every_path():
     # star(3) finishes by one odd cycle application, so no local game runs;
     # the rule must still be refused before the first move
     star = families.star(3)
-    start = NonEdgeColoring.start(star)
     _, trace = sap_closure(star, (), Rule.Z)
     for call in (lambda: sap_closure(star, (), Rule.FLOOR),
                  lambda: sap_closure(star, (), Rule.FLOOR, rng=random.Random(0)),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
-                 lambda: applicable_forces(star, start, Rule.FLOOR),
+                 lambda: applicable_forces(star, (), Rule.FLOOR),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
             call()
@@ -364,12 +357,12 @@ def test_coloring_of_another_host_is_refused():
     # {1,4} is a non-edge of P4 but an edge of C4: read on C4 it would be a
     # blue non-edge that does not exist
     c4 = families.cycle(4)
-    foreign = NonEdgeColoring.start(families.path(4), [(1, 4)])
+    foreign = NonEdgeColoring.start(families.path(4), [(1, 4)]).blue_nonedges
     for call in (lambda: applicable_forces(c4, foreign, Rule.Z),
                  lambda: local_blue_set(c4, foreign, 1),
                  lambda: odd_cycle_applications(c4, foreign),
                  lambda: sap_closure(c4, foreign, Rule.Z)):
-        with pytest.raises(ValueError, match="different host graph"):
+        with pytest.raises(ValueError, match="not a non-edge"):
             call()
 
 
@@ -413,12 +406,10 @@ def test_triple_monotonicity(connected_upto_6):
             for _ in range(6 if nes else 0):
                 base = {e for e in nes if rng.random() < 0.3}
                 extra = base | {e for e in nes if rng.random() < 0.3}
-                c1 = NonEdgeColoring.start(g, base)
-                c2 = NonEdgeColoring.start(g, extra)
-                t1, t2 = ({f for f in applicable_forces(g, c, rule)
-                           if isinstance(f, TripleForce)} for c in (c1, c2))
+                t1, t2 = ({f for f in applicable_forces(g, blue, rule)
+                           if isinstance(f, TripleForce)} for blue in (base, extra))
                 for f in t1:
-                    if f.colored()[0] not in c2.blue_nonedges:
+                    if f.colored()[0] not in extra:
                         assert f in t2, (g.to_graph6(), rule, sorted(base), sorted(extra))
                         checks += 1
     assert checks == 16353
@@ -489,7 +480,7 @@ def check_chain_continuation(graphs) -> int:
     for g in graphs:
         finals = {rule: sap_closure(g, (), rule)[0] for rule in CONVENTIONAL_RULES}
         for weaker, stronger in combinations(CONVENTIONAL_RULES, 2):
-            continued, _ = sap_closure(g, finals[weaker], stronger)
+            continued, _ = sap_closure(g, finals[weaker].blue_nonedges, stronger)
             assert continued.blue_nonedges == finals[stronger].blue_nonedges, \
                 (g.to_graph6(), weaker, stronger)
             checks += 1
