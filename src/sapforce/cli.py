@@ -192,7 +192,7 @@ def cmd_verify_xi(args) -> int:
 def cmd_minors(args) -> int:
     g = load_graph(args.graph, args.indexing)
     check_vertex_cap(g)
-    if args.pattern:
+    if args.pattern is not None:
         hit, witness = has_minor(g, load_graph(args.pattern, args.indexing))
         if not hit:
             print("minor: no")

@@ -11,7 +11,7 @@ from typing import Callable
 from .canon import canonical_graph
 from .graphs import CapExceededError, Graph
 from .minors import hadwiger, vertex_cover_number
-from .sapgame import is_zsap_zero, sap_closure, sap_forcing_number, vc_forcing_number
+from .sapgame import _Game, is_zsap_zero, sap_forcing_number, vc_forcing_number
 from .xi import m_small, t3_minor, xi
 from .zeroforcing import Rule, min_zfs
 
@@ -210,36 +210,30 @@ def survey_graphs(graphs: list[Graph], n: int) -> SurveyRow:
     """Count the graphs, all of order ``n`` (else ``ValueError``), whose
     non-edge game finishes from an empty start under Z, Zl and Zplus.
 
-    Each graph is played once up the chain Z, Zl, Zplus: Zl continues from
-    where Z stalled, and Zplus from where Zl stalled.  The first rule that
-    finishes, and every rule after it, counts a zero; the rest are not
-    played.  The verdicts are those of ``is_zsap_zero`` per rule because,
-    at every position, a non-edge that a Z move can color a Zl move can
-    color too, and one that a Zl move can color a Zplus move can (a Zl
-    self-force j->j is a Zplus force from any blue neighbor of j; the odd
-    cycle rule is the same under all three).  So the weaker rule's play
-    followed by the stronger rule's closure from where it stalled is a
-    play of the stronger rule from the empty start that ends where none of
-    its moves is legal.  That play ends in the stronger rule's closure from
-    the empty start as long as every such maximal play ends in the same
-    coloring.  This move-order independence is tested, not proved: from
-    every start set on the connected graphs with n <= 6, from the empty
-    start for n = 7, and for this continuation itself for n <= 8.  A
-    complete coloring has no legal move, so a rule that finishes finishes
-    every stronger rule too.
+    Each graph is played once up the chain Z, Zl, Zplus on one position:
+    Zl continues from where Z stalled, and Zplus from where Zl stalled.  The
+    first rule that finishes, and every rule after it, counts a zero; the
+    rest are not played.  The verdicts are those of ``is_zsap_zero`` per
+    rule because, at every position, a non-edge that a Z move can color a
+    Zl move can color too, and one that a Zl move can color a Zplus move can
+    (a Zl self-force j->j is a Zplus force from any blue neighbor of j; the
+    odd cycle rule is the same under all three).  So the weaker rule's play
+    followed by the stronger rule's closure is a maximal play of the
+    stronger rule from the empty start, and by the lemma in the ``sapgame``
+    docstring it ends in that rule's closure.  A complete coloring has no
+    legal move, so a rule that finishes finishes every stronger rule too.
     """
     counts = [0, 0, 0]
     for g in graphs:
         if g.n != n:
             raise ValueError(f"survey of order {n} got {g.to_graph6()} on {g.n} vertices")
-        blue = frozenset()
+        game = _Game(g, ())
         for idx, rule in enumerate((Rule.Z, Rule.ZL, Rule.ZPLUS)):
-            final, _ = sap_closure(g, blue, rule)
-            if final.is_complete():
+            game.set_rule(rule)
+            if game.close():
                 for stronger in range(idx, 3):
                     counts[stronger] += 1
                 break
-            blue = final.blue_nonedges
     return SurveyRow(n, len(graphs), *counts)
 
 

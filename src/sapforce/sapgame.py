@@ -21,16 +21,38 @@ exact facts say what a move can change.  The local game at k starts from
 every vertex but k's white partners, so coloring {j,k} changes the local
 games at j and k and no other.  The odd cycle rule at i sees only the white
 non-edges with both ends in N(i), so coloring {j,k} changes it only at the
-common neighbors of j and k.  Only those caches are re-scanned.  The game
-itself is unchanged, and so is its policy: the odd cycle rule is not
-monotone (a triple that colors part of a cycle removes that cycle move), so
-a different move order could give a different trace, and the closure plays
-exactly the first legal move in policy order at every step.
+common neighbors of j and k.  Only those caches are re-scanned.
+
+The move order does not change where a closure ends, although the odd cycle
+rule is not monotone (a triple that colors part of a cycle removes that
+cycle move).  Lemma: let T be a position with no legal move, and P a play
+(under Z, Zl or Zplus, with or without a cover's vetoes) from a start
+whose blue non-edges are all blue at T.  Then every move of P colors only
+non-edges blue at T.  Proof: take P's first move m that colors a non-edge
+white at T, played at a position B; every non-edge blue at B is blue at T.
+  - m is a triple (k: i->j).  Single-step forcing is monotone in the local
+    start set: the blue vertices only grow, so i's white neighbors (and
+    under Zplus the white components) only shrink, and the vetoes are
+    fixed.  So m is legal at T, a contradiction.
+  - m is (i->C) and every non-edge of C is white at T.  White only shrinks,
+    so C is still an odd cycle component of the white graph inside N(i),
+    and m is legal at T, a contradiction.
+  - m is (i->C) and some non-edge of C is blue at T.  Walking around C
+    gives a vertex c whose one C-non-edge is blue at T and whose other,
+    {c,d}, is white.  At B, C was a component, so c's white partners in
+    N(i) were its two C-neighbors; at T only d is left.  In the local game
+    at c, i is blue (i ~ c), not vetoed (a veto needs the non-edge {i,c}),
+    and d is its only white neighbor, so the triple (c: i->d) is legal at T
+    under Z, hence under Zl and Zplus, a contradiction.
+Corollary: from one start, every maximal play ends in the same coloring,
+under each of Z, Zl and Zplus, with or without a cover, as each end lies
+inside the other.  So ``sap_closure`` plays the first legal move in policy
+order, the one order that gives a trace, and ``_Game.close`` plays in
+rounds of many moves and ends in the same coloring.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -157,7 +179,7 @@ def odd_cycle_applications(g: Graph, blue: Iterable[NonEdgePair]) -> list[OddCyc
 
 
 class _Game:
-    """A position of the non-edge game; closures update it in place move by move.
+    """A position of the non-edge game; closures update it in place.
 
     The start colors ``blue`` and every non-edge touching the bitset
     ``cover``.  Holds the white-adjacency masks, and per vertex the odd
@@ -173,10 +195,8 @@ class _Game:
 
     def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
                  cover: int = 0) -> None:
-        if rule not in CONVENTIONAL_RULES:
-            raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
         self.g = g
-        self.rule = rule
+        self.set_rule(rule)
         # white[v]: the white non-edge partners of v; a non-edge touching
         # the cover is blue
         uncovered = g.full_mask & ~cover
@@ -198,7 +218,14 @@ class _Game:
         self.none = (g.n + 1, g.n + 1)
         self.least = [self.none] * (g.n + 1)
         self.stale_cycles = g.full_mask
-        self.stale_forces = g.full_mask
+
+    def set_rule(self, rule: Rule) -> None:
+        """Play the local games under ``rule`` from now on: every one is
+        re-read; the odd cycles do not depend on the rule."""
+        if rule not in CONVENTIONAL_RULES:
+            raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
+        self.rule = rule
+        self.stale_forces = self.g.full_mask
 
     def _refresh_cycles(self) -> None:
         adj, white, cycles = self.g.adj, self.white, self.cycles
@@ -280,11 +307,33 @@ class _Game:
         return moves
 
     def play(self, move: SapForce) -> None:
-        """Color the move's non-edges.  Coloring {u,v} changes the local games
-        at u and v only, and the odd cycles only at common neighbors."""
-        adj, white = self.g.adj, self.white
+        """Color the move's non-edges."""
         # a triple colors {j,k}: read it off without building colored()
-        pairs = ((move.j, move.k),) if type(move) is TripleForce else move.colored()
+        self._color(((move.j, move.k),) if type(move) is TripleForce else move.colored())
+
+    def close(self) -> bool:
+        """Play until no move is legal; does every non-edge end blue?
+
+        Each round plays the least odd cycle move if there is one, else every
+        triple target in ``hits`` at once.  A triple stays legal while its
+        non-edge is white, so each round is a play, and by the lemma in the
+        module docstring it ends where ``sap_closure`` ends."""
+        while True:
+            self._refresh_cycles()
+            if self.has_cycle:
+                c = self.cycles[(self.has_cycle & -self.has_cycle).bit_length() - 1][0]
+                self._color(zip(c, c[1:] + c[:1]))
+                continue
+            self._refresh_forces()
+            pairs = [(j, k) for k in self.g.vertices() for j in bits(self.hits[k])]
+            if not pairs:
+                return not any(self.white)
+            self._color(pairs)
+
+    def _color(self, pairs: Iterable[NonEdgePair]) -> None:
+        """Color non-edges blue.  Coloring {u,v} changes the local games at u
+        and v only, and the odd cycles only at common neighbors."""
+        adj, white = self.g.adj, self.white
         for u, v in pairs:
             white[u] &= ~(1 << v)
             white[v] &= ~(1 << u)
@@ -317,31 +366,14 @@ def applicable_forces(
     return _start(g, blue, rule, cover)[1].legal_moves()
 
 
-def sap_closure(
-    g: Graph,
-    blue: Iterable[NonEdgePair] = (),
-    rule: Rule = Rule.Z,
-    cover: Collection[int] = (),
-    rng: random.Random | None = None,
-) -> tuple[NonEdgeColoring, list[SapForce]]:
-    """Run the game to a fixed point; a nonempty ``cover`` plays the
-    vertex-cover game on that vertex set.
-
-    Deterministic by default: every step makes the first legal move in
-    policy order.  Passing ``rng`` picks a uniformly random legal move at
-    every step instead, which is the order-exploration mode used to probe
-    order independence empirically.
-    """
+def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
+                cover: Collection[int] = ()) -> tuple[NonEdgeColoring, list[SapForce]]:
+    """Run the game to a fixed point, making the first legal move in policy
+    order at every step; a nonempty ``cover`` plays the vertex-cover game on
+    that vertex set."""
     coloring, game = _start(g, blue, rule, cover)
     trace: list[SapForce] = []
-    while True:
-        if rng is None:
-            move = game.first_move()
-        else:
-            legal = game.legal_moves()
-            move = rng.choice(legal) if legal else None
-        if move is None:
-            break
+    while (move := game.first_move()) is not None:
         game.play(move)
         trace.append(move)
     return _played(coloring, trace), trace
@@ -379,8 +411,7 @@ def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
 
 def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[NonEdgePair]]:
     """Minimum number of initially blue non-edges that force all non-edges."""
-    return smallest_winning_set(
-        g.non_edges(), lambda combo: sap_closure(g, combo, rule)[0].is_complete())
+    return smallest_winning_set(g.non_edges(), lambda combo: _Game(g, combo, rule).close())
 
 
 def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonEdgePair]:
@@ -394,14 +425,7 @@ def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int
     """Minimum vertex set whose vertex-cover game forces all non-edges."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-
-    def wins(cover: tuple[int, ...]) -> bool:
-        # the deterministic closure, read off the position: no coloring or trace
-        game = _Game(g, (), rule, sum(cover))
-        while (move := game.first_move()) is not None:
-            game.play(move)
-        return not any(game.white)
-
     # covers are tried as sums of vertex bits, in the order of their vertices
-    size, cover = smallest_winning_set([1 << v for v in g.vertices()], wins)
+    size, cover = smallest_winning_set([1 << v for v in g.vertices()],
+                                       lambda cover: _Game(g, (), rule, sum(cover)).close())
     return size, frozenset(b.bit_length() - 1 for b in cover)

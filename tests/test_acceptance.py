@@ -7,8 +7,6 @@ All arithmetic checks are exact; no tolerances appear anywhere.
 
 import random
 import time
-from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -18,10 +16,8 @@ from sapforce.graphs import Graph
 from sapforce.linalg import (PatternFamily, RationalMatrix, build_sap_matrix,
                              has_sap, odd_cycle_det, perturbation_witness,
                              sample_matrix)
-from sapforce.minors import vertex_cover_number
-from sapforce.report import SurveyRow, survey_graphs
-from sapforce.sapgame import (is_zsap_zero, sap_closure, sap_forcing_number,
-                              vc_forcing_number)
+from sapforce.report import survey_graphs
+from sapforce.sapgame import is_zsap_zero, sap_forcing_number, vc_forcing_number
 from sapforce.xi import XiUnresolvedError, m_small, xi
 from sapforce.zeroforcing import Rule, closure, min_zfs
 

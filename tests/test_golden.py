@@ -22,6 +22,8 @@ from sapforce import (RationalMatrix, Rule, closure, enumerate_connected,
                       hadwiger, min_zfs, rank, sap_closure, sap_forcing_number,
                       survey_graphs, vc_forcing_number, xi)
 
+from reference_game import reference_sap_closure
+
 CONVENTIONAL = (Rule.Z, Rule.ZL, Rule.ZPLUS)
 
 
@@ -37,7 +39,10 @@ def _sap_lines(graphs):
     for idx, g in enumerate(graphs):
         for rule in CONVENTIONAL:
             for rng in (None, random.Random(idx)):
-                final, trace = sap_closure(g, (), rule, rng=rng)
+                # a random play from the test reference, which draws from
+                # the legal moves in policy order
+                final, trace = (sap_closure(g, (), rule) if rng is None
+                                else reference_sap_closure(g, (), rule, rng=rng))
                 yield f"{g.to_graph6()} {rule.value} {rng is None}"
                 yield format_sap_trace(trace)
                 yield repr(sorted(final.blue_nonedges))

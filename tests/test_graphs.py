@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapforce import families
-from sapforce.canon import enumerate_connected, enumerate_graphs
+from sapforce.canon import enumerate_graphs
 from sapforce.graphs import (Graph, Graph6Error, GraphError, _grow, bits,
                              encode_graph6, format_edge_list, parse_edge_list,
                              parse_graph6)

@@ -1,14 +1,10 @@
 """Property-based checks over random graphs and matrices."""
 
-import random
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapforce.graphs import Graph, encode_graph6, parse_graph6
-from sapforce.linalg import (PatternFamily, RationalMatrix, odd_cycle_det,
-                             sample_matrix, validate_pattern)
+from sapforce.linalg import PatternFamily, odd_cycle_det, sample_matrix, validate_pattern
 from sapforce.sapgame import is_zsap_zero
 from sapforce.zeroforcing import Rule, closure, is_zfs, min_zfs
 

@@ -313,6 +313,10 @@ def test_cli_minors(capsys):
     assert run_cli("minors", "--graph", "petersen") == 0
     assert capsys.readouterr().out == (
         "largest complete minor: 5; branch sets: {1,2}, {3,4}, {5,10}, {6,8}, {7,9}\n")
+    # an empty pattern is a bad graph, not a request for the largest clique minor
+    assert run_cli("minors", "--graph", "kite5", "--pattern", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty graph6 string" in captured.err
 
 
 def test_cli_input_errors(capsys):

@@ -5,128 +5,40 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import enumerate_connected
-from sapforce.graphs import bits
 from sapforce.report import compute_report
-from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce,
+from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game,
                               applicable_forces, complementary_closure,
                               format_sap_trace, is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
-from sapforce.zeroforcing import (CONVENTIONAL_RULES, Rule, single_forces,
-                                  smallest_winning_set)
+from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, smallest_winning_set
 
-# -- the closure that rebuilds its position before every move ---------------
-#
-# The library's closure keeps one position per call and re-scans only what
-# the last move can change.  These functions rebuild everything from the
-# coloring at every step instead; the tests below require both to give the
-# same final coloring and the same trace, move for move.
+from reference_game import (reference_legal_moves, reference_local_blue_set,
+                            reference_odd_cycle_applications, reference_sap_closure)
 
 
-def reference_white_adjacency(g, coloring):
-    white_adj = [0] * (g.n + 1)
-    for u, v in coloring.white_nonedges():
-        white_adj[u] |= 1 << v
-        white_adj[v] |= 1 << u
-    return white_adj
-
-
-def reference_odd_cycle_applications(g, coloring):
-    white_adj = reference_white_adjacency(g, coloring)
-    out = []
-    for i in g.vertices():
-        nbhd = g.adj[i]
-        seen = 0
-        for v in bits(nbhd):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for w in bits(frontier):
-                    nxt |= white_adj[w] & nbhd
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            size = comp.bit_count()
-            if size < 3 or size % 2 == 0:
-                continue
-            if any((white_adj[w] & nbhd & comp).bit_count() != 2 for w in bits(comp)):
-                continue
-            start = (comp & -comp).bit_length() - 1
-            cycle = [start]
-            prev = None
-            cur = start
-            while len(cycle) < size:
-                nbrs = [w for w in bits(white_adj[cur] & nbhd & comp) if w != prev]
-                prev, cur = cur, min(nbrs)
-                cycle.append(cur)
-            out.append(OddCycleForce(i, tuple(cycle)))
-    return out
-
-
-def reference_local_blue_mask(g, coloring, k):
-    mask = g.closed_neighborhood(k)
-    for u, v in coloring.blue_nonedges:
-        if u == k:
-            mask |= 1 << v
-        elif v == k:
-            mask |= 1 << u
-    return mask
-
-
-def reference_local_blue_set(g, coloring, k):
-    return frozenset(bits(reference_local_blue_mask(g, coloring, k)))
-
-
-def reference_allows(g, cover, k, i):
-    if i not in cover or i == k:
-        return True
-    return g.has_edge(i, k)
-
-
-def reference_legal_moves(g, coloring, rule, cover=()):
-    if rule not in CONVENTIONAL_RULES:
-        raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
-
-    def moves():
-        yield from reference_odd_cycle_applications(g, coloring)
-        local_forces = {}
-        for a, b in sorted(coloring.white_nonedges()):
-            for k, j in ((a, b), (b, a)):
-                if k not in local_forces:
-                    local_forces[k] = single_forces(g, reference_local_blue_mask(g, coloring, k), rule)
-                for f in local_forces[k]:
-                    if f.target == j and reference_allows(g, cover, k, f.source):
-                        yield TripleForce(k, f.source, j)
-
-    return moves()
-
-
-def reference_sap_closure(g, blue=(), rule=Rule.Z, cover=(), rng=None):
-    touching = [e for e in g.non_edges() if set(e) & set(cover)]
-    coloring = NonEdgeColoring.start(g, [*blue, *touching])
-    trace = []
-    while True:
-        moves = reference_legal_moves(g, coloring, rule, cover)
-        if rng is None:
-            move = next(moves, None)
-        else:
-            legal = list(moves)
-            move = rng.choice(legal) if legal else None
-        if move is None:
-            return coloring, trace
-        coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
-        trace.append(move)
-
-
-def assert_same_closure(g, blue, rule, cover=(), seed=None):
-    rngs = [None, None] if seed is None else [random.Random(seed), random.Random(seed)]
-    final, trace = sap_closure(g, blue, rule, cover, rng=rngs[0])
-    want_final, want_trace = reference_sap_closure(g, blue, rule, cover, rng=rngs[1])
-    assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), cover, seed)
+def assert_same_closure(g, blue, rule, cover=()):
+    final, trace = sap_closure(g, blue, rule, cover)
+    want_final, want_trace = reference_sap_closure(g, blue, rule, cover)
+    assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), cover)
     assert final.blue_nonedges == want_final.blue_nonedges
+
+
+def closed_coloring(g, blue, rule, cover=()):
+    """The blue non-edges where ``_Game.close`` stops."""
+    game = _Game(g, blue, rule, sum(1 << v for v in cover))
+    done = game.close()
+    final = frozenset(e for e in g.non_edges() if not game.white[e[0]] >> e[1] & 1)
+    assert done == (len(final) == len(g.non_edges()))
+    return final
+
+
+def assert_close_matches_sap_closure(g, blue, rule, cover=()):
+    """``_Game.close`` plays in rounds, ``sap_closure`` in policy order; by
+    the move-order lemma both end in the same coloring."""
+    final, _ = sap_closure(g, blue, rule, cover)
+    assert closed_coloring(g, blue, rule, cover) == final.blue_nonedges, \
+        (g.to_graph6(), rule, sorted(blue), cover)
 
 
 def test_closure_matches_reference_from_empty_start(connected_upto_7):
@@ -153,11 +65,10 @@ def test_closure_matches_reference_from_random_starts(connected_upto_7):
 
 
 def test_random_order_matches_reference(connected_upto_5):
-    """Seeded random mode draws from the full legal move list, so it matches
-    only if every list is the reference's, in the reference's order."""
+    """Along the reference's seeded random play, every legal move list is the
+    reference's, in the reference's order."""
     for idx, g in enumerate(connected_upto_5):
         for rule in CONVENTIONAL_RULES:
-            assert_same_closure(g, (), rule, seed=idx)
             _, trace = reference_sap_closure(g, (), rule, rng=random.Random(idx))
             coloring = NonEdgeColoring.start(g)
             for move in trace + [None]:
@@ -345,8 +256,8 @@ def test_floor_rule_refused_on_every_path():
     star = families.star(3)
     _, trace = sap_closure(star, (), Rule.Z)
     for call in (lambda: sap_closure(star, (), Rule.FLOOR),
-                 lambda: sap_closure(star, (), Rule.FLOOR, rng=random.Random(0)),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
+                 lambda: sap_forcing_number(star, Rule.FLOOR),
                  lambda: applicable_forces(star, (), Rule.FLOOR),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
@@ -415,35 +326,59 @@ def test_triple_monotonicity(connected_upto_6):
     assert checks == 16353
 
 
+def test_every_maximal_play_ends_in_the_closure(connected_upto_6):
+    """Move-order independence, checked exactly: of all the positions
+    reachable from the empty start, the ones with no legal move are one
+    coloring, the one ``_Game.close`` ends in."""
+    cases = positions = 0
+    for g in connected_upto_6:
+        for rule in CONVENTIONAL_RULES:
+            seen = {frozenset()}
+            todo = [frozenset()]
+            terminals = set()
+            while todo:
+                blue = todo.pop()
+                moves = applicable_forces(g, blue, rule)
+                if not moves:
+                    terminals.add(blue)
+                for move in moves:
+                    after = blue.union(move.colored())
+                    if after not in seen:
+                        seen.add(after)
+                        todo.append(after)
+            assert terminals == {closed_coloring(g, (), rule)}, (g.to_graph6(), rule)
+            cases += 1
+            positions += len(seen)
+    assert (cases, positions) == (429, 37072)
+
+
 def test_order_exploration_matches_deterministic(connected_upto_5, sampled_n6):
-    rng = random.Random(31)
+    """``_Game.close`` ends in ``sap_closure``'s coloring from every vertex
+    cover of at most two vertices, where the cover's vetoes apply."""
     for g in connected_upto_5 + sampled_n6[:10]:
-        reference, _ = sap_closure(g, (), Rule.Z)
-        for seed in range(3):
-            final, _ = sap_closure(g, (), Rule.Z, rng=random.Random(seed))
-            assert final.blue_nonedges == reference.blue_nonedges
+        for size in range(3):
+            for cover in combinations(g.vertices(), size):
+                for rule in (Rule.Z, Rule.ZL):
+                    assert_close_matches_sap_closure(g, (), rule, cover)
 
 
 def check_move_order_independence(graphs) -> int:
-    """Play every start set of every graph under each conventional rule in
-    policy order and in a seeded random order; return the closure count."""
+    """Close every start set of every graph under each conventional rule with
+    ``_Game.close`` and with ``sap_closure``; return the closure count."""
     closures = 0
-    for idx, g in enumerate(graphs):
+    for g in graphs:
         nes = g.non_edges()
         for size in range(len(nes) + 1):
             for start in combinations(nes, size):
                 for rule in CONVENTIONAL_RULES:
-                    final, _ = sap_closure(g, start, rule)
-                    shuffled, _ = sap_closure(g, start, rule, rng=random.Random(idx * 7919 + size))
-                    assert shuffled.blue_nonedges == final.blue_nonedges, \
-                        (g.to_graph6(), rule, start)
+                    assert_close_matches_sap_closure(g, start, rule)
                     closures += 1
     return closures
 
 
 def test_final_coloring_independent_of_move_order(connected_upto_5, connected_upto_6):
-    """A seeded random move order ends in the deterministic final coloring
-    from every start set (the fact an orbit-pruned Zsap search would need)."""
+    """``_Game.close`` ends in ``sap_closure``'s final coloring from every
+    start set (the fact an orbit-pruned Zsap search would need)."""
     graphs = connected_upto_5 + [g for g in connected_upto_6
                                  if g.n == 6 and len(g.non_edges()) <= 6]
     assert check_move_order_independence(graphs) == 7290
@@ -458,16 +393,14 @@ def test_final_coloring_independent_of_move_order_sparse_n6(connected_upto_6):
 
 
 def test_final_coloring_independent_of_move_order_n7(connected_upto_7):
-    """From the empty start, a seeded random move order ends in the
-    deterministic final coloring on every connected 7-vertex graph."""
-    seven = [g for g in connected_upto_7 if g.n == 7]
+    """From the empty start, ``_Game.close`` ends in ``sap_closure``'s final
+    coloring on every connected 7-vertex graph."""
     closures = 0
-    for idx, g in enumerate(seven):
-        for r, rule in enumerate(CONVENTIONAL_RULES):
-            final, _ = sap_closure(g, (), rule)
-            shuffled, _ = sap_closure(g, (), rule, rng=random.Random(idx * 3 + r))
-            assert shuffled.blue_nonedges == final.blue_nonedges, (g.to_graph6(), rule)
-            closures += 1
+    for g in connected_upto_7:
+        if g.n == 7:
+            for rule in CONVENTIONAL_RULES:
+                assert_close_matches_sap_closure(g, (), rule)
+                closures += 1
     assert closures == 2559
 
 

@@ -12,7 +12,7 @@ from sapforce.minors import clique_number, hadwiger, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
-                         MSizeError, XiCertificate, XiUnresolvedError,
+                         MSizeError, XiUnresolvedError,
                          _parse_family, load_t3_family, m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
 

@@ -57,7 +57,6 @@ from sapforce.canon import canonical_graph, enumerate_connected, enumerate_graph
 from sapforce.graphs import Graph, bits, format_edge_list
 from sapforce.linalg import RationalMatrix, has_sap, validate_pattern
 from sapforce.minors import has_minor
-from sapforce.sapgame import is_zsap_zero
 from sapforce.zeroforcing import Rule, min_zfs
 
 DATA_PATH = Path(__file__).resolve().parent.parent / "src" / "sapforce" / "data" / "t3_family.txt"
