@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 from .graphs import CapExceededError, Graph, bits
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], stable: frozenset[int]) -> list[int]:
+def _refine(adj: Sequence[int], cells: list[int], stable: frozenset[int]) -> list[int]:
     """Equitable refinement of an ordered partition of vertex bitsets.
 
     Repeatedly takes the first cell that splits some cell by neighbour count
@@ -37,35 +37,49 @@ def _refine(adj: tuple[int, ...], cells: list[int], stable: frozenset[int]) -> l
     order depends only on graph structure.  ``stable`` holds cells already
     known to split no cell; refining only makes cells finer, so they stay
     that way and are never tried.
+
+    The splitter is the first such cell, not the next one in a queue of
+    cells waiting to be tried, as in nauty: that would order the cells of
+    an equitable partition differently, and the cell order fixes the leaves'
+    words and so every canonical form.
     """
-    cells = list(cells)
+    n = len(adj) - 1
     stable = set(stable)
-    while True:
+    while len(cells) < n:  # a discrete partition splits nothing
         for m in cells:
             if m in stable:
                 continue
             stable.add(m)  # after splitting by m, no cell is split by it
-            new_cells: list[int] = []
-            for cell in cells:
-                if not cell & (cell - 1):
-                    new_cells.append(cell)
-                    continue
-                groups: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
+            new_cells: list[int] | None = None  # a copy from the first split on
+            for i, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    low = cell & -cell
                     key = (adj[low.bit_length() - 1] & m).bit_count()
-                    groups[key] = groups.get(key, 0) | low
-                    rest ^= low
-                if len(groups) == 1:
+                    rest = cell ^ low
+                    while rest:
+                        low = rest & -rest
+                        if (adj[low.bit_length() - 1] & m).bit_count() != key:
+                            break
+                        rest ^= low
+                    if rest:  # the vertices before ``rest`` all count ``key``
+                        groups = {key: cell ^ rest}
+                        while rest:
+                            low = rest & -rest
+                            key = (adj[low.bit_length() - 1] & m).bit_count()
+                            groups[key] = groups.get(key, 0) | low
+                            rest ^= low
+                        if new_cells is None:
+                            new_cells = cells[:i]
+                        new_cells.extend(groups[key] for key in sorted(groups))
+                        continue
+                if new_cells is not None:
                     new_cells.append(cell)
-                else:
-                    new_cells.extend(groups[key] for key in sorted(groups))
-            if len(new_cells) > len(cells):
+            if new_cells is not None:
                 cells = new_cells
                 break
         else:
-            return cells
+            break
+    return cells
 
 
 def _encode_labeling(adj: tuple[int, ...], order: list[int]) -> int:
@@ -77,6 +91,13 @@ def _encode_labeling(adj: tuple[int, ...], order: list[int]) -> int:
         for j in range(i + 1, n):
             word = (word << 1) | (ai >> order[j] & 1)
     return word
+
+
+def _find(root: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path to it."""
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
 
 
 def _search(n: int, adj: Sequence[int]) -> tuple[list[int], int, list[list[int]]]:
@@ -113,28 +134,30 @@ def _search(n: int, adj: Sequence[int]) -> tuple[list[int], int, list[list[int]]
     def search(cells: list[int], stable: frozenset[int]) -> int:
         """Search below one node; return the depth to resume at."""
         cells = _refine(adj, cells, stable)
-        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if target is None:
+        if len(cells) == n:
             return leaf([c.bit_length() - 1 for c in cells])
+        target = next(i for i, c in enumerate(cells) if c & (c - 1))
         depth, cell, stable = len(path), cells[target], frozenset(cells)
-        root = list(range(n + 1))  # union-find forest of orbits
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = x = root[root[x]]
-            return x
-
+        # union-find forest of orbits, made when an automorphism fixes path
+        root: list[int] | None = None
         merged, searched = 0, []
-        for v in bits(cell):
-            for image in autos[merged:]:
-                if all(image[p] == p for p in path):
-                    for x in range(1, n + 1):
-                        root[find(x)] = find(image[x])
-            merged = len(autos)
-            if any(find(u) == find(v) for u in searched):
-                continue
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if searched:  # the first child is never skipped
+                for image in autos[merged:]:
+                    if all(image[p] == p for p in path):
+                        if root is None:
+                            root = list(range(n + 1))
+                        for x in range(1, n + 1):
+                            root[_find(root, x)] = _find(root, image[x])
+                merged = len(autos)
+                if root is not None and any(_find(root, u) == _find(root, v) for u in searched):
+                    continue
             path.append(v)
-            back = search(cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:], stable)
+            back = search(cells[:target] + [low, cell ^ low] + cells[target + 1:], stable)
             path.pop()
             if back < depth:
                 return back
@@ -212,7 +235,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     invariant.  An automorphism of the parent, extended by n -> n, maps the
     extension by S onto the extension by its image of S: the same class,
     and the same verdict of the invariant filter.  So one S per orbit is
-    tried, and its whole orbit is marked done.  An S smaller than the
+    tried, and its whole orbit is marked done, walked through one table per
+    generator p of the images of all 2^(n-1) sets S, the image of S being
+    that of S without its top vertex v, plus p(v).  An S smaller than the
     parent's greatest degree is skipped unbuilt: n would lose on degree.
     """
     if n <= 1:
@@ -220,19 +245,29 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     new = 1 << n
     out: dict[int, Graph] = {}
     for base in _all_graphs(n - 1):
-        gens, least = automorphism_generators(base), base.max_degree()
-        done = bytearray(new)  # by neighbour set of n, a bitset of 1..n-1
-        for m in range(0, new, 2):
-            if done[m] or m.bit_count() < least:
+        # a neighbour set of n, a bitset of 1..n-1, is indexed by mask >> 1,
+        # and a generator's table maps each index to its image's
+        images = []
+        for p in automorphism_generators(base):
+            image = [0]
+            for v in range(1, n):
+                bit = 1 << p[v] >> 1
+                image += [t | bit for t in image]
+            images.append(image)
+        least = base.max_degree()
+        done = bytearray(new >> 1)
+        for i in range(new >> 1):
+            if done[i] or i.bit_count() < least:
                 continue
-            done[m] = 1
-            orbit = [m]
+            done[i] = 1
+            orbit = [i]
             for s in orbit:
-                for p in gens:
-                    t = sum(1 << p[v] for v in bits(s))
+                for image in images:
+                    t = image[s]
                     if not done[t]:
                         done[t] = 1
                         orbit.append(t)
+            m = i << 1
             adj = [a | new if m >> v & 1 else a for v, a in enumerate(base.adj)]
             adj.append(m)
             if _last_vertex_is_max(adj):

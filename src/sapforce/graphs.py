@@ -41,22 +41,29 @@ class Graph:
     full_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if len(self.adj) != self.n + 1 or self.adj[0] != 0:
+        adj = tuple(self.adj)  # a list would make the graph unhashable
+        object.__setattr__(self, "adj", adj)
+        if len(adj) != n + 1 or adj[0] != 0:
             raise GraphError("adjacency table must have slots 0..n with slot 0 empty")
-        full = (1 << (self.n + 1)) - 2
+        full = (1 << (n + 1)) - 2
         object.__setattr__(self, "full_mask", full)
-        for v in range(1, self.n + 1):
-            a = self.adj[v]
+        for v in range(1, n + 1):
+            a = adj[v]
             if a & ~full:
-                raise GraphError(f"vertex {v} has neighbors outside 1..{self.n}")
+                raise GraphError(f"vertex {v} has neighbors outside 1..{n}")
             if a >> v & 1:
                 raise GraphError(f"vertex {v} has a self-loop")
-        for v in range(1, self.n + 1):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v in range(1, n + 1):
+            rest = adj[v]
+            while rest:  # bits walked inline: every new graph pays this
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise GraphError(f"adjacency is not symmetric at {{{u},{v}}}")
+                rest ^= low
 
     # -- construction -------------------------------------------------
 
@@ -386,9 +393,11 @@ def encode_graph6(g: Graph) -> str:
         raise Graph6Error(f"vertex counts above {_MAX_ORDER} are not supported")
     nbits = n * (n - 1) // 2
     bitstream = 0
-    for col in range(1, n):
-        for row in range(col):
-            bitstream = (bitstream << 1) | (1 if g.has_edge(row + 1, col + 1) else 0)
+    adj = g.adj
+    for col in range(2, n + 1):
+        a = adj[col]
+        for row in range(1, col):
+            bitstream = bitstream << 1 | a >> row & 1
     nbytes = (nbits + 5) // 6
     bitstream <<= nbytes * 6 - nbits
     body = bytes(((bitstream >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes))

@@ -6,7 +6,9 @@ the inverse Euler transform (connected classes); neither touches the
 canonicalizer.  Canonical-form semantics are checked against brute-force
 permutation isomorphism on small graphs.  The pruned search and the filtered
 enumeration are checked against a kept reference: the search that visits
-every leaf and the enumeration that canonicalizes every extension.
+every leaf and the enumeration that canonicalizes every extension.  The
+refinement is also checked against its first bitset version, which tested
+every cell in full, off the partitions the enumeration reaches.
 """
 
 import math
@@ -16,6 +18,8 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapforce import canon, families
 from sapforce.canon import (are_isomorphic, automorphism_generators, canonical_form,
@@ -56,6 +60,39 @@ def reference_refine(adj, cells):
             if changed:
                 break
     return cells
+
+
+def reference_refine_stable(adj, cells, stable):
+    """The bitset refinement as first written: every cell tested in full
+    against each splitter, and the cell list copied at every pass."""
+    cells = list(cells)
+    stable = set(stable)
+    while True:
+        for m in cells:
+            if m in stable:
+                continue
+            stable.add(m)
+            new_cells = []
+            for cell in cells:
+                if not cell & (cell - 1):
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    key = (adj[low.bit_length() - 1] & m).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                    rest ^= low
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    new_cells.extend(groups[key] for key in sorted(groups))
+            if len(new_cells) > len(cells):
+                cells = new_cells
+                break
+        else:
+            return cells
 
 
 def reference_word(adj, order):
@@ -293,6 +330,36 @@ def test_pruned_search_matches_reference(monkeypatch):
             want = reference_labeling(h)
             assert canon._search(h.n, h.adj)[0] == want
             assert canonical_word(h) == reference_word(h.adj, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.randoms(use_true_random=False))
+def test_refine_matches_reference_after_individualizing(n, circulant, rnd):
+    """From an equitable partition with random vertices individualized, and
+    ``stable`` that partition's cells: the same cells, in the same order, as
+    the first bitset refinement and as the list reference.  A circulant graph
+    (relabeled) is regular, so refinement starts from a coarse partition."""
+    if circulant:
+        jumps = {d for d in range(1, n // 2 + 1) if rnd.random() < 0.5}
+        label = rnd.sample(range(1, n + 1), n)
+        edges = [(label[u], label[v]) for u, v in combinations(range(n), 2)
+                 if (v - u) in jumps or (n - (v - u)) in jumps]
+    else:
+        density = rnd.random()
+        edges = [e for e in combinations(range(1, n + 1), 2) if rnd.random() < density]
+    g = Graph.from_edges(n, edges)
+    equitable = reference_refine_stable(g.adj, [g.full_mask], frozenset())
+    cells = list(equitable)
+    for v in rnd.sample(range(1, n + 1), rnd.randint(0, n)):
+        i = next(i for i, c in enumerate(cells) if c >> v & 1)
+        if cells[i] != 1 << v:
+            cells[i:i + 1] = [1 << v, cells[i] ^ 1 << v]
+    given_cells, stable = list(cells), frozenset(equitable)
+    want = reference_refine_stable(g.adj, cells, stable)
+    assert canon._refine(g.adj, cells, stable) == want
+    assert cells == given_cells
+    lists = reference_refine(g.adj, [list(bits(c)) for c in cells])
+    assert want == [sum(1 << v for v in c) for c in lists]
 
 
 def test_filtered_enumeration_matches_reference():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,56 @@ def test_long_form_vertex_count():
     s = encode_graph6(g)
     assert s.startswith("~")
     assert parse_graph6(s).adj == g.adj
+
+
+def reference_encode_graph6(g):
+    """graph6 of ``g`` with one ``has_edge`` query per vertex pair."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    elif n <= 258047:
+        head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    else:
+        raise Graph6Error("vertex counts above 258047 are not supported")
+    nbits = n * (n - 1) // 2
+    bitstream = 0
+    for col in range(1, n):
+        for row in range(col):
+            bitstream = (bitstream << 1) | (1 if g.has_edge(row + 1, col + 1) else 0)
+    nbytes = (nbits + 5) // 6
+    bitstream <<= nbytes * 6 - nbits
+    body = bytes(((bitstream >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes))
+    return (head + body).decode("ascii")
+
+
+def test_encoder_matches_reference_on_every_labeled_graph_upto_6():
+    checked = 0
+    for n in range(0, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            adj = [0] * (n + 1)
+            for i, (u, v) in enumerate(pairs):
+                if mask >> i & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            g = Graph(n, tuple(adj))
+            s = encode_graph6(g)
+            assert s == reference_encode_graph6(g), adj
+            assert parse_graph6(s) == g
+            checked += 1
+    assert checked == 1 + 1 + 2 + 8 + 64 + 1024 + 32768
+
+
+def test_encoder_matches_reference_where_the_header_grows():
+    """N(n) is one byte up to n = 62 and four bytes from 63 on."""
+    rng = random.Random(20261019)
+    for n, head in ((62, 1), (63, 4), (64, 4)):
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                 if rng.random() < 0.5])
+        s = encode_graph6(g)
+        assert s == reference_encode_graph6(g)
+        assert len(s) == head + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(s) == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,10 +226,33 @@ def test_edge_list_refuses_orders_graph6_cannot_write():
 
 
 def test_graph_validation():
-    with pytest.raises(GraphError):
-        Graph(2, (0, 2, 0))  # asymmetric
-    with pytest.raises(GraphError):
+    """Each check's message, and which check speaks first."""
+    cases = [
+        (-1, (0,), "vertex count must be nonnegative"),
+        (2, (0, 4), "adjacency table must have slots 0..n with slot 0 empty"),
+        (2, (1, 0, 0), "adjacency table must have slots 0..n with slot 0 empty"),
+        (3, (0, 0, 0, 16), "vertex 3 has neighbors outside 1..3"),
+        (2, (0, 8, 2), "vertex 1 has neighbors outside 1..2"),
+        (2, (0, 2, 0), "vertex 1 has a self-loop"),
+        # the range and loop checks of every vertex come before any symmetry check
+        (3, (0, 4, 1, 0), "vertex 2 has neighbors outside 1..3"),
+        # the first pair by vertex, then by neighbour, both ascending
+        (3, (0, 12, 2, 0), "adjacency is not symmetric at {3,1}"),
+        (3, (0, 0, 2, 2), "adjacency is not symmetric at {1,2}"),
+    ]
+    for n, adj, message in cases:
+        with pytest.raises(GraphError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == message, (n, adj)
+    with pytest.raises(GraphError, match=r"edge \{1,3\} outside 1..2"):
         Graph.from_edges(2, [(1, 3)])
+
+
+def test_graph_from_a_list_equals_and_hashes_as_from_a_tuple():
+    g, h = Graph(2, [0, 4, 2]), Graph(2, (0, 4, 2))
+    assert g == h and g.adj == (0, 4, 2)
+    assert hash(g) == hash(h)
+    assert len({g, h}) == 1
 
 
 def reference_reach(g, start, within):
