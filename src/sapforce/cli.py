@@ -13,6 +13,7 @@ built-in enumeration; ``param`` also exits 3 when it refused a parameter).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from enum import Enum
 from pathlib import Path
@@ -50,10 +51,10 @@ def parse_label(label: str, choices: Iterable[Enum], what: str) -> Enum:
 
 def load_graph(spec: str, indexing: int = 1) -> Graph:
     """Resolve --graph: a file path (graph6 or edge-list), a known graph
-    name, or a literal graph6 string."""
-    path = Path(spec)
-    if path.is_file():
-        text = path.read_text()
+    name, or a literal graph6 string.  A spec the file system cannot even
+    look up (a graph6 string longer than a file name may be) is not a file."""
+    if os.path.isfile(spec):
+        text = Path(spec).read_text()
         lines = text.strip().splitlines()
         if not lines:
             raise GraphError(f"{spec}: empty graph file")

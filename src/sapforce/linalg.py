@@ -20,7 +20,10 @@ against.
 All arithmetic is exact: entries are fractions, and after clearing
 denominators one fraction-free (Bareiss) elimination loop gives rank,
 determinant and, carrying an identity block along, the kernel of A.
-There is no tolerance anywhere.
+``validate_pattern`` checks A on those integer rows, symmetry by cross
+multiplication with the positive row scales, and hands them on to
+``has_sap``, which ranks its kernel system as the transpose.  There is no
+tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph, NonEdgePair, _vertex_mask, sorted_non_edge
@@ -50,6 +54,10 @@ def _frac(x: Entry) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Immutable dense matrix of exact rationals (kept in lowest terms)."""
@@ -66,12 +74,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         return RationalMatrix(len(data), ncols, data)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
-
     def add_scaled_diagonal(self, scale: Entry, positions: Iterable[int]) -> "RationalMatrix":
         """Add ``scale`` to the listed 0-based diagonal positions."""
         s = _frac(scale)
@@ -82,12 +84,16 @@ class RationalMatrix:
         return RationalMatrix.from_rows(data)
 
     def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Each row times the lcm of its denominators, and those lcms."""
         out = []
         scales = []
         for row in self.entries:
-            mult = lcm(*(x.denominator for x in row)) if row else 1
+            mult = lcm(*map(_denominator, row))
             scales.append(mult)
-            out.append([x.numerator * (mult // x.denominator) for x in row])
+            if mult == 1:
+                out.append(list(map(_numerator, row)))
+            else:
+                out.append([x.numerator * (mult // x.denominator) for x in row])
         return out, scales
 
     def rank(self) -> int:
@@ -161,20 +167,32 @@ class PatternFamily(Enum):
     S_PLUS = "S_plus"
 
 
-def validate_pattern(g: Graph, a: RationalMatrix) -> None:
-    """Check A is symmetric with off-diagonal support exactly the edge set."""
-    if a.rows != g.n or a.cols != g.n:
-        raise PatternError(f"matrix is {a.rows}x{a.cols}, graph has {g.n} vertices")
-    if not a.is_symmetric():
-        raise PatternError("matrix is not symmetric")
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            nonzero = a.entries[i][j] != 0
-            edge = g.has_edge(i + 1, j + 1)
-            if nonzero and not edge:
+def validate_pattern(g: Graph, a: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """Check A is symmetric with off-diagonal support exactly the edge set,
+    and return its integer rows and row scales (``_integer_rows``).
+
+    Row i of A is ``rows[i] / scales[i]`` with every scale positive, so
+    a_ij = a_ji exactly when ``rows[i][j] * scales[j] == rows[j][i] *
+    scales[i]``, and a_ij is zero exactly when ``rows[i][j]`` is.
+    """
+    n = g.n
+    if a.rows != n or a.cols != n:
+        raise PatternError(f"matrix is {a.rows}x{a.cols}, graph has {n} vertices")
+    rows, scales = a._integer_rows()
+    for i in range(n):
+        row, d = rows[i], scales[i]
+        for j in range(i + 1, n):
+            if row[j] * scales[j] != rows[j][i] * d:
+                raise PatternError("matrix is not symmetric")
+    for i in range(n):
+        row, nbrs = rows[i], g.adj[i + 1]
+        for j in range(i + 1, n):
+            edge = nbrs >> (j + 1) & 1
+            if row[j] and not edge:
                 raise PatternError(f"entry ({i + 1},{j + 1}) nonzero on a non-edge")
-            if edge and not nonzero:
+            if edge and not row[j]:
                 raise PatternError(f"entry ({i + 1},{j + 1}) zero on an edge")
+    return rows, scales
 
 
 def sample_matrix(g: Graph, family: PatternFamily, seed: int) -> RationalMatrix:
@@ -257,21 +275,23 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
     the (n + |E|) x k(k+1)/2 system in the entries s_pq (p <= q) of S has
     full column rank.  Row ij gets u_ip u_jq + u_iq u_jp in column pq: the
     coefficient of s_pq for p < q, and twice it for p = q, a column scaling
-    that leaves the rank unchanged.  With k <= 1 the answer is yes: S = (s)
-    and s u_i^2 = 0 at a vertex where u_i != 0.
+    that leaves the rank unchanged.  It is ranked as its transpose, one row
+    per unknown s_pq, so the elimination stops as soon as every unknown has
+    a pivot.  With k <= 1 the answer is yes: S = (s) and s u_i^2 = 0 at a
+    vertex where u_i != 0.
 
     U comes from one ``_bareiss`` pass over [DA | D], pivoting in A's n
     columns, where the positive diagonal D clears the denominators of A's
-    rows (D = I for an integer A).  Row i starts as [t A | t] with t = d_i
-    e_i, and every step replaces rows by combinations of rows, so each row
-    keeps that form; every step is invertible, so the final right parts t
-    are independent.  The rows past the rank r have t A = 0, hence A t = 0
+    rows (D = I for an integer A); DA and D are the integer rows and row
+    scales that ``validate_pattern`` checked.  Row i starts as [t A | t]
+    with t = d_i e_i, and every step replaces rows by combinations of rows,
+    so each row keeps that form; every step is invertible, so the final
+    right parts t are independent.  The rows past the rank r have t A = 0, hence A t = 0
     as A is symmetric: these k = n - r rows, each divided by its gcd, are a
     basis of ker A.
     """
-    validate_pattern(g, a)
+    rows, scales = validate_pattern(g, a)
     n = a.cols
-    rows, scales = a._integer_rows()
     m = [row + [d if i == j else 0 for j in range(n)]
          for i, (row, d) in enumerate(zip(rows, scales))]
     r = _bareiss(m, n)[0]
@@ -281,11 +301,9 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
     basis = [row[n:] for row in m[r:]]
     u = list(zip(*([x // gcd(*t) for x in t] for t in basis)))
     pairs = [(p, q) for p in range(k) for q in range(p, k)]
-    system = []
-    for i, j in [(v, v) for v in g.vertices()] + g.edges():
-        ui, uj = u[i - 1], u[j - 1]
-        system.append([ui[p] * uj[q] + ui[q] * uj[p] for p, q in pairs])
-    return _bareiss(system, len(pairs))[0] == len(pairs)
+    cells = [(u[i - 1], u[j - 1]) for i, j in [(v, v) for v in g.vertices()] + g.edges()]
+    system = [[ui[p] * uj[q] + ui[q] * uj[p] for ui, uj in cells] for p, q in pairs]
+    return _bareiss(system, len(cells))[0] == len(pairs)
 
 
 # -- odd cycle determinant -------------------------------------------------

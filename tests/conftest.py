@@ -4,7 +4,6 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import enumerate_connected, enumerate_graphs
-from sapforce.graphs import Graph
 
 
 @pytest.fixture(scope="session")
@@ -47,9 +46,3 @@ def kite():
 @pytest.fixture
 def k3_join_o4():
     return families.complete(3).join(families.empty(4))
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p]
-    return Graph.from_edges(n, edges)

@@ -83,16 +83,39 @@ def test_has_sap_examples():
     assert not has_sap(families.empty(2), zero2)
 
 
-def test_pattern_validation():
-    p4 = families.path(4)
-    bad = RationalMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0],
-                                    [1, 1, 0, 1], [0, 0, 1, 0]])
+def _refusal(g, rows):
     with pytest.raises(PatternError) as exc:
-        validate_pattern(p4, bad)
-    assert "(1,3)" in str(exc.value)
-    missing = RationalMatrix.from_rows([[0, 0, 0, 0]] * 4)
-    with pytest.raises(PatternError):
-        validate_pattern(p4, missing)
+        validate_pattern(g, RationalMatrix.from_rows(rows))
+    return str(exc.value)
+
+
+def test_pattern_validation():
+    p4, k2 = families.path(4), families.complete(2)
+    # the shape is checked first, then symmetry, then the pattern
+    assert _refusal(p4, [[0, 1, 5], [1, 0, 1], [0, 1, 0]]) == \
+        "matrix is 3x3, graph has 4 vertices"
+    assert _refusal(p4, [[0, 1, 0]] * 4) == "matrix is 4x3, graph has 4 vertices"
+    assert _refusal(p4, [[0, 1, 1, 0], [1, 0, 1, 0],
+                         [0, 1, 0, 1], [0, 0, 1, 0]]) == "matrix is not symmetric"
+    assert _refusal(p4, [[0, 1, 1, 0], [1, 0, 1, 0],
+                         [1, 1, 0, 1], [0, 0, 1, 0]]) == \
+        "entry (1,3) nonzero on a non-edge"
+    assert _refusal(p4, [[0, 0, 0, 0]] * 4) == "entry (1,2) zero on an edge"
+    # the first wrong entry in row order speaks
+    assert _refusal(p4, [[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 1],
+                         [0, 1, 1, 0]]) == "entry (2,3) zero on an edge"
+    # rational rows with different row scales: neither the integer rows nor
+    # the fractions alone decide symmetry, their cross products do
+    assert _refusal(k2, [[0, Fraction(1, 2)], [Fraction(1, 3), 0]]) == \
+        "matrix is not symmetric"
+    assert _refusal(k2, [[Fraction(1, 2), 1], [2, 1]]) == "matrix is not symmetric"
+    ok = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                   [Fraction(1, 3), 1]])
+    assert validate_pattern(k2, ok) == ([[3, 2], [1, 3]], [6, 3])
+    assert _refusal(families.empty(2), ok.entries) == \
+        "entry (1,2) nonzero on a non-edge"
+    assert _refusal(k2, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == \
+        "entry (1,2) zero on an edge"
 
 
 def test_oracle_agreement():

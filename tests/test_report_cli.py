@@ -324,6 +324,16 @@ def test_cli_input_errors(capsys):
     assert run_cli("param", "--graph", "p4", "--params", "nonsense") == 2
 
 
+def test_cli_long_literal_graph6(capsys):
+    # longer than a file name may be, so the file system cannot look it up
+    spec = families.complete(40).disjoint_union(families.complete(40)).to_graph6()
+    assert len(spec) > 255
+    assert run_cli("verify-sap", "--graph", spec, "--samples", "1") == 0
+    assert capsys.readouterr().out == (
+        "not guaranteed: the Z game does not finish from an empty start; "
+        "1/1 sampled matrices have the property anyway\n")
+
+
 def test_cli_edge_list_file(tmp_path, capsys):
     f = tmp_path / "kite.txt"
     f.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n1 4\n")
