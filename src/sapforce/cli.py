@@ -55,7 +55,9 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
     look up (a graph6 string longer than a file name may be) is not a file."""
     if os.path.isfile(spec):
         text = Path(spec).read_text()
-        lines = text.strip().splitlines()
+        # a graph6 string holds no '#' or space, so an edge list's comments
+        # are dropped before its header line is looked for
+        lines = [ln for ln in (ln.split("#")[0].strip() for ln in text.splitlines()) if ln]
         if not lines:
             raise GraphError(f"{spec}: empty graph file")
         first = lines[0].split()
@@ -151,12 +153,10 @@ def cmd_survey(args) -> int:
             rows.append(survey_graphs(groups[n], n))
     else:
         rows.append(survey_graphs(list(enumerate_connected(args.n)), args.n))
-    print(SurveyRow.CSV_HEADER)
-    for row in rows:
-        print(row.to_csv())
+    text = "\n".join([SurveyRow.CSV_HEADER, *(r.to_csv() for r in rows)]) + "\n"
+    print(text, end="")
     if args.out:
-        Path(args.out).write_text(
-            SurveyRow.CSV_HEADER + "\n" + "\n".join(r.to_csv() for r in rows) + "\n")
+        Path(args.out).write_text(text)
     return EXIT_OK
 
 

@@ -349,7 +349,10 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 string (optional ``>>graph6<<`` prefix allowed)."""
     if isinstance(text, str):
-        text = text.encode("ascii", errors="replace")
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     if text.startswith(_G6_HEADER.encode()):
         text = text[len(_G6_HEADER):]
     text = text.strip()

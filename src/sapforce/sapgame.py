@@ -16,12 +16,14 @@ vertex set B, its cover: it starts from all non-edges touching B as well and
 forbids triples whose forcer i lies in B with {i,k} a non-edge; the odd
 cycle rule is never restricted.
 
-A closure keeps one position (``_Game``) and updates it in place.  Two
-exact facts say what a move can change.  The local game at k starts from
-every vertex but k's white partners, so coloring {j,k} changes the local
-games at j and k and no other.  The odd cycle rule at i sees only the white
-non-edges with both ends in N(i), so coloring {j,k} changes it only at the
-common neighbors of j and k.  Only those caches are re-scanned.
+One position (``_Game``) is read by every query and result: the legal
+moves, the policy's first move, and the coloring (``_Game.coloring``) that
+``sap_closure`` and ``replay_trace`` return.  A closure updates it in
+place.  Two exact facts say what a move can change.  The local game at k
+starts from every vertex but k's white partners, so coloring {j,k} changes
+the local games at j and k and no other.  The odd cycle rule at i sees only
+the white non-edges with both ends in N(i), so coloring {j,k} changes it
+only at the common neighbors of j and k.  Only those caches are re-scanned.
 
 The move order does not change where a closure ends, although the odd cycle
 rule is not monotone (a triple that colors part of a cycle removes that
@@ -131,7 +133,7 @@ def local_blue_set(g: Graph, blue: Iterable[NonEdgePair], k: int) -> frozenset[i
     """Initial blue vertices of the local game at k from the start ``blue``:
     every vertex but k's white partners."""
     _vertex_mask(g, (k,))
-    return frozenset(bits(g.full_mask & ~_start(g, blue, Rule.Z, ())[1].white[k]))
+    return frozenset(bits(g.full_mask & ~_start(g, blue, Rule.Z, ()).white[k]))
 
 
 def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
@@ -175,7 +177,7 @@ def odd_cycle_applications(g: Graph, blue: Iterable[NonEdgePair]) -> list[OddCyc
     """All (i->C) moves from the start ``blue``: components of the white
     graph inside N(i) that are odd cycles, listed with i ascending and
     cycles by least vertex."""
-    return _start(g, blue, Rule.Z, ())[1].cycle_moves()
+    return _start(g, blue, Rule.Z, ()).cycle_moves()
 
 
 class _Game:
@@ -214,9 +216,6 @@ class _Game:
         self.may_cycle = g.full_mask
         # hits[k]: the vertices forced in the first round of the local game at k
         self.hits = [0] * (g.n + 1)
-        # least[k]: the least non-edge forced at k; ``none`` when there is none
-        self.none = (g.n + 1, g.n + 1)
-        self.least = [self.none] * (g.n + 1)
         self.stale_cycles = g.full_mask
 
     def set_rule(self, rule: Rule) -> None:
@@ -252,11 +251,7 @@ class _Game:
             stale ^= low
             k = low.bit_length() - 1
             w = white[k]
-            hit = _targets(adj, w, allowed[k] & ~w, rule) if w else 0
-            self.hits[k] = hit
-            # the least non-edge forced at k is {k, its least target}
-            j = (hit & -hit).bit_length() - 1
-            self.least[k] = self.none if not hit else (j, k) if j < k else (k, j)
+            self.hits[k] = _targets(adj, w, allowed[k] & ~w, rule) if w else 0
         self.stale_forces = 0
 
     def _forcers(self, k: int, j: int) -> tuple[int, bool]:
@@ -274,12 +269,17 @@ class _Game:
             i = (self.has_cycle & -self.has_cycle).bit_length() - 1
             return OddCycleForce(i, self.cycles[i][0])
         self._refresh_forces()
-        a, b = min(self.least)
-        if a > self.g.n:
+        # the least non-edge forced at k is {k, its least target}; a tie
+        # goes to the lesser k
+        least = None
+        for t, hit in enumerate(self.hits):
+            if hit:
+                u = (hit & -hit).bit_length() - 1
+                pair = (u, t) if u < t else (t, u)
+                if least is None or pair < least:
+                    least, k, j = pair, t, u
+        if least is None:
             return None
-        # {a,b} is the least non-edge forced anywhere, so it is the least
-        # one forced at a whenever a forces b
-        k, j = (a, b) if self.least[a] == (a, b) else (b, a)
         forcers, _ = self._forcers(k, j)
         # no forcer from outside: j forces itself
         return TripleForce(k, (forcers & -forcers).bit_length() - 1 if forcers else j, j)
@@ -330,6 +330,14 @@ class _Game:
                 return not any(self.white)
             self._color(pairs)
 
+    def coloring(self) -> NonEdgeColoring:
+        """The position as a coloring: blue are the non-edges whose white
+        bit is clear."""
+        g, white = self.g, self.white
+        return NonEdgeColoring(g, frozenset(
+            (u, v) for u in g.vertices()
+            for v in bits(g.full_mask >> (u + 1) << (u + 1) & ~g.adj[u] & ~white[u])))
+
     def _color(self, pairs: Iterable[NonEdgePair]) -> None:
         """Color non-edges blue.  Coloring {u,v} changes the local games at u
         and v only, and the odd cycles only at common neighbors."""
@@ -342,17 +350,12 @@ class _Game:
 
 
 def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
-           cover: Collection[int]) -> tuple[NonEdgeColoring, _Game]:
-    """The start coloring, ``blue`` plus every non-edge touching ``cover``,
-    and the game position on it.  The one check of a start: a pair that is
-    not a non-edge of g (``NonEdgeColoring.start``), a cover vertex outside
-    g (``_vertex_mask``) or a rule but Z, Zl and Zplus (``_Game``) raises
-    ``ValueError``."""
-    coloring = NonEdgeColoring.start(g, blue)
-    game = _Game(g, coloring.blue_nonedges, rule, _vertex_mask(g, cover))
-    if cover:
-        coloring = NonEdgeColoring(g, coloring.blue_nonedges | complementary_closure(g, cover))
-    return coloring, game
+           cover: Collection[int]) -> _Game:
+    """The game position at the start, ``blue`` plus every non-edge touching
+    ``cover``.  The one check of a start: a pair that is not a non-edge of g
+    (``NonEdgeColoring.start``), a cover vertex outside g (``_vertex_mask``)
+    or a rule but Z, Zl and Zplus (``_Game``) raises ``ValueError``."""
+    return _Game(g, NonEdgeColoring.start(g, blue).blue_nonedges, rule, _vertex_mask(g, cover))
 
 
 def applicable_forces(
@@ -363,7 +366,7 @@ def applicable_forces(
 ) -> list[SapForce]:
     """All moves from the start ``blue``, with the non-edges touching
     ``cover`` blue as well: odd cycle applications, then triples."""
-    return _start(g, blue, rule, cover)[1].legal_moves()
+    return _start(g, blue, rule, cover).legal_moves()
 
 
 def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
@@ -371,12 +374,12 @@ def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
     """Run the game to a fixed point, making the first legal move in policy
     order at every step; a nonempty ``cover`` plays the vertex-cover game on
     that vertex set."""
-    coloring, game = _start(g, blue, rule, cover)
+    game = _start(g, blue, rule, cover)
     trace: list[SapForce] = []
     while (move := game.first_move()) is not None:
         game.play(move)
         trace.append(move)
-    return _played(coloring, trace), trace
+    return game.coloring(), trace
 
 
 def replay_trace(
@@ -387,20 +390,12 @@ def replay_trace(
     cover: Collection[int] = (),
 ) -> NonEdgeColoring:
     """Re-apply a recorded trace, checking every move is legal at its step."""
-    coloring, game = _start(g, blue, rule, cover)
+    game = _start(g, blue, rule, cover)
     for t, move in enumerate(trace, start=1):
         if move not in game.legal_moves():
             raise ValueError(f"step {t}: {move} is not applicable")
         game.play(move)
-    return _played(coloring, trace)
-
-
-def _played(coloring: NonEdgeColoring, trace: Sequence[SapForce]) -> NonEdgeColoring:
-    """The coloring after ``trace`` is played from ``coloring``."""
-    if not trace:
-        return coloring
-    colored = coloring.blue_nonedges.union(*(m.colored() for m in trace))
-    return NonEdgeColoring(coloring.host, colored)
+    return game.coloring()
 
 
 def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
@@ -415,10 +410,9 @@ def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[No
 
 
 def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonEdgePair]:
-    """All non-edges incident to the given vertex set."""
-    full = g.full_mask
-    return frozenset(_pair(v, u) for v in bits(_vertex_mask(g, vertices))
-                     for u in bits(full & ~g.closed_neighborhood(v)))
+    """All non-edges incident to the given vertex set: the blue non-edges
+    where the vertex-cover game on that set starts."""
+    return _Game(g, (), Rule.Z, _vertex_mask(g, vertices)).coloring().blue_nonedges
 
 
 def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:

@@ -52,6 +52,13 @@ def test_parse_errors_name_offset():
     assert "offset" in str(exc.value)
     with pytest.raises(Graph6Error):
         parse_graph6("@@")          # trailing bytes
+    # not read as '?' (byte 63, a valid graph6 byte), which made "Aé" "A?"
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A\u00e9")
+    assert str(exc.value) == "non-ASCII character '\u00e9' (byte offset 1)"
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("Ch\u00e9\u00e9")
+    assert exc.value.offset == 2
 
 
 def test_header_prefix_accepted():

@@ -271,7 +271,7 @@ def test_cli_verify_sap_needs_a_sample(samples, capsys):
 def test_cli_survey(tmp_path, capsys):
     out_file = tmp_path / "survey.csv"
     assert run_cli("survey", "--n", "5", "--out", str(out_file)) == 0
-    capsys.readouterr()
+    assert out_file.read_text() == capsys.readouterr().out
     text = out_file.read_text().splitlines()
     assert text[0] == SurveyRow.CSV_HEADER
     assert text[1] == "5,21,18,20,20,0.86,0.95,0.95"
@@ -336,11 +336,13 @@ def test_cli_long_literal_graph6(capsys):
 
 def test_cli_edge_list_file(tmp_path, capsys):
     f = tmp_path / "kite.txt"
-    f.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n1 4\n")
-    assert run_cli("param", "--graph", str(f), "--indexing", "0",
-                   "--params", "Z") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["params"]["Z"] == 2
+    # the format is read off the first line left once comments are dropped
+    for head in ("5 5\n", "5 5  # kite\n", "# kite\n5 5\n"):
+        f.write_text(head + "0 1\n1 2\n2 3\n3 4\n1 4\n")
+        assert run_cli("param", "--graph", str(f), "--indexing", "0",
+                       "--params", "Z") == 0, head
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"]["Z"] == 2
 
 
 def test_console_script_installed():
@@ -456,6 +458,8 @@ _EXIT_CODES = [(argv, 2, "usage:") for argv in _USAGE_ERRORS] + [
     (("param", "--graph", "{dir}/huge.txt", "--params", "Z", "--flags", ""),
      2, "error:"),
     (("trace", "--graph", "{dir}/huge.txt", "--rule", "Z"), 2, "error:"),
+    (("param", "--graph", "A\u00e9", "--params", "Z", "--flags", ""),
+     2, "error: non-ASCII character"),
     (("verify-xi", "--n", "8"), 3, "refused:"),
     (("survey", "--n", "9"), 3, "refused:"),
 ]

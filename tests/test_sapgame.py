@@ -7,7 +7,7 @@ from sapforce import families
 from sapforce.canon import enumerate_connected
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game,
-                              applicable_forces, complementary_closure,
+                              _start, applicable_forces, complementary_closure,
                               format_sap_trace, is_zsap_zero, local_blue_set,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
@@ -28,9 +28,9 @@ def closed_coloring(g, blue, rule, cover=()):
     """The blue non-edges where ``_Game.close`` stops."""
     game = _Game(g, blue, rule, sum(1 << v for v in cover))
     done = game.close()
-    final = frozenset(e for e in g.non_edges() if not game.white[e[0]] >> e[1] & 1)
-    assert done == (len(final) == len(g.non_edges()))
-    return final
+    final = game.coloring()
+    assert done == final.is_complete()
+    return final.blue_nonedges
 
 
 def assert_close_matches_sap_closure(g, blue, rule, cover=()):
@@ -81,15 +81,18 @@ def test_random_order_matches_reference(connected_upto_5):
 
 
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
-    """``applicable_forces`` equals the reference's legal moves, in order, at
-    every position the reference closure passes through."""
+    """``applicable_forces`` equals the reference's legal moves, in order, and
+    ``first_move`` the first of them, at every position the reference
+    closure passes through."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
     touching = [e for e in g.non_edges() if set(e) & set(cover)]
     coloring = NonEdgeColoring.start(g, [*blue, *touching])
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
-        assert applicable_forces(g, coloring.blue_nonedges, rule, cover) == want, \
-            (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
+        where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
+        assert applicable_forces(g, coloring.blue_nonedges, rule, cover) == want, where
+        assert _start(g, coloring.blue_nonedges, rule, cover).first_move() == \
+            (want[0] if want else None), where
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
 
