@@ -63,6 +63,9 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
         first = lines[0].split()
         if len(first) == 2 and all(tok.isdigit() for tok in first):
             return parse_edge_list(text, indexing=indexing)
+        if len(lines) > 1:
+            raise GraphError(f"{spec}: {len(lines)} graph6 lines, but --graph reads one "
+                             "graph (survey --corpus reads a list)")
         return parse_graph6(lines[0])
     try:
         return families.by_name(spec)

@@ -322,19 +322,21 @@ _G6_HEADER = ">>graph6<<"
 _MAX_ORDER = 258047
 
 
-def _g6_read_n(data: bytes) -> tuple[int, int]:
-    if not data:
-        raise Graph6Error("empty graph6 string", 0)
-    b0 = data[0]
+def _g6_read_n(data: bytes, at: int) -> tuple[int, int]:
+    """The vertex count of the graph6 string that starts at ``data[at]`` and
+    the offset of its bit vector; error offsets count from ``data[0]``."""
+    if len(data) == at:
+        raise Graph6Error("empty graph6 string", at)
+    b0 = data[at]
     if b0 == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
+        if len(data) >= at + 2 and data[at + 1] == 126:
+            if len(data) < at + 8:
                 raise Graph6Error("truncated 8-byte vertex count", len(data))
-            chunk, start = data[2:8], 8
+            chunk, start = data[at + 2:at + 8], at + 8
         else:
-            if len(data) < 4:
+            if len(data) < at + 4:
                 raise Graph6Error("truncated 4-byte vertex count", len(data))
-            chunk, start = data[1:4], 4
+            chunk, start = data[at + 1:at + 4], at + 4
         n = 0
         for i, b in enumerate(chunk):
             if not 63 <= b <= 126:
@@ -342,8 +344,8 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
             n = (n << 6) | (b - 63)
         return n, start
     if not 63 <= b0 <= 126:
-        raise Graph6Error(f"header byte {b0} out of range 63..126", 0)
-    return b0 - 63, 1
+        raise Graph6Error(f"header byte {b0} out of range 63..126", at)
+    return b0 - 63, at + 1
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -353,10 +355,10 @@ def parse_graph6(text: str | bytes) -> Graph:
             text = text.encode("ascii")
         except UnicodeEncodeError as exc:
             raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
-    if text.startswith(_G6_HEADER.encode()):
-        text = text[len(_G6_HEADER):]
-    text = text.strip()
-    n, start = _g6_read_n(text)
+    # every error offset counts from the start of the caller's text
+    at = len(_G6_HEADER) if text.startswith(_G6_HEADER.encode()) else 0
+    text = text.rstrip()
+    n, start = _g6_read_n(text, len(text) - len(text[at:].lstrip()))
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = text[start:]

@@ -12,9 +12,25 @@ Four color change rules are supported:
 
 The first three closures are monotone fixed points.  The floor game is a
 real game (the choice of forcer and hop target matters), so membership is
-decided by depth-first search over game states with memoization; a vertex
-that performs any force is spent for hopping but regular forces are never
-blocked.
+decided by depth-first search over game states with memoization.  Each
+vertex acts at most once, by a regular force or by a hop.
+
+Lemma.  In the floor game a vertex that has acted has no white neighbour
+from then on: a forcer's one white neighbour turns blue, a hopper had none,
+and white only shrinks.  Two consequences:
+
+(a) No vertex that has acted ever has a regular force, so regular forces
+    by spent vertices, which the rule would allow, never arise.
+(b) Each move turns one vertex blue and spends one, so within one search
+    (one start set) the spent vertices number |blue| - |start|, and they
+    lie among the idle vertices: the blue ones with no white neighbour.  An
+    idle vertex can only ever hop, to any white vertex, so any unspent idle
+    vertex can stand in for another.  A position's moves thus depend only on
+    its blue set and on how many idle vertices are unspent, which is
+    |idle| - |blue| + |start|, so whether it wins depends on its blue set
+    alone.  The search remembers lost positions by their blue set; that
+    prunes only positions that cannot win, so the first win it finds is the
+    one a search without memo finds.
 """
 
 from __future__ import annotations
@@ -184,35 +200,16 @@ def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[froz
     return frozenset(bits(mask)), trace
 
 
-def _floor_free_forces(adj: tuple[int, ...], full: int, blue: int, used: int,
-                       trace: list[Force] | None = None) -> int:
-    """Apply regular forces by already-used vertices; they cost nothing."""
-    changed = True
-    while changed and blue != full:
-        changed = False
-        for i in bits(blue & used):
-            w = adj[i] & ~blue & full
-            if w and not w & (w - 1):
-                blue |= w
-                changed = True
-                if trace is not None:
-                    trace.append(Force(i, w.bit_length() - 1))
-    return blue
-
-
 def _floor_game_sequence(g: Graph, start: int) -> list[Force] | None:
     """A winning force sequence for the floor game, or None."""
     adj = g.adj
     full = g.full_mask
-    dead: set[tuple[int, int]] = set()
+    dead: set[int] = set()
 
     def search(blue: int, used: int) -> list[Force] | None:
-        prefix: list[Force] = []
-        blue = _floor_free_forces(adj, full, blue, used, prefix)
         if blue == full:
-            return prefix
-        key = (blue, used)
-        if key in dead:
+            return []
+        if blue in dead:
             return None
         white = full & ~blue
         for i in bits(blue & ~used):
@@ -221,13 +218,13 @@ def _floor_game_sequence(g: Graph, start: int) -> list[Force] | None:
                 for j in bits(white):
                     rest = search(blue | (1 << j), used | (1 << i))
                     if rest is not None:
-                        return prefix + [Force(i, j, hop=True)] + rest
+                        return [Force(i, j, hop=True)] + rest
             elif not w & (w - 1):
                 j = w.bit_length() - 1
                 rest = search(blue | w, used | (1 << i))
                 if rest is not None:
-                    return prefix + [Force(i, j)] + rest
-        dead.add(key)
+                    return [Force(i, j)] + rest
+        dead.add(blue)
         return None
 
     found = search(start, 0)
@@ -276,12 +273,11 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # first move, so it loses (S is not everything: |S| < d < n).  A blue
     # vertex has >= d - (|S| - 1) >= 2 white neighbours, so it cannot force;
     # a Zl self-force needs all >= d neighbours of a white vertex blue; a hop
-    # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1;
-    # a free floor force needs a vertex that has already acted.  Refusing
-    # those sets unplayed keeps the first winner in (size, combinations)
-    # order.  Zplus forces into one white component at a time, so it may
-    # move from fewer.  Start sets are tried as sums of vertex bits, in the
-    # order of their vertices, and played by the mask-level ``_wins``.
+    # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1.
+    # Refusing those sets unplayed keeps the first winner in (size,
+    # combinations) order.  Zplus forces into one white component at a time,
+    # so it may move from fewer.  Start sets are tried as sums of vertex bits,
+    # in the order of their vertices, and played by the mask-level ``_wins``.
     least = 0 if rule is _ZPLUS else g.min_degree()
     size, combo = smallest_winning_set(
         [1 << v for v in g.vertices()],

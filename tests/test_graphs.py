@@ -59,6 +59,13 @@ def test_parse_errors_name_offset():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("Ch\u00e9\u00e9")
     assert exc.value.offset == 2
+    # offsets count the stripped prefix and leading whitespace: the bit
+    # vector of "D" (two bytes) ends early at the end of the input
+    for text, offset in ((" D\x01", 3), (">>graph6<<  D\x01", 14)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == \
+            f"truncated bit vector: need 2 bytes, found 1 (byte offset {offset})"
 
 
 def test_header_prefix_accepted():

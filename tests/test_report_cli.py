@@ -345,6 +345,20 @@ def test_cli_edge_list_file(tmp_path, capsys):
         assert payload["params"]["Z"] == 2
 
 
+def test_cli_graph6_file_holds_one_graph(tmp_path, capsys):
+    f = tmp_path / "p4.g6"
+    f.write_text("Ch\n# the path on four vertices\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"Z": 1}
+    # a list of graphs is a corpus: reporting its first graph alone hid the rest
+    f.write_text("Ch\nD~{\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {f}: 2 graph6 lines, but --graph reads one graph "
+                            "(survey --corpus reads a list)\n")
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "sapforce.cli", "param",
                            "--graph", "p4", "--params", "Z"],

@@ -229,7 +229,10 @@ def test_floor_force_sequence_refuses_vertices_outside_the_graph():
 # start sets smaller than the least degree before playing them.  These keep
 # the former closure (apply every force of a round, round after round) and
 # the plain search over it; the tests below require the same closures and
-# the same value and witness.
+# the same value and witness.  The floor search remembers lost positions by
+# their blue set and never tries a regular force by a spent vertex; the
+# former search below remembers (blue, used) pairs and applies such forces
+# first, and the tests require the same winning play from every start.
 
 
 def reference_closure_mask(g: Graph, blue: int, rule: Rule) -> int:
@@ -247,6 +250,106 @@ def reference_min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[in
         return (reference_closure_mask(g, sum(1 << v for v in combo), Rule.Z) == g.full_mask
                 or floor_force_sequence(g, combo) is not None)
     return smallest_winning_set(g.vertices(), wins)
+
+
+def reference_floor_free_forces(adj: tuple[int, ...], full: int, blue: int, used: int,
+                                trace: list[Force] | None = None) -> int:
+    """Apply regular forces by already-used vertices; they cost nothing."""
+    changed = True
+    while changed and blue != full:
+        changed = False
+        for i in bits(blue & used):
+            w = adj[i] & ~blue & full
+            if w and not w & (w - 1):
+                blue |= w
+                changed = True
+                if trace is not None:
+                    trace.append(Force(i, w.bit_length() - 1))
+    return blue
+
+
+def reference_floor_game_sequence(g: Graph, start: int) -> list[Force] | None:
+    """A winning force sequence for the floor game, or None."""
+    adj = g.adj
+    full = g.full_mask
+    dead: set[tuple[int, int]] = set()
+
+    def search(blue: int, used: int) -> list[Force] | None:
+        prefix: list[Force] = []
+        blue = reference_floor_free_forces(adj, full, blue, used, prefix)
+        if blue == full:
+            return prefix
+        key = (blue, used)
+        if key in dead:
+            return None
+        white = full & ~blue
+        for i in bits(blue & ~used):
+            w = adj[i] & white
+            if not w:
+                for j in bits(white):
+                    rest = search(blue | (1 << j), used | (1 << i))
+                    if rest is not None:
+                        return prefix + [Force(i, j, hop=True)] + rest
+            elif not w & (w - 1):
+                j = w.bit_length() - 1
+                rest = search(blue | w, used | (1 << i))
+                if rest is not None:
+                    return prefix + [Force(i, j)] + rest
+        dead.add(key)
+        return None
+
+    found = search(start, 0)
+    # the recursive helper's closure holds it: drop the cycle, not wait for gc
+    del search
+    return found
+
+
+def assert_floor_play_keeps_the_lemma(g: Graph, start: int, seq: list[Force]) -> None:
+    """Replay a winning floor play: every move is legal, no vertex acts
+    twice, and a vertex that has acted has no white neighbour at any later
+    step."""
+    blue, acted = start, 0
+    for f in seq:
+        for i in bits(acted):
+            assert not g.adj[i] & ~blue, (g.to_graph6(), start, seq, f)
+        w = g.adj[f.source] & ~blue & g.full_mask
+        assert blue >> f.source & 1 and not acted >> f.source & 1, (g.to_graph6(), start, seq)
+        assert w == 0 if f.hop else w == 1 << f.target, (g.to_graph6(), start, seq)
+        assert not blue >> f.target & 1, (g.to_graph6(), start, seq)
+        blue |= 1 << f.target
+        acted |= 1 << f.source
+    assert blue == g.full_mask
+
+
+def assert_floor_sequence_matches_reference(g: Graph, start: int) -> bool:
+    seq = floor_force_sequence(g, frozenset(bits(start)))
+    assert seq == reference_floor_game_sequence(g, start), (g.to_graph6(), start)
+    if seq is not None:
+        assert_floor_play_keeps_the_lemma(g, start, seq)
+    return seq is not None
+
+
+def test_floor_sequence_matches_reference_from_every_start(all_graphs_upto_7):
+    """The same winning play, or the same loss, from every start set of
+    every graph with n <= 7; both answers occur."""
+    checked = won = 0
+    for g in all_graphs_upto_7:
+        for start in range(0, g.full_mask + 1, 2):
+            won += assert_floor_sequence_matches_reference(g, start)
+            checked += 1
+    assert checked == 144922
+    assert 0 < won < checked
+
+
+@pytest.mark.slow
+def test_floor_sequence_matches_reference_n8():
+    checked = 0
+    for g in enumerate_connected(8):
+        for v in g.vertices():
+            for start in (1 << v, 1 << 1 | 1 << v):
+                assert_floor_sequence_matches_reference(g, start)
+                checked += 1
+    assert checked == 16 * 11117
 
 
 def test_closure_matches_reference_from_every_start(connected_upto_6):
