@@ -4,10 +4,10 @@ Subcommands: param, trace, verify-sap, survey, verify-xi, minors; each
 declares only the options its ``cmd_*`` function reads.  ``main`` maps every
 outcome to its exit code: 0 verified/ok (or ``--help``); 1 property violation
 found (a failed check, or ``ReportInvariantError``); 2 input error (an unknown
-or missing option, ``GraphError``, ``ConfigurationError``, ``OSError``,
-``ValueError``); 3 size refusal (``CapExceededError``: a cap set in ``report``,
-applied by ``param`` and ``minors`` only, or a limit of the theory or of the
-built-in enumeration; ``param`` also exits 3 when it refused a parameter).
+or missing option, ``GraphError``, ``OSError``, ``ValueError``); 3 size
+refusal (``CapExceededError``: a cap set in ``report``, applied by ``param``
+and ``minors`` only, or a limit of the theory or of the built-in
+enumeration; ``param`` also exits 3 when it refused a parameter).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
                      SurveyRow, check_vertex_cap, compute_report, survey_graphs)
 from .sapgame import format_sap_trace, is_zsap_zero, replay_trace, sap_closure
-from .xi import XI_COMPONENT_LIMIT, ConfigurationError, XiUnresolvedError, xi
+from .xi import XI_COMPONENT_LIMIT, XiUnresolvedError, xi
 from .zeroforcing import CONVENTIONAL_RULES, Rule, min_zfs
 
 EXIT_OK = 0
@@ -49,24 +49,43 @@ def parse_label(label: str, choices: Iterable[Enum], what: str) -> Enum:
                      f"{', '.join(c.value for c in choices)}")
 
 
+def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
+    """The graphs in a file, for ``--graph`` and ``survey --corpus`` alike.
+    Blank lines and ``#`` comments (to the end of a line) are dropped.  If
+    the first line left is two tokens of ASCII digits, the file is one edge
+    list: ``n m``, then ``m`` lines ``i j`` naming vertices from ``indexing``
+    (0 or 1) on.  Otherwise each line is one graph6 string, and an error on
+    it reads ``path:line: ...``."""
+    text = Path(path).read_text()
+    # a graph6 string holds no '#' or space, so comments go before the
+    # header line is looked for
+    lines = [(no, ln.split("#")[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln]
+    first = lines[0][1].split() if lines else []
+    if len(first) == 2 and all(tok.isascii() and tok.isdigit() for tok in first):
+        return [parse_edge_list(text, indexing=indexing)]
+    graphs = []
+    for no, ln in lines:
+        try:
+            graphs.append(parse_graph6(ln))
+        except GraphError as exc:
+            raise GraphError(f"{path}:{no}: {exc}") from exc
+    return graphs
+
+
 def load_graph(spec: str, indexing: int = 1) -> Graph:
-    """Resolve --graph: a file path (graph6 or edge-list), a known graph
-    name, or a literal graph6 string.  A spec the file system cannot even
-    look up (a graph6 string longer than a file name may be) is not a file."""
+    """Resolve --graph: a file holding one graph (``read_graphs``), a known
+    graph name, or a literal graph6 string, tried in that order, so a file
+    wins over a name.  A spec the file system cannot even look up (a graph6
+    string longer than a file name may be) is not a file."""
     if os.path.isfile(spec):
-        text = Path(spec).read_text()
-        # a graph6 string holds no '#' or space, so an edge list's comments
-        # are dropped before its header line is looked for
-        lines = [ln for ln in (ln.split("#")[0].strip() for ln in text.splitlines()) if ln]
-        if not lines:
+        graphs = read_graphs(spec, indexing)
+        if not graphs:
             raise GraphError(f"{spec}: empty graph file")
-        first = lines[0].split()
-        if len(first) == 2 and all(tok.isdigit() for tok in first):
-            return parse_edge_list(text, indexing=indexing)
-        if len(lines) > 1:
-            raise GraphError(f"{spec}: {len(lines)} graph6 lines, but --graph reads one "
+        if len(graphs) > 1:
+            raise GraphError(f"{spec}: {len(graphs)} graph6 lines, but --graph reads one "
                              "graph (survey --corpus reads a list)")
-        return parse_graph6(lines[0])
+        return graphs[0]
     try:
         return families.by_name(spec)
     except KeyError:
@@ -143,14 +162,7 @@ def cmd_survey(args) -> int:
     rows: list[SurveyRow] = []
     if args.corpus:
         groups: dict[int, list[Graph]] = {}
-        for ln_no, line in enumerate(Path(args.corpus).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                g = parse_graph6(line)
-            except GraphError as exc:
-                raise GraphError(f"{args.corpus}:{ln_no}: {exc}") from exc
+        for g in read_graphs(args.corpus):
             groups.setdefault(g.n, []).append(g)
         for n in sorted(groups):
             rows.append(survey_graphs(groups[n], n))
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def graph_options(p):
         p.add_argument("--graph", required=True,
-                       help="graph6 string, known graph name, or file path")
+                       help="file path, known graph name, or graph6 string")
         p.add_argument("--indexing", type=int, choices=(0, 1), default=1,
                        help="vertex indexing convention for edge-list files")
 
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="proportions of zero game values over connected graphs")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--n", type=int)
-    source.add_argument("--corpus", help="graph6 file, one graph per line")
+    source.add_argument("--corpus", help="graph file: graph6 lines, or one edge list")
     p.add_argument("--out", help="write output to this path")
     p.set_defaults(func=cmd_survey)
 
@@ -277,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReportInvariantError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (GraphError, ConfigurationError, OSError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -355,10 +355,13 @@ def parse_graph6(text: str | bytes) -> Graph:
             text = text.encode("ascii")
         except UnicodeEncodeError as exc:
             raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
-    # every error offset counts from the start of the caller's text
-    at = len(_G6_HEADER) if text.startswith(_G6_HEADER.encode()) else 0
+    # whitespace, then the prefix, then whitespace again are skipped; every
+    # error offset counts from the start of the caller's text
     text = text.rstrip()
-    n, start = _g6_read_n(text, len(text) - len(text[at:].lstrip()))
+    at = len(text) - len(text.lstrip())
+    if text.startswith(_G6_HEADER.encode(), at):
+        at = len(text) - len(text[at + len(_G6_HEADER):].lstrip())
+    n, start = _g6_read_n(text, at)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = text[start:]
@@ -430,13 +433,16 @@ def parse_edge_list(text: str, indexing: int = 1) -> Graph:
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     shift = 1 - indexing
-    edges = []
+    edges: dict[frozenset[int], tuple[int, int]] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"expected edge 'i j', got {ln!r}")
-        edges.append((int(parts[0]) + shift, int(parts[1]) + shift))
-    return Graph.from_edges(n, edges)
+        edge = (int(parts[0]) + shift, int(parts[1]) + shift)
+        if frozenset(edge) in edges:
+            raise GraphError(f"edge {{{parts[0]},{parts[1]}}} is listed twice")
+        edges[frozenset(edge)] = edge
+    return Graph.from_edges(n, edges.values())
 
 
 def format_edge_list(g: Graph) -> str:

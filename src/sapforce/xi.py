@@ -16,13 +16,11 @@ Theory 72, 2013), so eta <= f + 1 and such a minor means eta = f + 1.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from functools import cache
 
-from .canon import canonical_form
 from .families import complete
-from .graphs import CapExceededError, Graph, GraphError, parse_edge_list
+from .graphs import CapExceededError, Graph
 from .minors import BranchSets, has_minor, hadwiger
 from .sapgame import is_zsap_zero, vc_forcing_number
 from .zeroforcing import Rule, min_zfs
@@ -45,10 +43,6 @@ class XiUnresolvedError(RuntimeError):
         self.details = details
 
 
-class ConfigurationError(RuntimeError):
-    """The bundled forbidden-minor data file is missing or malformed."""
-
-
 def m_small(g: Graph) -> int:
     """Maximum nullity via zero forcing; valid for |G| <= 7 or trees."""
     if g.n > XI_COMPONENT_LIMIT and not g.is_tree():
@@ -60,6 +54,31 @@ def m_small(g: Graph) -> int:
 
 
 # -- forbidden-minor family -------------------------------------------------
+#
+# A graph has xi >= 3 exactly when it contains one of these six graphs as a
+# minor (L. Hogben, H. van der Holst, Forbidden minors for the class of
+# graphs G with xi(G) <= 2, Linear Algebra Appl. 423 (2007) 42-52).  The
+# published figure was not at hand, so the family was reconstructed and is
+# certified by tools/derive_t3_family.py: the members on <= 7 vertices by
+# exhaustive minor-minimality search, the 8- and 9-vertex members by
+# exhaustive scans plus exact nullity-3 Strong Arnold Property certificates.
+# Certificates cite a member by its index here, and their branch sets
+# follow its vertex labels, so neither the order nor the labels may change.
+_T3_MEMBERS: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (
+    # K4
+    (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+    # K2,3
+    (5, ((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5))),
+    # 3-sun: triangle 4,5,6 with an ear triangle on every edge
+    (6, ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6))),
+    # two triangles sharing vertex 7, bridged by the star at 6
+    (7, ((1, 6), (2, 5), (2, 7), (3, 4), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7))),
+    # 5-cycle 5,8,3,7,6 with an ear triangle on edge 5-6 and two pendants
+    (8, ((1, 8), (2, 7), (3, 7), (3, 8), (4, 5), (4, 6), (5, 6), (5, 8), (6, 7))),
+    # 6-cycle with pendants on three alternating vertices
+    (9, ((1, 2), (1, 6), (1, 7), (2, 3), (3, 4), (3, 8), (4, 5), (5, 6), (5, 9))),
+)
+
 
 @dataclass(frozen=True)
 class T3FamilyData:
@@ -68,38 +87,10 @@ class T3FamilyData:
     graphs: tuple[Graph, ...]
 
 
-def _parse_family(text: str) -> T3FamilyData:
-    lines = [ln for ln in (s.rstrip() for s in text.splitlines())
-             if not ln.lstrip().startswith("#")]
-    blocks: list[list[str]] = [[]]
-    for ln in lines:
-        if ln.strip():
-            blocks[-1].append(ln)
-        elif blocks[-1]:
-            blocks.append([])
-    blocks = [b for b in blocks if b]
-    try:
-        graphs = tuple(parse_edge_list("\n".join(b)) for b in blocks)
-    except (GraphError, ValueError) as exc:
-        raise ConfigurationError(f"bad bundled family data: {exc}") from exc
-    if len(graphs) != 6:
-        raise ConfigurationError(
-            f"bundled family data has {len(graphs)} graphs, expected 6")
-    forms = {canonical_form(g) for g in graphs}
-    if len(forms) != 6:
-        raise ConfigurationError("bundled family data has isomorphic duplicates")
-    return T3FamilyData(graphs)
-
-
 @cache
 def load_t3_family() -> T3FamilyData:
-    """The bundled family (Hogben and van der Holst, 2007), read once."""
-    resource = importlib.resources.files("sapforce").joinpath("data/t3_family.txt")
-    try:
-        text = resource.read_text()
-    except FileNotFoundError as exc:
-        raise ConfigurationError("bundled family data file is missing") from exc
-    return _parse_family(text)
+    """The forbidden-minor family (Hogben and van der Holst, 2007), built once."""
+    return T3FamilyData(tuple(Graph.from_edges(n, edges) for n, edges in _T3_MEMBERS))
 
 
 def t3_minor(g: Graph) -> tuple[bool, tuple[int, BranchSets] | None]:

@@ -61,7 +61,8 @@ def test_parse_errors_name_offset():
     assert exc.value.offset == 2
     # offsets count the stripped prefix and leading whitespace: the bit
     # vector of "D" (two bytes) ends early at the end of the input
-    for text, offset in ((" D\x01", 3), (">>graph6<<  D\x01", 14)):
+    for text, offset in ((" D\x01", 3), (">>graph6<<  D\x01", 14),
+                         ("  >>graph6<< D\x01", 15)):
         with pytest.raises(Graph6Error) as exc:
             parse_graph6(text)
         assert str(exc.value) == \
@@ -71,6 +72,9 @@ def test_parse_errors_name_offset():
 def test_header_prefix_accepted():
     g = parse_graph6(">>graph6<<Ch")
     assert g.n == 4
+    # whitespace may come before the prefix as well as after it
+    for text in ("  >>graph6<<Ch", "\t>>graph6<<  Ch\n"):
+        assert parse_graph6(text) == g, text
 
 
 def test_long_form_vertex_count():
@@ -230,6 +234,10 @@ def test_edge_list_io():
         parse_edge_list("2 1\n")      # missing edge line
     with pytest.raises(GraphError):
         parse_edge_list("2 1\n1 1\n")  # self loop
+    # a repeat would leave fewer edges than the header promises
+    for text in ("3 2\n1 2\n1 2\n", "3 2\n1 2\n2 1\n"):
+        with pytest.raises(GraphError, match="edge {.,.} is listed twice"):
+            parse_edge_list(text)
 
 
 def test_edge_list_refuses_orders_graph6_cannot_write():

@@ -10,11 +10,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sapforce import families
 from sapforce.canon import canonical_form
-from sapforce.cli import build_parser, main
-from sapforce.graphs import bits, parse_graph6
+from sapforce.cli import build_parser, main, read_graphs
+from sapforce.graphs import GraphError, bits, parse_graph6
 from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
                              ReportInvariantError, ResultCache, SurveyRow,
                              compute_report, survey_graphs)
@@ -357,6 +359,51 @@ def test_cli_graph6_file_holds_one_graph(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: {f}: 2 graph6 lines, but --graph reads one graph "
                             "(survey --corpus reads a list)\n")
+
+
+def test_cli_one_file_grammar(tmp_path, capsys):
+    f = tmp_path / "graphs.txt"
+    # a comment may follow a graph6 line in a corpus as in a --graph file
+    f.write_text("Ch # p4\n")
+    assert run_cli("survey", "--corpus", str(f)) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "4,1,1,1,1,1.00,1.00,1.00"
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"Z": 1}
+    # a header of non-ASCII digits is no edge list: the line is bad graph6
+    f.write_text("\u0663 0\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 2
+    assert capsys.readouterr().err == (
+        f"error: {f}:1: non-ASCII character '\u0663' (byte offset 0)\n")
+    # an edge listed twice, in either orientation, is refused
+    f.write_text("3 2\n1 2\n2 1\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 2
+    assert capsys.readouterr().err == "error: edge {2,1} is listed twice\n"
+
+
+_GRAPH_FILES = ("# kite\n5 5  # five edges\n1 2\n2 3\n3 4\n4 5\n2 5\n",
+                "Ch # p4\n\nD~{\n# a comment line\n@\n")
+_EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                  st.integers(0, 60), st.sampled_from("# \t\n0123456789>~?@Ch\u0663\u00e9"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.sampled_from(_GRAPH_FILES), edits=st.lists(_EDIT, max_size=4))
+def test_read_graphs_on_mutated_files(tmp_path, text, edits):
+    """A mutated graph file either reads as graphs that survive a graph6
+    round trip or is refused with an input error; nothing else escapes."""
+    for op, at, char in edits:
+        at = min(at, len(text))
+        tail = text[at:] if op == "insert" else text[at + 1:]
+        text = text[:at] + (char if op != "delete" else "") + tail
+    f = tmp_path / "mutated.txt"
+    f.write_bytes(text.encode())
+    try:
+        graphs = read_graphs(str(f))
+    except (GraphError, ValueError):
+        return
+    for g in graphs:
+        assert parse_graph6(g.to_graph6()) == g
 
 
 def test_console_script_installed():

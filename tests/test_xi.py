@@ -7,13 +7,13 @@ import pytest
 
 from sapforce import families, minors
 from sapforce.canon import canonical_form, enumerate_trees
-from sapforce.graphs import CapExceededError, Graph, format_edge_list, parse_graph6
+from sapforce.graphs import CapExceededError, Graph, parse_graph6
 from sapforce.minors import clique_number, hadwiger, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
-                         CASE_VC_BOUND, CASE_ZSAP_ZERO, ConfigurationError,
-                         MSizeError, XiUnresolvedError,
-                         _parse_family, load_t3_family, m_small, t3_minor, xi)
+                         CASE_VC_BOUND, CASE_ZSAP_ZERO, MSizeError,
+                         T3FamilyData, XiUnresolvedError, load_t3_family,
+                         m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
 
 # the package exports the function xi under the module's name
@@ -26,22 +26,9 @@ def test_family_data_valid():
     forms = {canonical_form(g) for g in fam.graphs}
     assert len(forms) == 6
     assert sorted(g.n for g in fam.graphs) == [4, 5, 6, 7, 8, 9]
-
-
-def test_family_data_rejects_bad_files(tmp_path, monkeypatch):
-    k4, k5 = (format_edge_list(families.complete(k)) for k in (4, 5))
-    for text, reason in (("3 1\n1 2\n", "has 1 graphs"),
-                         ("3 1\n1 4\n", "bad bundled family data"),
-                         ("\n".join([k4, k5] * 3), "isomorphic duplicates")):
-        with pytest.raises(ConfigurationError, match=reason):
-            _parse_family(text)
-    # the package resource itself missing
-    monkeypatch.setattr(xi_module.importlib.resources, "files", lambda package: tmp_path)
-    load_t3_family.cache_clear()
-    with pytest.raises(ConfigurationError, match="missing"):
-        load_t3_family()
-    monkeypatch.undo()
-    assert len(load_t3_family().graphs) == 6
+    # certificates cite members by index and vertex labels: both are fixed
+    assert [g.to_graph6() for g in fam.graphs] == \
+        ["C~", "DFw", "EBnW", "F@QZo", "G?CZLO", "HhEK@?G"]
 
 
 def test_t3_minor_examples():
@@ -148,8 +135,7 @@ def test_clique_case_needs_only_k_floor_plus_one(connected_upto_7, monkeypatch):
 
 def test_unresolved_error_names_the_hadwiger_number(connected_upto_7, monkeypatch):
     # a family of cliques too big to be minors leaves the t3 case open
-    never = _parse_family("\n".join(format_edge_list(families.complete(k))
-                                     for k in range(8, 14)))
+    never = T3FamilyData(tuple(families.complete(k) for k in range(8, 14)))
     g = next(g for g in connected_upto_7 if xi(g).case == CASE_T3_FAMILY)
     monkeypatch.setattr(xi_module, "load_t3_family", lambda: never)
     with pytest.raises(XiUnresolvedError) as err:

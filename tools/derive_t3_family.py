@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Derive the six forbidden-minor graphs for "xi(G) <= 2" and write the
-bundled data file.
+"""Certify the six forbidden-minor graphs for "xi(G) <= 2" that
+``sapforce.xi`` bundles, and re-derive them.
 
 The six minor-minimal graphs whose presence as a minor is equivalent to
 xi(G) >= 3 appear (as the T_3-family) in L. Hogben and H. van der Holst,
@@ -38,8 +38,10 @@ verified exactly, so xi >= 3 by definition.
 
 Run from the repository root:  python tools/derive_t3_family.py [--scan]
 
-Without --scan the script re-derives the n <= 7 members, verifies all six
-certificates, and rewrites src/sapforce/data/t3_family.txt.  With --scan it
+Without --scan the script verifies all six certificates on the family as
+``sapforce.xi.load_t3_family()`` builds it, re-derives the n <= 7 members,
+and checks the minor equivalence on every connected graph up to 7 vertices;
+a failed check is an AssertionError and a nonzero exit.  With --scan it
 also repeats the slower exhaustive n = 8 and n = 9 scans (a few minutes).
 """
 
@@ -54,30 +56,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sapforce.canon import canonical_graph, enumerate_connected, enumerate_graphs
-from sapforce.graphs import Graph, bits, format_edge_list
+from sapforce.graphs import Graph, bits
 from sapforce.linalg import RationalMatrix, has_sap, validate_pattern
 from sapforce.minors import has_minor
+from sapforce.xi import load_t3_family
 from sapforce.zeroforcing import Rule, min_zfs
 
-DATA_PATH = Path(__file__).resolve().parent.parent / "src" / "sapforce" / "data" / "t3_family.txt"
-
-# The six members, with human-readable structure tags.  Vertex labels match
-# the edge lists used in the certificates below.
-MEMBERS: list[tuple[str, Graph]] = [
-    ("K4", Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])),
-    ("K2,3", Graph.from_edges(5, [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)])),
-    ("3-sun: triangle 4,5,6 with an ear triangle on every edge",
-     Graph.from_edges(6, [(1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5),
-                          (4, 5), (4, 6), (5, 6)])),
-    ("two triangles sharing vertex 7, bridged by the star at 6",
-     Graph.from_edges(7, [(1, 6), (2, 5), (2, 7), (3, 4), (3, 7), (4, 6),
-                          (4, 7), (5, 6), (5, 7)])),
-    ("5-cycle 5,8,3,7,6 with an ear triangle on edge 5-6 and two pendants",
-     Graph.from_edges(8, [(1, 8), (2, 7), (3, 7), (3, 8), (4, 5), (4, 6),
-                          (5, 6), (5, 8), (6, 7)])),
-    ("6-cycle with pendants on three alternating vertices",
-     Graph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
-                          (1, 7), (3, 8), (5, 9)])),
+# A structure tag per member of load_t3_family(), in its order; the
+# certificates below name the vertices by the family's labels.
+NAMES = [
+    "K4",
+    "K2,3",
+    "3-sun: triangle 4,5,6 with an ear triangle on every edge",
+    "two triangles sharing vertex 7, bridged by the star at 6",
+    "5-cycle 5,8,3,7,6 with an ear triangle on edge 5-6 and two pendants",
+    "6-cycle with pendants on three alternating vertices",
 ]
 
 # Edge-disjoint all-ones block covers certifying nullity >= 3.  Each block
@@ -185,7 +178,7 @@ def scan_level(n: int, parents: list[Graph], members: list[Graph], max_edges: in
 
 
 def full_scan() -> None:
-    members = [g for _, g in MEMBERS]
+    members = load_t3_family().graphs
     small = members[:4]
 
     t0 = time.time()
@@ -237,29 +230,6 @@ def free_graphs_level8(parents7: list[Graph], members: list[Graph]) -> list[Grap
     return [g for g in seen.values() if family_free(g, members)]
 
 
-def write_data_file() -> None:
-    lines = [
-        "# Forbidden-minor family for the Colin de Verdiere type parameter",
-        "# bound xi(G) <= 2: a graph has xi >= 3 exactly when it contains one",
-        "# of these six graphs as a minor (L. Hogben, H. van der Holst,",
-        "# Forbidden minors for the class of graphs G with xi(G) <= 2,",
-        "# Linear Algebra Appl. 423 (2007) 42-52).",
-        "#",
-        "# The published figure was not available to this build; the family",
-        "# was reconstructed and certified by tools/derive_t3_family.py:",
-        "# members on <= 7 vertices by exhaustive minor-minimality search,",
-        "# the 8- and 9-vertex members by exhaustive scans plus exact",
-        "# nullity-3 Strong-Arnold-Property certificates.",
-        "#",
-        "# Format: six edge-list blocks ('n m' then m lines 'i j', 1-indexed)",
-        "# separated by blank lines.",
-        "",
-    ]
-    blocks = [f"# {name}\n{format_edge_list(g)}" for name, g in MEMBERS]
-    DATA_PATH.write_text("\n".join(lines) + "\n" + "\n".join(blocks))
-    print(f"wrote {DATA_PATH}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scan", action="store_true",
@@ -267,13 +237,15 @@ def main() -> None:
     args = parser.parse_args()
 
     print("certifying the six members (exact arithmetic):")
-    for idx, (name, g) in enumerate(MEMBERS):
+    members = load_t3_family().graphs
+    assert len(members) == len(NAMES)
+    for idx, (name, g) in enumerate(zip(NAMES, members)):
         certify_member(name, g, CERTIFICATE_COVERS[idx])
 
     t0 = time.time()
     derived = derive_small_members()
     assert [g.to_graph6() for g in derived] == \
-        [canonical_graph(g).to_graph6() for _, g in MEMBERS[:4]], "small members changed"
+        [canonical_graph(g).to_graph6() for g in members[:4]], "small members changed"
     print(f"n<=7 exhaustive re-derivation matches ({time.time()-t0:.0f}s)")
 
     if args.scan:
@@ -282,7 +254,6 @@ def main() -> None:
     # the family equivalence restricted to small graphs: a connected graph
     # on <= 7 vertices has floor >= 3 exactly when it has a member minor
     t0 = time.time()
-    members = [g for _, g in MEMBERS]
     bad = []
     for n in range(1, 8):
         for g in enumerate_connected(n):
@@ -292,8 +263,6 @@ def main() -> None:
     assert not bad, bad
     print(f"minor equivalence verified on all 996 connected graphs up to 7 "
           f"vertices ({time.time()-t0:.0f}s)")
-
-    write_data_file()
 
 
 if __name__ == "__main__":
