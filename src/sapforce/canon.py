@@ -209,20 +209,11 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_word(g) == canonical_word(h)
 
 
-def _last_vertex_is_max(adj: list[int]) -> bool:
-    """Whether the last vertex has the greatest (degree, sorted neighbour
-    degrees), ties allowed."""
-    degree = [a.bit_count() for a in adj]
-    top = degree[-1]
-    if max(degree) > top:
-        return False
-
-    def invariant(v: int) -> list[int]:
-        return sorted(degree[u] for u in bits(adj[v]))
-
-    last = len(adj) - 1
-    mine = invariant(last)
-    return all(invariant(v) <= mine for v in range(1, last) if degree[v] == top)
+def _wins_ties(adj: list[int], degree: list[int], tied: int) -> bool:
+    """Whether the last vertex's sorted neighbour degrees are at least those
+    of every vertex in the bitset ``tied``, the others of its degree."""
+    mine = sorted(degree[u] for u in bits(adj[-1]))
+    return all(sorted(degree[u] for u in bits(adj[v])) <= mine for v in bits(tied))
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +228,11 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     and the same verdict of the invariant filter.  So one S per orbit is
     tried, and its whole orbit is marked done, walked through one table per
     generator p of the images of all 2^(n-1) sets S, the image of S being
-    that of S without its top vertex v, plus p(v).  An S smaller than the
-    parent's greatest degree is skipped unbuilt: n would lose on degree.
+    that of S without its top vertex v, plus p(v).  An S is skipped unbuilt,
+    with no orbit walk, when n would lose on degree: S is smaller than the
+    parent's greatest degree, or holds a vertex of degree |S| or more (one
+    bitset test against ``ge``); its orbit loses too.  Only the vertices
+    that end with n's degree have their neighbour degrees compared.
     """
     if n <= 1:
         return (Graph.empty(n),)
@@ -254,10 +248,17 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
                 bit = 1 << p[v] >> 1
                 image += [t | bit for t in image]
             images.append(image)
-        least = base.max_degree()
+        degree = [a.bit_count() for a in base.adj]
+        # ge[s]: the parent's vertices of degree at least s
+        ge = [sum(1 << v for v in range(1, n) if degree[v] >= s) for s in range(n + 1)]
+        least = max(degree)
         done = bytearray(new >> 1)
         for i in range(new >> 1):
-            if done[i] or i.bit_count() < least:
+            if done[i]:
+                continue
+            size = i.bit_count()
+            m = i << 1
+            if size < least or m & ge[size]:
                 continue
             done[i] = 1
             orbit = [i]
@@ -267,13 +268,16 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
                     if not done[t]:
                         done[t] = 1
                         orbit.append(t)
-            m = i << 1
             adj = [a | new if m >> v & 1 else a for v, a in enumerate(base.adj)]
             adj.append(m)
-            if _last_vertex_is_max(adj):
-                word = _search(n, adj)[1]
-                if word not in out:
-                    out[word] = _word_graph(n, word)
+            # the vertices that end with n's degree: n must win on neighbour degrees
+            tied = ge[size] | m & ge[size - 1]
+            if tied and not _wins_ties(adj, [d + (m >> v & 1) for v, d in enumerate(degree)]
+                                       + [size], tied):
+                continue
+            word = _search(n, adj)[1]
+            if word not in out:
+                out[word] = _word_graph(n, word)
     return tuple(sorted(out.values(), key=Graph.to_graph6))
 
 

@@ -55,13 +55,15 @@ def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
     the first line left is two tokens of ASCII digits, the file is one edge
     list: ``n m``, then ``m`` lines ``i j`` naming vertices from ``indexing``
     (0 or 1) on.  Otherwise each line is one graph6 string, and an error on
-    it reads ``path:line: ...``."""
+    it reads ``path:line: ...``.  A file with no graph left is an error."""
     text = Path(path).read_text()
     # a graph6 string holds no '#' or space, so comments go before the
     # header line is looked for
     lines = [(no, ln.split("#")[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
     lines = [(no, ln) for no, ln in lines if ln]
-    first = lines[0][1].split() if lines else []
+    if not lines:
+        raise GraphError(f"{path}: empty graph file")
+    first = lines[0][1].split()
     if len(first) == 2 and all(tok.isascii() and tok.isdigit() for tok in first):
         return [parse_edge_list(text, indexing=indexing)]
     graphs = []
@@ -80,8 +82,6 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
     string longer than a file name may be) is not a file."""
     if os.path.isfile(spec):
         graphs = read_graphs(spec, indexing)
-        if not graphs:
-            raise GraphError(f"{spec}: empty graph file")
         if len(graphs) > 1:
             raise GraphError(f"{spec}: {len(graphs)} graph6 lines, but --graph reads one "
                              "graph (survey --corpus reads a list)")

@@ -417,28 +417,37 @@ def encode_graph6(g: Graph) -> str:
 # First line "n m", then m lines "i j".  ``indexing=0`` accepts 0-based
 # vertex labels and converts to the internal 1-based convention.
 
+def _decimal(token: str, no: int) -> int:
+    """A count or vertex label: ASCII digits only, so no sign, underscore
+    or other script's digit slips through ``int``."""
+    if not (token.isascii() and token.isdigit()):
+        raise GraphError(f"line {no}: expected a decimal number, got {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str, indexing: int = 1) -> Graph:
     if indexing not in (0, 1):
         raise GraphError("indexing must be 0 or 1")
-    lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(no, ln.split("#")[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
         raise GraphError("empty edge list")
-    head = lines[0].split()
+    no, first = lines[0]
+    head = first.split()
     if len(head) != 2:
-        raise GraphError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+        raise GraphError(f"expected header 'n m', got {first!r}")
+    n, m = (_decimal(tok, no) for tok in head)
     if n > _MAX_ORDER:
         raise GraphError(f"vertex count {n} exceeds {_MAX_ORDER}")
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     shift = 1 - indexing
     edges: dict[frozenset[int], tuple[int, int]] = {}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"expected edge 'i j', got {ln!r}")
-        edge = (int(parts[0]) + shift, int(parts[1]) + shift)
+        edge = (_decimal(parts[0], no) + shift, _decimal(parts[1], no) + shift)
         if frozenset(edge) in edges:
             raise GraphError(f"edge {{{parts[0]},{parts[1]}}} is listed twice")
         edges[frozenset(edge)] = edge

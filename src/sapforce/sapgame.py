@@ -49,8 +49,11 @@ white at T, played at a position B; every non-edge blue at B is blue at T.
 Corollary: from one start, every maximal play ends in the same coloring,
 under each of Z, Zl and Zplus, with or without a cover, as each end lies
 inside the other.  So ``sap_closure`` plays the first legal move in policy
-order, the one order that gives a trace, and ``_Game.close`` plays in
-rounds of many moves and ends in the same coloring.
+order, the one order that gives a trace, and ``_Game.close`` plays the
+cheapest order: triples to a stall, then one cycle move, and again.  Its
+triples come in rounds, every target in the forcing caches at once, and the
+odd cycles are scanned only at a stall, so a vertex whose cycles went stale
+over many rounds is re-scanned once.  It ends in the same coloring.
 """
 
 from __future__ import annotations
@@ -314,21 +317,39 @@ class _Game:
     def close(self) -> bool:
         """Play until no move is legal; does every non-edge end blue?
 
-        Each round plays the least odd cycle move if there is one, else every
-        triple target in ``hits`` at once.  A triple stays legal while its
-        non-edge is white, so each round is a play, and by the lemma in the
-        module docstring it ends where ``sap_closure`` ends."""
+        Plays triples to a stall, then one cycle move, and again.  Each round
+        colors every triple target in ``hits`` at once: a triple stays legal
+        while its non-edge is white, so each round is a play, and a non-edge
+        forced from both ends is colored twice to the same masks.  The odd
+        cycles are read only at a stall.  By the lemma in the module
+        docstring the play ends where ``sap_closure`` ends."""
+        adj, white, hits = self.g.adj, self.white, self.hits
         while True:
-            self._refresh_cycles()
-            if self.has_cycle:
-                c = self.cycles[(self.has_cycle & -self.has_cycle).bit_length() - 1][0]
-                self._color(zip(c, c[1:] + c[:1]))
-                continue
             self._refresh_forces()
-            pairs = [(j, k) for k in self.g.vertices() for j in bits(self.hits[k])]
-            if not pairs:
-                return not any(self.white)
-            self._color(pairs)
+            touched = 0
+            for k, hit in enumerate(hits):
+                if hit:
+                    # color {j,k} for every target j; the odd cycles can change
+                    # at the common neighbors of j and k
+                    white[k] &= ~hit
+                    touched |= hit | 1 << k
+                    clear_k = ~(1 << k)
+                    near = 0
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        j = low.bit_length() - 1
+                        white[j] &= clear_k
+                        near |= adj[j]
+                    self.stale_cycles |= adj[k] & near
+            if touched:
+                self.stale_forces |= touched
+                continue
+            self._refresh_cycles()
+            if not self.has_cycle:
+                return not any(white)
+            c = self.cycles[(self.has_cycle & -self.has_cycle).bit_length() - 1][0]
+            self._color(zip(c, c[1:] + c[:1]))
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white

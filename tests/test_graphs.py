@@ -240,6 +240,20 @@ def test_edge_list_io():
             parse_edge_list(text)
 
 
+def test_edge_list_labels_are_ascii_decimal():
+    # int() read an Arabic-Indic three as 3 and '1_0' as 10, and let a bare
+    # "invalid literal" escape for 'x'; each is now refused on its line
+    for text, message in (
+            ("3 1\n1 \u0663\n", "line 2: expected a decimal number, got '\u0663'"),
+            ("12 1\n1_0 2\n", "line 2: expected a decimal number, got '1_0'"),
+            ("3 1\n1 x\n", "line 2: expected a decimal number, got 'x'"),
+            ("# header\n3 1\n\n2 -1\n", "line 4: expected a decimal number, got '-1'"),
+            ("3 +1\n1 2\n", "line 1: expected a decimal number, got '+1'")):
+        with pytest.raises(GraphError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
+
 def test_edge_list_refuses_orders_graph6_cannot_write():
     # refused from the header, before an adjacency list of n + 1 ints exists
     for n in (258048, 10 ** 12):

@@ -380,6 +380,25 @@ def test_cli_one_file_grammar(tmp_path, capsys):
     assert capsys.readouterr().err == "error: edge {2,1} is listed twice\n"
 
 
+def test_cli_empty_graph_file_is_refused_by_survey_and_param(tmp_path, capsys):
+    # a corpus with no graph once comments and blank lines go printed the
+    # CSV header alone and exited 0, while --graph refused the same file
+    f = tmp_path / "empty.g6"
+    f.write_text("# no graphs here\n\n")
+    for argv in (("survey", "--corpus", str(f)), ("param", "--graph", str(f), "--params", "Z")):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: empty graph file\n"
+
+
+def test_cli_edge_list_label_names_its_line(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("3 1\n1 x\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z") == 2
+    assert capsys.readouterr().err == "error: line 2: expected a decimal number, got 'x'\n"
+
+
 _GRAPH_FILES = ("# kite\n5 5  # five edges\n1 2\n2 3\n3 4\n4 5\n2 5\n",
                 "Ch # p4\n\nD~{\n# a comment line\n@\n")
 _EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),

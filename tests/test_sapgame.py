@@ -5,6 +5,7 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import enumerate_connected
+from sapforce.graphs import Graph
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game,
                               _start, applicable_forces, complementary_closure,
@@ -161,6 +162,78 @@ def test_applicable_forces_star_odd_cycle():
     assert isinstance(cycle, OddCycleForce)
     assert cycle.i == 1
     assert sorted(cycle.colored()) == [(2, 3), (2, 4), (3, 4)]
+
+
+def triples_to_a_stall(g, blue, rule):
+    """Play triples (first legal in policy order) until none is left; return
+    the blue non-edges there."""
+    blue = set(blue)
+    while triples := [m for m in applicable_forces(g, blue, rule)
+                      if isinstance(m, TripleForce)]:
+        blue |= set(triples[0].colored())
+    return blue
+
+
+def test_close_round_hits_one_non_edge_from_both_ends():
+    # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2)
+    p4 = families.path(4)
+    moves = applicable_forces(p4, (), Rule.Z)
+    assert TripleForce(2, 3, 4) in moves and TripleForce(4, 3, 2) in moves
+    for rule in CONVENTIONAL_RULES:
+        assert closed_coloring(p4, (), rule) == sap_closure(p4, (), rule)[0].blue_nonedges
+
+
+def test_close_cycle_move_at_a_triple_stall_unlocks_triples():
+    # the cube's triples stall with white non-edges left; an odd cycle move
+    # there makes new triples legal
+    cube = families.cube()
+    for rule in CONVENTIONAL_RULES:
+        stall = triples_to_a_stall(cube, (), rule)
+        cycles = applicable_forces(cube, stall, rule)
+        assert cycles and all(isinstance(m, OddCycleForce) for m in cycles)
+        after = stall | set(cycles[0].colored())
+        assert any(isinstance(m, TripleForce) for m in applicable_forces(cube, after, rule))
+        assert closed_coloring(cube, (), rule) == sap_closure(cube, (), rule)[0].blue_nonedges
+
+
+def test_close_rescans_cycles_made_stale_by_triple_rounds():
+    # from this start the cycle {1,2,5} in N(8) is no component until the
+    # triples after the first stall color {1,4} and {4,5}; a closure that did
+    # not mark the cycle caches stale in those rounds stopped 7 non-edges short
+    g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
+    start = [(2, 4), (5, 7), (6, 8)]
+    assert [m.i for m in applicable_forces(g, start, Rule.Z)
+            if isinstance(m, OddCycleForce)] == [7]
+    final, trace = sap_closure(g, start, Rule.Z)
+    assert final.is_complete() and OddCycleForce(8, (1, 2, 5)) in trace
+    assert closed_coloring(g, start, Rule.Z) == final.blue_nonedges
+
+
+def test_close_continues_under_zplus_from_a_zl_stall():
+    # a triangle {3,4,7} with the paths 7-5-2 and 7-6-1: Z and Zl stall with
+    # two blue non-edges, and Zplus colors all 14 from there
+    g = Graph.from_edges(7, [(1, 6), (2, 5), (3, 4), (3, 7), (4, 7), (5, 7), (6, 7)])
+    game = _Game(g, (), Rule.ZL)
+    assert not game.close()
+    stall = game.coloring().blue_nonedges
+    assert stall == sap_closure(g, (), Rule.ZL)[0].blue_nonedges and len(stall) == 2
+    want = sap_closure(g, (), Rule.ZPLUS)[0].blue_nonedges
+    assert len(want) == 14
+    assert closed_coloring(g, stall, Rule.ZPLUS) == want
+    game.set_rule(Rule.ZPLUS)
+    assert game.close() and game.coloring().blue_nonedges == want
+
+
+def test_close_from_a_vertex_cover_start():
+    # the spider with legs 1, 2 and 4-3 at 5, cover {4}: under Z the vetoes
+    # leave less blue than the plain game from the same start
+    g = Graph.from_edges(5, [(1, 5), (2, 5), (3, 4), (4, 5)])
+    start = complementary_closure(g, {4})
+    assert sap_closure(g, (), Rule.Z, {4})[0].blue_nonedges < \
+        sap_closure(g, start, Rule.Z)[0].blue_nonedges
+    for rule in (Rule.Z, Rule.ZL):
+        assert closed_coloring(g, (), rule, {4}) == \
+            sap_closure(g, (), rule, {4})[0].blue_nonedges
 
 
 def test_vc_restricted_forces(k3_join_o4):
