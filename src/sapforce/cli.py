@@ -21,8 +21,8 @@ from typing import Iterable
 
 from . import families
 from .canon import enumerate_connected
-from .graphs import (CapExceededError, Graph, GraphError, parse_edge_list,
-                     parse_graph6)
+from .graphs import (CapExceededError, Graph, GraphError, _LineError,
+                     parse_edge_list, parse_graph6)
 from .linalg import PatternFamily, has_sap, sample_matrix
 from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
@@ -54,8 +54,9 @@ def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
     Blank lines and ``#`` comments (to the end of a line) are dropped.  If
     the first line left is two tokens of ASCII digits, the file is one edge
     list: ``n m``, then ``m`` lines ``i j`` naming vertices from ``indexing``
-    (0 or 1) on.  Otherwise each line is one graph6 string, and an error on
-    it reads ``path:line: ...``.  A file with no graph left is an error."""
+    (0 or 1) on.  Otherwise each line is one graph6 string.  Either way an
+    error on a line reads ``path:line: ...``; a wrong edge count is on the
+    header line.  A file with no graph left is an error."""
     text = Path(path).read_text()
     # a graph6 string holds no '#' or space, so comments go before the
     # header line is looked for
@@ -65,7 +66,10 @@ def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
         raise GraphError(f"{path}: empty graph file")
     first = lines[0][1].split()
     if len(first) == 2 and all(tok.isascii() and tok.isdigit() for tok in first):
-        return [parse_edge_list(text, indexing=indexing)]
+        try:
+            return [parse_edge_list(text, indexing=indexing)]
+        except _LineError as exc:
+            raise GraphError(f"{path}:{exc.line}: {exc.reason}") from exc
     graphs = []
     for no, ln in lines:
         try:

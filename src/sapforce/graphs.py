@@ -417,11 +417,20 @@ def encode_graph6(g: Graph) -> str:
 # First line "n m", then m lines "i j".  ``indexing=0`` accepts 0-based
 # vertex labels and converts to the internal 1-based convention.
 
+class _LineError(GraphError):
+    """An edge-list error on one line, read ``line N: reason``; ``cli``
+    names the file instead: ``path:N: reason``."""
+
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line, self.reason = line, reason
+
+
 def _decimal(token: str, no: int) -> int:
     """A count or vertex label: ASCII digits only, so no sign, underscore
     or other script's digit slips through ``int``."""
     if not (token.isascii() and token.isdigit()):
-        raise GraphError(f"line {no}: expected a decimal number, got {token!r}")
+        raise _LineError(no, f"expected a decimal number, got {token!r}")
     return int(token)
 
 
@@ -435,21 +444,27 @@ def parse_edge_list(text: str, indexing: int = 1) -> Graph:
     no, first = lines[0]
     head = first.split()
     if len(head) != 2:
-        raise GraphError(f"expected header 'n m', got {first!r}")
+        raise _LineError(no, f"expected header 'n m', got {first!r}")
     n, m = (_decimal(tok, no) for tok in head)
     if n > _MAX_ORDER:
-        raise GraphError(f"vertex count {n} exceeds {_MAX_ORDER}")
+        raise _LineError(no, f"vertex count {n} exceeds {_MAX_ORDER}")
     if len(lines) - 1 != m:
-        raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
+        raise _LineError(no, f"header promises {m} edges, found {len(lines) - 1}")
     shift = 1 - indexing
     edges: dict[frozenset[int], tuple[int, int]] = {}
     for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"expected edge 'i j', got {ln!r}")
+            raise _LineError(no, f"expected edge 'i j', got {ln!r}")
         edge = (_decimal(parts[0], no) + shift, _decimal(parts[1], no) + shift)
+        # the checks of ``Graph.from_edges``, made here to name the line
+        name = f"edge {{{parts[0]},{parts[1]}}}"
+        if not all(1 <= u <= n for u in edge):
+            raise _LineError(no, f"{name} outside {indexing}..{n - shift}")
+        if edge[0] == edge[1]:
+            raise _LineError(no, f"self-loop at {parts[0]}")
         if frozenset(edge) in edges:
-            raise GraphError(f"edge {{{parts[0]},{parts[1]}}} is listed twice")
+            raise _LineError(no, f"{name} is listed twice")
         edges[frozenset(edge)] = edge
     return Graph.from_edges(n, edges.values())
 

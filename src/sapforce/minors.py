@@ -1,11 +1,13 @@
 """Minor containment, Hadwiger number, clique number, and vertex cover.
 
-``has_minor`` first refuses a pattern whose least degree (a lower bound on
-its treewidth) exceeds the width of a least-degree elimination of the host
-(an upper bound on the host's): treewidth does not grow under minors.
-Otherwise it searches the contraction space of the host graph (memoized on
-vertex count and canonical adjacency word) and looks for a subgraph
-embedding of the pattern at each stage; a hit is translated back into
+``has_minor`` searches the contraction space of the host graph (memoized
+on vertex count and canonical adjacency word).  Every contraction state is
+first refused if the pattern's least degree (a lower bound on its
+treewidth) exceeds the width of a least-degree elimination of the state (an
+upper bound on the state's): treewidth does not grow under minors.  The
+bound is exact up to width 2, so a search for K3 or K4 refuses every state
+without that minor at once.  Otherwise the search looks for a subgraph
+embedding of the pattern at the state; a hit is translated back into
 disjoint connected branch sets of the original graph, which is the witness
 callers get.  It is the only contraction search: ``hadwiger`` asks it for
 K_1, K_2, ... until one is missing and returns the largest order found with
@@ -99,14 +101,14 @@ def has_minor(g: Graph, h: Graph) -> tuple[bool, BranchSets | None]:
         return False, None
     if h.n == 0:
         return True, ()
-    # a minor of g has treewidth <= tw(g) <= width; tw(h) >= least degree of h
-    if _width_bound(g) < min(map(h.degree, h.vertices())):
-        return False, None
-
+    least = min(map(h.degree, h.vertices()))
     seen: set[tuple[int, int]] = set()
 
     def dfs(cur: Graph, blobs: list[frozenset[int]]) -> BranchSets | None:
         if cur.n < h.n or cur.num_edges() < h.num_edges():
+            return None
+        # a minor of cur has treewidth <= tw(cur) <= width, and tw(h) >= least
+        if _width_bound(cur) < least:
             return None
         image = _embed_subgraph(cur, h)
         if image is not None:

@@ -63,8 +63,8 @@ from typing import Collection, Iterable, Sequence
 
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
-from .zeroforcing import (CONVENTIONAL_RULES, Rule, _forcers, _targets,
-                          smallest_winning_set)
+from .zeroforcing import (CONVENTIONAL_RULES, Rule, _first_winner, _forcers,
+                          _targets, smallest_winning_set)
 
 
 @dataclass(frozen=True)
@@ -436,11 +436,19 @@ def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonE
     return _Game(g, (), Rule.Z, _vertex_mask(g, vertices)).coloring().blue_nonedges
 
 
+def _winning_cover(g: Graph, rule: Rule, size: int) -> frozenset[int] | None:
+    """The first cover of ``size`` vertices, in ``combinations`` order, whose
+    vertex-cover game forces every non-edge, or None."""
+    # covers are tried as sums of vertex bits, in the order of their vertices
+    cover = _first_winner([1 << v for v in g.vertices()], size,
+                          lambda cover: _Game(g, (), rule, sum(cover)).close())
+    return None if cover is None else frozenset(b.bit_length() - 1 for b in cover)
+
+
 def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:
     """Minimum vertex set whose vertex-cover game forces all non-edges."""
     if rule not in (Rule.Z, Rule.ZL):
         raise ValueError("the vertex-cover game is defined for rules Z and Zl")
-    # covers are tried as sums of vertex bits, in the order of their vertices
-    size, cover = smallest_winning_set([1 << v for v in g.vertices()],
-                                       lambda cover: _Game(g, (), rule, sum(cover)).close())
-    return size, frozenset(b.bit_length() - 1 for b in cover)
+    # the whole vertex set wins: every non-edge starts blue
+    return next((size, cover) for size in range(g.n + 1)
+                if (cover := _winning_cover(g, rule, size)) is not None)

@@ -12,6 +12,11 @@ The clique-minor case asks only whether K_{f+1} is a minor, f the floor
 bound: eta - 1 <= xi (minor monotonicity and xi(K_p) >= p - 1; Barioli,
 Fallat and Hogben, ELA 13, 2005) and xi <= f (Barioli et al., J. Graph
 Theory 72, 2013), so eta <= f + 1 and such a minor means eta = f + 1.
+The vertex-cover case plays covers of one size only: M - Zvc <= xi (the
+lower bound above, M the maximum nullity) and xi <= f give Zvc >= M - f, so
+every smaller cover loses and the case closes the gap exactly when a cover
+of M - f vertices wins; the first such cover in ``combinations`` order is
+the witness the full minimum would give.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import cache
 from .families import complete
 from .graphs import CapExceededError, Graph
 from .minors import BranchSets, has_minor, hadwiger
-from .sapgame import is_zsap_zero, vc_forcing_number
+from .sapgame import _winning_cover, is_zsap_zero, vc_forcing_number
 from .zeroforcing import Rule, min_zfs
 
 XI_COMPONENT_LIMIT = 7
@@ -166,12 +171,15 @@ def _xi_connected(g: Graph) -> XiCertificate:
         )
     floor, floor_witness = min_zfs(g, Rule.FLOOR)
     upper = {"floor_witness": sorted(floor_witness), "floor": floor}
-    vc, vc_witness = vc_forcing_number(g, Rule.Z)
-    if floor == m - vc:
+    # Zvc >= m - floor (module docstring): only a cover of that size can
+    # close the gap, and the empty cover is the game from nothing, just lost
+    need = m - floor
+    cover = _winning_cover(g, Rule.Z, need) if need else None
+    if cover is not None:
         return XiCertificate(
             CASE_VC_BOUND, floor,
-            {"max_nullity": m, "vc_game_value": vc,
-             "vc_witness": sorted(vc_witness)},
+            {"max_nullity": m, "vc_game_value": need,
+             "vc_witness": sorted(cover)},
             upper,
         )
     # eta <= floor + 1 (module docstring): ask only for the largest there can be
@@ -194,7 +202,7 @@ def _xi_connected(g: Graph) -> XiCertificate:
                 upper,
             )
     raise XiUnresolvedError(g, {"max_nullity": m, "floor": floor,
-                                "vc_game_value": vc,
+                                "vc_game_value": vc_forcing_number(g, Rule.Z)[0],
                                 "clique_minor_order": hadwiger(g)[0]})
 
 

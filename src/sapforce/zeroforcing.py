@@ -262,10 +262,17 @@ def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], boo
     """Size and members of the first subset that wins, trying subsets by
     size and then in ``combinations`` order."""
     for size in range(len(items) + 1):
-        for combo in combinations(items, size):
-            if wins(combo):
-                return size, frozenset(combo)
+        combo = _first_winner(items, size, wins)
+        if combo is not None:
+            return size, frozenset(combo)
     raise AssertionError("no subset wins, not even the whole set")
+
+
+def _first_winner(items: Sequence[T], size: int, wins: Callable[[tuple[T, ...]], bool]
+                  ) -> tuple[T, ...] | None:
+    """The first subset of ``size`` items in ``combinations`` order that
+    wins, or None."""
+    return next(filter(wins, combinations(items, size)), None)
 
 
 def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

@@ -1,9 +1,10 @@
 """Golden digests of the deterministic outputs on a small corpus.
 
 Each test hashes one kind of output over every connected graph with at most
-six vertices (the linear algebra test uses seeded random rational matrices
-instead, and a slow test the non-edge game on every connected graph with
-eight vertices) and compares the sha256 with a digest recorded from the
+six vertices (the xi certificates and Hadwiger branch sets also over the 996
+with at most seven, the linear algebra test uses seeded random rational
+matrices instead, and a slow test the non-edge game on every connected graph
+with eight vertices) and compares the sha256 with a digest recorded from the
 reference implementation.  A refactor that keeps every trace, witness, certificate
 and determinant byte-identical keeps every digest; any drift changes one.
 """
@@ -163,6 +164,18 @@ GOLDEN = {
 def test_golden_graph_outputs(name, connected_upto_6):
     lines, want = GOLDEN[name]
     assert _digest(lines(connected_upto_6)) == want
+
+
+GOLDEN_N7 = {
+    "xi_records": "7e5bd6491e0b823f2a5ac9e405ea77ca6b7f344fcc2bc5acfee847ace35073e3",
+    "hadwiger": "d9f05cbe61ce60a8fffa1c737134f117eaf205189f9b5a5d57cf62313ef65a2c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_N7))
+def test_golden_graph_outputs_n7(name, connected_upto_7):
+    lines, _ = GOLDEN[name]
+    assert _digest(lines(connected_upto_7)) == GOLDEN_N7[name]
 
 
 def test_golden_rank_and_determinant():

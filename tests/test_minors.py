@@ -104,25 +104,40 @@ def test_width_bound_examples():
     assert has_minor(families.cycle(7), families.complete(4)) == (False, None)
 
 
+def _seeded_connected(rng: random.Random, n: int) -> Graph:
+    """A connected G(n, p) draw, p itself drawn from 0.2..0.8."""
+    while True:
+        p = rng.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2)
+                                 if rng.random() < p])
+        if g.is_connected():
+            return g
+
+
 @pytest.mark.slow
 def test_width_test_only_refuses_what_the_search_refuses(connected_upto_7, monkeypatch):
-    """has_minor with and without the width test at its root gives the same
-    verdict and branch sets on every connected graph with n <= 7, and the
-    test fires on every graph without a K4 minor."""
+    """has_minor with and without the width test at every contraction state
+    gives the same verdict and branch sets on every connected graph with
+    n <= 7, and so does hadwiger on 300 seeded connected 8-vertex graphs and
+    40 seeded 10-vertex ones; the test fires on every graph without a K4
+    minor."""
     patterns = [families.complete(3), families.complete(4), families.complete(5),
                 *load_t3_family().graphs]
     width = {g: minors._width_bound(g) for g in connected_upto_7}
+    rng = random.Random(20261019)
+    larger = [_seeded_connected(rng, n) for n in [8] * 300 + [10] * 40]
 
     def verdicts():
-        return {(g, i): has_minor(g, h)
-                for g in connected_upto_7 for i, h in enumerate(patterns)}
+        return ({(g, i): has_minor(g, h)
+                 for g in connected_upto_7 for i, h in enumerate(patterns)},
+                [hadwiger(g) for g in larger])
 
     with_test = verdicts()
     # a bound of n never undercuts a least degree, so only the search answers
     monkeypatch.setattr(minors, "_width_bound", lambda g: g.n)
     without = verdicts()
     assert with_test == without
-    no_k4 = [g for g in connected_upto_7 if not without[g, 1][0]]
+    no_k4 = [g for g in connected_upto_7 if not without[0][g, 1][0]]
     assert len(no_k4) > 100
     assert all(width[g] <= 2 for g in no_k4)
 

@@ -377,7 +377,7 @@ def test_cli_one_file_grammar(tmp_path, capsys):
     # an edge listed twice, in either orientation, is refused
     f.write_text("3 2\n1 2\n2 1\n")
     assert run_cli("param", "--graph", str(f), "--params", "Z", "--flags", "") == 2
-    assert capsys.readouterr().err == "error: edge {2,1} is listed twice\n"
+    assert capsys.readouterr().err == f"error: {f}:3: edge {{2,1}} is listed twice\n"
 
 
 def test_cli_empty_graph_file_is_refused_by_survey_and_param(tmp_path, capsys):
@@ -394,9 +394,18 @@ def test_cli_empty_graph_file_is_refused_by_survey_and_param(tmp_path, capsys):
 
 def test_cli_edge_list_label_names_its_line(tmp_path, capsys):
     f = tmp_path / "bad.txt"
-    f.write_text("3 1\n1 x\n")
-    assert run_cli("param", "--graph", str(f), "--params", "Z") == 2
-    assert capsys.readouterr().err == "error: line 2: expected a decimal number, got 'x'\n"
+    for text, where, message in (
+            ("3 1\n1 x\n", 2, "expected a decimal number, got 'x'"),
+            ("3 1\n# an edge\n1 2 3\n", 3, "expected edge 'i j', got '1 2 3'"),
+            ("3 2\n1 2\n2 4\n", 3, "edge {2,4} outside 1..3"),
+            ("3 1\n3 3\n", 2, "self-loop at 3"),
+            ("# header\n3 2\n1 2\n", 2, "header promises 2 edges, found 1")):
+        f.write_text(text)
+        assert run_cli("param", "--graph", str(f), "--params", "Z") == 2
+        assert capsys.readouterr().err == f"error: {f}:{where}: {message}\n"
+    f.write_text("3 1\n0 3\n")
+    assert run_cli("param", "--graph", str(f), "--params", "Z", "--indexing", "0") == 2
+    assert capsys.readouterr().err == f"error: {f}:2: edge {{0,3}} outside 0..2\n"
 
 
 _GRAPH_FILES = ("# kite\n5 5  # five edges\n1 2\n2 3\n3 4\n4 5\n2 5\n",

@@ -9,7 +9,7 @@ from sapforce import families, minors
 from sapforce.canon import canonical_form, enumerate_trees
 from sapforce.graphs import CapExceededError, Graph, parse_graph6
 from sapforce.minors import clique_number, hadwiger, vertex_cover_number
-from sapforce.sapgame import is_zsap_zero
+from sapforce.sapgame import is_zsap_zero, vc_forcing_number
 from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          CASE_VC_BOUND, CASE_ZSAP_ZERO, MSizeError,
                          T3FamilyData, XiUnresolvedError, load_t3_family,
@@ -141,6 +141,24 @@ def test_unresolved_error_names_the_hadwiger_number(connected_upto_7, monkeypatc
     with pytest.raises(XiUnresolvedError) as err:
         xi(g)
     assert err.value.details["clique_minor_order"] == hadwiger(g)[0] == 3
+    assert err.value.details["vc_game_value"] == vc_forcing_number(g, Rule.Z)[0]
+
+
+def test_vc_case_plays_only_covers_of_m_minus_floor(connected_upto_7):
+    """Zvc >= M - xi >= m - floor on every connected graph with n <= 7, and
+    xi takes the vertex-cover case exactly where the rule on the full game
+    value, floor == m - Zvc, would, with that game's witness."""
+    for g in connected_upto_7:
+        m, floor = min_zfs(g, Rule.Z)[0], min_zfs(g, Rule.FLOOR)[0]
+        vc, witness = vc_forcing_number(g, Rule.Z)
+        assert vc >= m - floor, g.to_graph6()
+        # the rule before the trim, behind the two cases tried first
+        untrimmed = not is_zsap_zero(g, Rule.Z) and not g.is_tree() and floor == m - vc
+        cert = xi(g)
+        assert (cert.case == CASE_VC_BOUND) == untrimmed, g.to_graph6()
+        if untrimmed:
+            assert cert.lower_witness == {"max_nullity": m, "vc_game_value": vc,
+                                          "vc_witness": sorted(witness)}
 
 
 def test_minor_monotonicity_200_pairs(connected_upto_6):
