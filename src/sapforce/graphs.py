@@ -111,7 +111,7 @@ class Graph:
         return [(u, v) for u, v in combinations(self.vertices(), 2) if not self.has_edge(u, v)]
 
     def num_edges(self) -> int:
-        return sum(self.degree(v) for v in self.vertices()) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     # -- derived graphs -----------------------------------------------
 
@@ -162,20 +162,7 @@ class Graph:
         the vertices above v move down by one."""
         if not self.has_edge(u, v):
             raise GraphError(f"cannot contract non-edge {{{u},{v}}}")
-        below = (1 << v) - 1
-        adj = [0]
-        for w in self.vertices():
-            if w == v:
-                continue
-            m = self.adj[w]
-            if w == u:
-                m = (m | self.adj[v]) & ~(1 << u)
-            elif m >> v & 1:
-                m |= 1 << u
-            m &= ~(1 << v)
-            # bit v is clear: the bits above it move down by one
-            adj.append(m & below | m >> 1 & ~below)
-        return Graph(self.n - 1, tuple(adj))
+        return Graph(self.n - 1, tuple(_contract(self.adj, u, v)))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply a permutation given as ``perm[old] = new`` (slot 0 ignored)."""
@@ -251,6 +238,24 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _contract(adj: Sequence[int], u: int, v: int) -> list[int]:
+    """The adjacency slots 0..n-1 of ``adj`` (slots 0..n) with the edge {u,v}
+    contracted: v merged into u, the loop and parallel edges dropped, the
+    vertices above v moved down by one.  The one contraction kernel, behind
+    ``Graph.contract_edge`` and every state of the minor search."""
+    below, above, bu = (1 << v) - 1, -(1 << v), 1 << u
+    out = []
+    for m in adj:
+        if m >> v & 1:
+            m |= bu
+        # bit v is dropped: the bits above it move down by one
+        out.append(m & below | m >> 1 & above)
+    m = (adj[u] | adj[v]) & ~bu
+    out[u] = m & below | m >> 1 & above
+    del out[v]
+    return out
 
 
 def _grow(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:

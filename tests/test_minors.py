@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from sapforce import families, minors
-from sapforce.canon import enumerate_graphs
+import reference_minors
+from sapforce import canon, families, minors
+from sapforce.canon import enumerate_connected, enumerate_graphs
 from sapforce.graphs import Graph, bits
 from sapforce.minors import clique_number, hadwiger, has_minor, vertex_cover_number
 from sapforce.xi import load_t3_family
@@ -87,19 +88,24 @@ def test_embedding_matches_reference(connected_upto_6):
                 *(h for n in range(1, 5) for h in enumerate_graphs(n))]
     found = 0
     for g in connected_upto_6:
+        deg = [a.bit_count() for a in g.adj]
         for h in patterns:
-            image = minors._embed_subgraph(g, h)
+            image = minors._embed_subgraph(g.n, g.adj, deg, minors._plan(h))
             assert image == reference_embed_subgraph(g, h), (g.to_graph6(), h.to_graph6())
             found += image is not None
     # 2,786 of the 143 * 30 pairs embed, so both answers are checked
     assert found == 2786
 
 
+def _width(g: Graph) -> int:
+    return minors._width_bound(g.n, g.adj)
+
+
 def test_width_bound_examples():
-    assert minors._width_bound(families.empty(3)) == 0
-    assert minors._width_bound(families.path(5)) == 1
-    assert minors._width_bound(families.cycle(6)) == 2
-    assert minors._width_bound(families.complete(5)) == 4
+    assert _width(families.empty(3)) == 0
+    assert _width(families.path(5)) == 1
+    assert _width(families.cycle(6)) == 2
+    assert _width(families.complete(5)) == 4
     # K4 has no edge to spare: the bound refuses it without a search
     assert has_minor(families.cycle(7), families.complete(4)) == (False, None)
 
@@ -114,6 +120,17 @@ def _seeded_connected(rng: random.Random, n: int) -> Graph:
             return g
 
 
+def _larger_seeded() -> list[Graph]:
+    """300 seeded connected 8-vertex graphs, then 40 10-vertex ones."""
+    rng = random.Random(20261019)
+    return [_seeded_connected(rng, n) for n in [8] * 300 + [10] * 40]
+
+
+def _pinned_patterns() -> list[Graph]:
+    return [families.complete(3), families.complete(4), families.complete(5),
+            *load_t3_family().graphs]
+
+
 @pytest.mark.slow
 def test_width_test_only_refuses_what_the_search_refuses(connected_upto_7, monkeypatch):
     """has_minor with and without the width test at every contraction state
@@ -121,11 +138,9 @@ def test_width_test_only_refuses_what_the_search_refuses(connected_upto_7, monke
     n <= 7, and so does hadwiger on 300 seeded connected 8-vertex graphs and
     40 seeded 10-vertex ones; the test fires on every graph without a K4
     minor."""
-    patterns = [families.complete(3), families.complete(4), families.complete(5),
-                *load_t3_family().graphs]
-    width = {g: minors._width_bound(g) for g in connected_upto_7}
-    rng = random.Random(20261019)
-    larger = [_seeded_connected(rng, n) for n in [8] * 300 + [10] * 40]
+    patterns = _pinned_patterns()
+    width = {g: _width(g) for g in connected_upto_7}
+    larger = _larger_seeded()
 
     def verdicts():
         return ({(g, i): has_minor(g, h)
@@ -134,12 +149,62 @@ def test_width_test_only_refuses_what_the_search_refuses(connected_upto_7, monke
 
     with_test = verdicts()
     # a bound of n never undercuts a least degree, so only the search answers
-    monkeypatch.setattr(minors, "_width_bound", lambda g: g.n)
+    monkeypatch.setattr(minors, "_width_bound", lambda n, adj: n)
     without = verdicts()
     assert with_test == without
     no_k4 = [g for g in connected_upto_7 if not without[0][g, 1][0]]
     assert len(no_k4) > 100
     assert all(width[g] <= 2 for g in no_k4)
+
+
+def test_has_minor_matches_reference(connected_upto_7):
+    """The bitset search gives the kept Graph-state search's verdict and
+    branch sets for K3, K4, K5 and the six T3 members on every connected
+    graph with n <= 7."""
+    hits = 0
+    for g in connected_upto_7:
+        for h in _pinned_patterns():
+            got = has_minor(g, h)
+            assert got == reference_minors.has_minor(g, h), (g.to_graph6(), h.to_graph6())
+            hits += got[0]
+    # 3,928 of the 996 * 9 pairs are minors, so both answers are checked
+    assert hits == 3928
+
+
+def test_hadwiger_matches_reference_on_larger_graphs():
+    """The same order and branch sets as the kept search on failing searches
+    where the memo and the twin rule matter, and on 40 seeded 10-vertex
+    graphs."""
+    multipartite = families.complete_multipartite
+    named = [(multipartite(3, 3, 4), 6), (multipartite(2, 2, 2, 2, 2), 7),
+             (families.petersen().complement(), 6), (multipartite(5, 5), 6)]
+    for g, eta in named:
+        got = hadwiger(g)
+        assert got[0] == eta and got == reference_minors.hadwiger(g), g.to_graph6()
+    for g in _larger_seeded()[300:]:
+        assert hadwiger(g) == reference_minors.hadwiger(g), g.to_graph6()
+
+
+@pytest.mark.slow
+def test_hadwiger_matches_reference_on_every_connected_graph_on_8():
+    graphs = list(enumerate_connected(8))
+    assert len(graphs) == 11117
+    for g in graphs:
+        assert hadwiger(g) == reference_minors.hadwiger(g), g.to_graph6()
+
+
+def test_canonical_words_only_after_a_failure(connected_upto_7, monkeypatch):
+    """No K3 or K4 search computes a canonical word, since no state that
+    passes the exact width test fails; a failing K7 search on K_{3,3,4}
+    compares words, so the memo is alive."""
+    calls = []
+    search = canon._search
+    monkeypatch.setattr(canon, "_search", lambda n, adj: calls.append(n) or search(n, adj))
+    hits = sum(has_minor(g, families.complete(p))[0] for g in connected_upto_7 for p in (3, 4))
+    assert hits == 1646 and calls == []
+    k334 = families.complete_multipartite(3, 3, 4)
+    assert has_minor(k334, families.complete(7)) == (False, None)
+    assert calls
 
 
 def test_hadwiger_values(connected_upto_6):

@@ -2,7 +2,9 @@ import argparse
 import ast
 import inspect
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sapforce import families
-from sapforce.canon import canonical_form
-from sapforce.cli import build_parser, main, read_graphs
+from sapforce.canon import are_isomorphic, canonical_form
+from sapforce.cli import build_parser, load_graph, main, read_graphs
 from sapforce.graphs import GraphError, bits, parse_graph6
 from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
                              ReportInvariantError, ResultCache, SurveyRow,
@@ -432,6 +434,58 @@ def test_read_graphs_on_mutated_files(tmp_path, text, edits):
         return
     for g in graphs:
         assert parse_graph6(g.to_graph6()) == g
+
+
+# graph6 literals: small graphs, K_{2,2,2,2,2} at the vertex cap, P11 just
+# over it, and the largest order the four-byte header can state
+_GRAPH6_SPECS = (b"D~{", b"Ch", b"@", b"I]~v~z~~o", b"JhCGGC@?G?_", b"~}~~")
+_BYTE_EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")), st.integers(0, 60),
+                       st.sampled_from([bytes([c]) for c in b"# \t\n0123456789>~?@Ch\x00\x80\xff"]
+                                       + ["\u00e9".encode()]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(("literal", "file", "empty", "directory")),
+       seed=st.sampled_from(_GRAPH6_SPECS + tuple(t.encode() for t in _GRAPH_FILES)),
+       edits=st.lists(_BYTE_EDIT, max_size=4))
+def test_param_on_mutated_graph_specs(tmp_path, capsys, kind, seed, edits):
+    """``param`` on a mutated ``--graph`` spec, in process: a literal (its
+    bytes decoded as the command line would be), a file, an empty path or a
+    directory.  It prints a report whose graph6 round-trips to the graph the
+    spec names and exits 0, or it exits 2 with one ``error:`` line (its
+    byte offset, if any, inside the input) or 3 with one ``refused:`` line;
+    nothing else escapes."""
+    data = seed
+    for op, at, byte in edits:
+        at = min(at, len(data))
+        tail = data[at:] if op == "insert" else data[at + 1:]
+        data = data[:at] + (byte if op != "delete" else b"") + tail
+    if kind == "literal":
+        # a command line cannot hold a NUL byte
+        spec = os.fsdecode(data.replace(b"\x00", b""))
+    elif kind == "file":
+        spec = str(tmp_path / "spec.txt")
+        Path(spec).write_bytes(data)
+    else:
+        spec = "" if kind == "empty" else str(tmp_path)
+    code = main(["param", "--graph", spec, "--params", "Z", "--flags", ""])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    if code == 0:
+        g6 = json.loads(out)["graph6"]
+        g = parse_graph6(g6)
+        assert lines == [] and g.to_graph6() == g6
+        assert are_isomorphic(g, load_graph(spec))
+        # graph6 is ASCII, and a --graph file holds one graph
+        assert kind != "literal" or spec.isascii()
+        assert kind != "file" or len(read_graphs(spec)) == 1
+    else:
+        assert (code, len(lines)) in ((2, 1), (3, 1)), (code, err)
+        assert lines[0].startswith("error: " if code == 2 else "refused: ")
+        # an offset may point just past the end, where more input was due
+        offset = re.search(r"byte offset (\d+)\)$", lines[0])
+        assert offset is None or int(offset[1]) <= len(data if kind == "file" else spec)
 
 
 def test_console_script_installed():
