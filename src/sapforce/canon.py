@@ -192,7 +192,8 @@ def _word_graph(n: int, word: int) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             word >>= 1
-    return Graph(n, tuple(adj))
+    # each bit sets both directions of a pair inside 1..n: valid by construction
+    return Graph._unchecked(n, tuple(adj))
 
 
 def canonical_form(g: Graph) -> str:

@@ -3,13 +3,25 @@
 Vertices are 1-indexed throughout; bit ``v`` of an adjacency mask stands for
 vertex ``v`` (bit 0 is never used).  Graph values are immutable, so every
 operation returns a new graph and is safe to call from concurrent code.
+
+A graph is checked once, where it enters: ``Graph(n, adj)`` checks the
+table's range, loops and symmetry, and every parser checks its input text
+before it builds one.  Three constructors build tables that are valid by
+construction and skip the check through ``Graph._unchecked``:
+
+- ``parse_graph6``, once its bytes are checked: each set bit of the bit
+  vector sets both directions of a pair u < v inside 1..n;
+- ``Graph.relabel``, once ``perm`` is checked to be a permutation: the image
+  of a valid graph under a permutation is valid;
+- ``canon._word_graph``: each bit of an adjacency word sets both directions
+  of a pair u < v inside 1..n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -66,6 +78,19 @@ class Graph:
                 rest ^= low
 
     # -- construction -------------------------------------------------
+
+    @staticmethod
+    def _unchecked(n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph whose table is valid by construction, built without the
+        checks of ``__post_init__``.  The caller guarantees that ``adj`` is
+        a tuple of n + 1 ints with slot 0 empty and every bit inside 1..n,
+        that no vertex is its own neighbour, and that u is in ``adj[v]``
+        exactly when v is in ``adj[u]``."""
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "full_mask", (1 << (n + 1)) - 2)
+        return g
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -144,8 +169,9 @@ class Graph:
         return Graph(n, tuple(adj))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph; kept vertices are relabeled 1..k in ascending order."""
-        keep = sorted(set(vertices))
+        """Induced subgraph; kept vertices are relabeled 1..k in ascending
+        order.  A vertex outside 1..n raises ``ValueError``."""
+        keep = list(bits(_vertex_mask(self, vertices)))
         index = {v: i + 1 for i, v in enumerate(keep)}
         adj = [0] * (len(keep) + 1)
         for v in keep:
@@ -155,7 +181,7 @@ class Graph:
         return Graph(len(keep), tuple(adj))
 
     def delete_vertex(self, v: int) -> "Graph":
-        return self.induced(u for u in self.vertices() if u != v)
+        return self.induced(bits(self.full_mask ^ _vertex_mask(self, (v,))))
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Contract edge {u,v}: merge v into u, drop parallel edges and loops;
@@ -166,13 +192,20 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply a permutation given as ``perm[old] = new`` (slot 0 ignored)."""
-        adj = [0] * (self.n + 1)
+        n = self.n
+        if len(perm) != n + 1 or sorted(perm[1:]) != list(range(1, n + 1)):
+            raise GraphError(f"perm must list each of 1..{n} once after slot 0")
+        adj = [0] * (n + 1)
         for v in self.vertices():
             m = 0
-            for u in bits(self.adj[v]):
-                m |= 1 << perm[u]
+            rest = self.adj[v]
+            while rest:  # bits walked inline: corpora relabel every graph
+                low = rest & -rest
+                rest ^= low
+                m |= 1 << perm[low.bit_length() - 1]
             adj[perm[v]] = m
-        return Graph(self.n, tuple(adj))
+        # a permutation's image of a valid table is valid
+        return Graph._unchecked(n, tuple(adj))
 
     # -- connectivity -------------------------------------------------
 
@@ -285,18 +318,15 @@ def _components(adj: Sequence[int], within: int) -> list[int]:
     return out
 
 
-def _vertex_mask(g: Graph, vertices: Collection[int]) -> int:
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """The bitset of ``vertices``, the one vertex-set-to-bitset conversion;
-    a ``ValueError`` names the first vertex outside 1..n."""
+    a ``ValueError`` names the first vertex outside 1..n, found before any
+    shift by it, so a huge vertex id allocates no huge int."""
     mask = 0
-    try:
-        for v in vertices:
-            mask |= 1 << v
-    except ValueError:  # a negative shift count
-        mask = -1
-    if mask & ~g.full_mask:
-        bad = next(v for v in vertices if not 1 <= v <= g.n)
-        raise ValueError(f"vertex {bad} outside 1..{g.n}")
+    for v in vertices:
+        if not 0 < v <= g.n:
+            raise ValueError(f"vertex {v} outside 1..{g.n}")
+        mask |= 1 << v
     return mask
 
 
@@ -384,16 +414,22 @@ def parse_graph6(text: str | bytes) -> Graph:
     pad = nbytes * 6 - nbits
     bitstream >>= pad
     adj = [0] * (n + 1)
-    # bits arrive most-significant first: (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits - 1
-    for col in range(1, n):
-        for row in range(col):
-            if bitstream >> pos & 1:
-                u, v = row + 1, col + 1
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            pos -= 1
-    return Graph(n, tuple(adj))
+    # the pairs arrive most-significant first, column by column: {1,2},
+    # {1,3}, {2,3}, {1,4}, ...; column v is a run of v - 1 bits, whose bit p
+    # is the pair {v - 1 - p, v}
+    end = nbits
+    for v in range(2, n + 1):
+        end -= v - 1
+        run = bitstream >> end & ((1 << (v - 1)) - 1)
+        while run:
+            low = run & -run
+            run ^= low
+            u = v - low.bit_length()
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    # each set bit sets both directions of a pair inside 1..n, so the table
+    # is symmetric, loop-free and in range
+    return Graph._unchecked(n, tuple(adj))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -36,12 +36,13 @@ witness as it would be without them:
   embedding found keeps the rule and is unchanged.  This removes K_p's p!
   symmetry and the twins of the T3 family members.
 
-It is the only contraction search: ``hadwiger`` asks it for K_1, K_2, ...
-until one is missing and returns the largest order found with its branch
-sets.  ``clique_number`` is the only branch and bound; the vertex cover
-number is read off it on the complement.  Everything here is exact and
-takes no size limit: the searches are exponential in the vertex count, so
-callers decide which graphs are small enough.
+It is the only contraction search: ``hadwiger`` asks it for K_w, K_{w+1},
+... from the clique number w (each smaller clique is a subgraph) until one
+is missing, and returns the largest order found with its branch sets.
+``clique_number`` is the only branch and bound; the vertex cover number is
+read off it on the complement.  Everything here is exact and takes no size
+limit: the searches are exponential in the vertex count, so callers decide
+which graphs are small enough.
 """
 
 from __future__ import annotations
@@ -267,8 +268,10 @@ def clique_number(g: Graph) -> int:
 
 def hadwiger(g: Graph) -> tuple[int, BranchSets]:
     """Largest p such that g has a complete minor on p vertices, with the
-    branch sets of one such minor (found by ``has_minor`` on K_p)."""
-    p, witness = 0, ()
+    branch sets of one such minor (found by ``has_minor`` on K_p).  The
+    search starts at the clique number, a hit at the root."""
+    p = clique_number(g)
+    witness = has_minor(g, complete(p))[1]
     while True:
         hit, branches = has_minor(g, complete(p + 1))
         if not hit:

@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapforce import families
-from sapforce.canon import enumerate_graphs
-from sapforce.graphs import (Graph, Graph6Error, GraphError, _grow, bits,
-                             encode_graph6, format_edge_list, parse_edge_list,
-                             parse_graph6)
+from sapforce.canon import _encode_labeling, _word_graph, enumerate_graphs
+from sapforce.graphs import (Graph, Graph6Error, GraphError, _g6_read_n, _grow,
+                             bits, encode_graph6, format_edge_list,
+                             parse_edge_list, parse_graph6)
 
 
 def test_single_vertex_decodes():
@@ -134,6 +136,84 @@ def test_encoder_matches_reference_where_the_header_grows():
         assert parse_graph6(s) == g
 
 
+def reference_parse_graph6(text):
+    """The adjacency table of a valid graph6 string, one shift of the whole
+    bit vector per vertex pair (the library's former all-pairs decoder)."""
+    data = text.encode("ascii")
+    n, start = _g6_read_n(data, 0)
+    nbits = n * (n - 1) // 2
+    bitstream = 0
+    for b in data[start:]:
+        bitstream = (bitstream << 6) | (b - 63)
+    bitstream >>= (len(data) - start) * 6 - nbits
+    adj = [0] * (n + 1)
+    pos = nbits - 1
+    for col in range(1, n):
+        for row in range(col):
+            if bitstream >> pos & 1:
+                u, v = row + 1, col + 1
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            pos -= 1
+    return n, tuple(adj)
+
+
+def check_unchecked_paths(text, perm):
+    """``parse_graph6`` of ``text`` against the all-pairs reference, and the
+    graphs of the three unchecked constructors against ``Graph(n, adj)``:
+    the decoded graph, its ``relabel`` by ``perm`` (checked against the
+    relabeled edge list too) and ``_word_graph`` of its identity-labeling
+    word, which must give the decoded graph back."""
+    g = parse_graph6(text)
+    assert (g.n, g.adj) == reference_parse_graph6(text), text
+    h = g.relabel(perm)
+    assert h == Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), text
+    w = _word_graph(g.n, _encode_labeling(g.adj, list(g.vertices())))
+    assert w == g, text
+    for made in (g, h, w):
+        assert Graph(made.n, made.adj) == made and made.full_mask == g.full_mask, text
+
+
+def test_unchecked_paths_match_checked_on_every_class_upto_7(all_graphs_upto_7):
+    rng = random.Random(20261019)
+    corpus = [Graph.empty(0)] + all_graphs_upto_7
+    assert len(corpus) == 1 + 1252
+    for g in corpus:
+        # the enumeration's graphs come from ``_word_graph`` too
+        assert Graph(g.n, g.adj) == g
+        perm = [0] + rng.sample(range(1, g.n + 1), g.n)
+        check_unchecked_paths(g.to_graph6(), perm)
+
+
+def test_unchecked_paths_match_checked_on_classes8_refs():
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "classes8.g6"
+    lines = [line for line in refs.read_text().splitlines()
+             if line and not line.startswith("#")]
+    assert len(lines) == 12346
+    rng = random.Random(8)
+    for text in lines:
+        check_unchecked_paths(text, [0] + rng.sample(range(1, 9), 8))
+
+
+@st.composite
+def graph6_bit_vectors(draw):
+    """A graph6 string of up to 20 vertices with any bit vector, and a
+    permutation of its vertices."""
+    n = draw(st.integers(0, 20))
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    vector = draw(st.integers(0, (1 << nbits) - 1)) << (nbytes * 6 - nbits)
+    body = bytes(((vector >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes))
+    perm = [0] + draw(st.permutations(range(1, n + 1)))
+    return chr(n + 63) + body.decode("ascii"), perm
+
+
+@settings(max_examples=300, derandomize=True)
+@given(graph6_bit_vectors())
+def test_unchecked_paths_match_checked_on_bit_vectors(case):
+    check_unchecked_paths(*case)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.randoms(use_true_random=False))
 def test_roundtrip_random_graphs(n, rnd):
@@ -196,6 +276,39 @@ def test_contract_and_delete():
     assert sorted(p.edges()) == [(1, 2), (2, 3)]
     with pytest.raises(GraphError, match="non-edge"):
         families.path(4).contract_edge(1, 3)
+
+
+def test_induced_and_delete_vertex_refuse_vertices_outside_the_graph():
+    # unchecked, 0 and -1 added an isolated vertex, 5 raised a bare
+    # IndexError, and deleting 9 or 0 returned the whole graph
+    p4 = families.path(4)
+    assert p4.induced([3, 1, 2, 3]) == families.path(3)
+    for vertices, bad in (([0, 1, 2], 0), ([-1, 1, 2], -1), ([1, 2, 5], 5)):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside 1..4"):
+            p4.induced(vertices)
+    for v in (9, 0, 5, -1):
+        with pytest.raises(ValueError, match=f"vertex {v} outside 1..4"):
+            p4.delete_vertex(v)
+    # refused before a shift by it: no int of 10**8 bits (12.5 MB) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex 100000000 outside 1..4"):
+            p4.delete_vertex(10 ** 8)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_relabel_refuses_a_list_that_is_not_a_permutation():
+    # [0, 1, 1, 2] was refused as "vertex 1 has a self-loop", and the extra
+    # slot of [0, 3, 2, 1, 4] was read by nobody
+    p3 = families.path(3)
+    assert sorted(p3.relabel([0, 2, 1, 3]).edges()) == [(1, 2), (1, 3)]
+    assert p3.relabel([7, 1, 2, 3]) == p3  # slot 0 is ignored
+    for perm in ([0, 1, 1, 2], [0, 3, 2, 1, 4], [0, 1, 2], [0, 1, 2, 4], [0, 0, 1, 2]):
+        with pytest.raises(GraphError) as exc:
+            p3.relabel(perm)
+        assert str(exc.value) == "perm must list each of 1..3 once after slot 0", perm
 
 
 def reference_contract_edge(g, u, v):

@@ -227,6 +227,24 @@ def test_hadwiger_values(connected_upto_6):
             assert hadwiger(Graph(g.n, tuple(adj)))[0] <= eta
 
 
+def test_hadwiger_searches_from_the_clique_number(connected_upto_6, monkeypatch):
+    """``hadwiger`` asks ``has_minor`` for K_w first, w the clique number,
+    then up to the first miss: eta - w + 2 calls, where counting from K_1
+    made eta + 1."""
+    calls = []
+    search = minors.has_minor
+    monkeypatch.setattr(minors, "has_minor", lambda g, h: calls.append(h.n) or search(g, h))
+    assert hadwiger(Graph.empty(0)) == (0, ()) and calls == [0, 1]
+    saved = 0
+    for g in connected_upto_6:
+        calls.clear()
+        eta, omega = hadwiger(g)[0], clique_number(g)
+        assert calls == list(range(omega, eta + 2)), g.to_graph6()
+        saved += omega - 1
+    # counting from K_1 made eta + 1 calls: w - 1 more per graph
+    assert len(connected_upto_6) == 143 and saved == 296
+
+
 def test_hadwiger_branch_sets_form_a_clique_minor(connected_upto_6):
     # checked on bitsets directly, without has_minor
     def connected(g, mask):
