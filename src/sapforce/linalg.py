@@ -17,12 +17,17 @@ non-edges), has full column rank exactly when A has the property.  It is
 the exported system matrix and the reference the kernel form is tested
 against.
 
-All arithmetic is exact: entries are fractions, and after clearing
-denominators one fraction-free (Bareiss) elimination loop gives rank,
-determinant and, carrying an identity block along, the kernel of A.
-``validate_pattern`` checks A on those integer rows, symmetry by cross
-multiplication with the positive row scales, and hands them on to
-``has_sap``, which ranks its kernel system as the transpose.  There is no
+All arithmetic is exact, and all of it is on integers.  A
+``RationalMatrix`` stores each row as integers over one positive row scale,
+the lcm of the row's reduced denominators; the integers and the scale then
+share no factor, so the stored form of a matrix is unique and equal
+matrices compare and hash equal.  An integer row is stored as given, with
+scale 1, and no ``Fraction`` is built for it; ``entries`` gives the
+Fractions on demand.  One fraction-free (Bareiss) elimination loop over
+copies of the integer rows gives rank, determinant and, carrying an
+identity block along, the kernel of A.  ``validate_pattern`` checks A on
+the integer rows, symmetry by cross multiplication with the row scales,
+and ``has_sap`` ranks its kernel system as the transpose.  There is no
 tolerance anywhere.
 """
 
@@ -31,9 +36,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import attrgetter
+from operator import index
 from typing import Iterable, Sequence
 
 from .graphs import Graph, NonEdgePair, _vertex_mask, sorted_non_edge
@@ -54,51 +60,65 @@ def _frac(x: Entry) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals (kept in lowest terms)."""
+    """Immutable dense matrix of exact rationals, stored as integer rows.
+
+    Row i is ``ints[i] / scales[i]``: each scale is the positive lcm of the
+    row's reduced denominators, so gcd(row ints, scale) = 1.  Two rows with
+    the same values then have the same pair (if ``r / s == r' / s'`` with
+    both gcds 1, s divides s' and s' divides s), so the generated ``==``
+    and ``hash`` agree with entry-wise equality.  ``entries`` is the same
+    matrix as Fractions, built on first use.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Entry]]) -> "RationalMatrix":
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
+        ints, scales = [], []
+        for row in rows:
+            try:
+                ints.append(tuple(map(index, row)))
+                scales.append(1)
+            except TypeError:
+                fracs = [_frac(x) for x in row]
+                scale = lcm(*(x.denominator for x in fracs))
+                ints.append(tuple(x.numerator * (scale // x.denominator) for x in fracs))
+                scales.append(scale)
+        ncols = len(ints[0]) if ints else 0
+        if any(len(row) != ncols for row in ints):
             raise ValueError("ragged rows")
-        return RationalMatrix(len(data), ncols, data)
+        return RationalMatrix(len(ints), ncols, tuple(ints), tuple(scales))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, d) for x in row)
+                     for row, d in zip(self.ints, self.scales))
 
     def add_scaled_diagonal(self, scale: Entry, positions: Iterable[int]) -> "RationalMatrix":
-        """Add ``scale`` to the listed 0-based diagonal positions."""
+        """Add ``scale`` to the listed 0-based diagonal positions, each in
+        0..min(rows, cols) - 1 (a ``ValueError`` otherwise)."""
         s = _frac(scale)
-        pos = set(positions)
-        data = [list(row) for row in self.entries]
-        for i in pos:
-            data[i][i] += s
-        return RationalMatrix.from_rows(data)
-
-    def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Each row times the lcm of its denominators, and those lcms."""
-        out = []
-        scales = []
-        for row in self.entries:
-            mult = lcm(*map(_denominator, row))
-            scales.append(mult)
-            if mult == 1:
-                out.append(list(map(_numerator, row)))
-            else:
-                out.append([x.numerator * (mult // x.denominator) for x in row])
-        return out, scales
+        last = min(self.rows, self.cols) - 1
+        ints, scales = list(self.ints), list(self.scales)
+        for i in sorted(set(positions)):
+            if not 0 <= i <= last:
+                raise ValueError(f"diagonal position {i} outside 0..{last}")
+            # row i / d + s e_i = (q row i + p d e_i) / (q d), then reduced
+            row = [x * s.denominator for x in ints[i]]
+            row[i] += s.numerator * scales[i]
+            d = scales[i] * s.denominator
+            g = gcd(*row, d)
+            ints[i], scales[i] = tuple(x // g for x in row), d // g
+        return RationalMatrix(self.rows, self.cols, tuple(ints), tuple(scales))
 
     def rank(self) -> int:
         """Exact rank by fraction-free elimination."""
-        return _bareiss(self._integer_rows()[0], self.cols)[0]
+        return _bareiss([list(row) for row in self.ints], self.cols)[0]
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -106,12 +126,11 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        m, scales = self._integer_rows()
-        r, sign, last = _bareiss(m, self.cols)
+        r, sign, last = _bareiss([list(row) for row in self.ints], self.cols)
         if r < self.rows:
             return Fraction(0)
         # the last pivot is the determinant of the row-scaled matrix
-        return Fraction(sign * last, prod(scales))
+        return Fraction(sign * last, prod(self.scales))
 
 
 def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
@@ -167,9 +186,8 @@ class PatternFamily(Enum):
     S_PLUS = "S_plus"
 
 
-def validate_pattern(g: Graph, a: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """Check A is symmetric with off-diagonal support exactly the edge set,
-    and return its integer rows and row scales (``_integer_rows``).
+def validate_pattern(g: Graph, a: RationalMatrix) -> None:
+    """Check A is symmetric with off-diagonal support exactly the edge set.
 
     Row i of A is ``rows[i] / scales[i]`` with every scale positive, so
     a_ij = a_ji exactly when ``rows[i][j] * scales[j] == rows[j][i] *
@@ -178,7 +196,7 @@ def validate_pattern(g: Graph, a: RationalMatrix) -> tuple[list[list[int]], list
     n = g.n
     if a.rows != n or a.cols != n:
         raise PatternError(f"matrix is {a.rows}x{a.cols}, graph has {n} vertices")
-    rows, scales = a._integer_rows()
+    rows, scales = a.ints, a.scales
     for i in range(n):
         row, d = rows[i], scales[i]
         for j in range(i + 1, n):
@@ -192,7 +210,6 @@ def validate_pattern(g: Graph, a: RationalMatrix) -> tuple[list[list[int]], list
                 raise PatternError(f"entry ({i + 1},{j + 1}) nonzero on a non-edge")
             if edge and not row[j]:
                 raise PatternError(f"entry ({i + 1},{j + 1}) zero on an edge")
-    return rows, scales
 
 
 def sample_matrix(g: Graph, family: PatternFamily, seed: int) -> RationalMatrix:
@@ -213,22 +230,20 @@ def sample_matrix(g: Graph, family: PatternFamily, seed: int) -> RationalMatrix:
                 return v
 
     n = g.n
-    data = [[Fraction(0)] * n for _ in range(n)]
+    data = [[0] * n for _ in range(n)]
     for u, v in g.edges():
-        val = Fraction(nonzero())
-        data[u - 1][v - 1] = val
-        data[v - 1][u - 1] = val
+        data[u - 1][v - 1] = data[v - 1][u - 1] = nonzero()
     for v in range(1, n + 1):
         if family is PatternFamily.S_ELL:
             diag = 0 if g.degree(v) == 0 else nonzero()
         else:
             diag = rng.randint(-10, 10)
-        data[v - 1][v - 1] = Fraction(diag)
-    m = RationalMatrix.from_rows(data)
+        data[v - 1][v - 1] = diag
     if family is PatternFamily.S_PLUS:
-        shift = max(sum(abs(x) for x in row) for row in m.entries)
-        m = m.add_scaled_diagonal(shift, range(n))
-    return m
+        shift = max((sum(map(abs, row)) for row in data), default=0)
+        for i in range(n):
+            data[i][i] += shift
+    return RationalMatrix.from_rows(data)
 
 
 # -- the SAP system matrix ------------------------------------------------
@@ -252,12 +267,13 @@ def build_sap_matrix(
     if sorted(canonical) != sorted(g.non_edges()) or len(set(canonical)) != len(canonical):
         raise ValueError("order must list every non-edge exactly once")
     n = g.n
-    rows = [[Fraction(0)] * len(canonical) for _ in range(n * n)]
+    entries = a.entries
+    rows = [[0] * len(canonical) for _ in range(n * n)]
     for col, (j, h) in enumerate(canonical):
         for i in range(1, n + 1):
             # block j gets column h of A, block h gets column j
-            rows[(j - 1) * n + (i - 1)][col] = a.entries[i - 1][h - 1]
-            rows[(h - 1) * n + (i - 1)][col] = a.entries[i - 1][j - 1]
+            rows[(j - 1) * n + (i - 1)][col] = entries[i - 1][h - 1]
+            rows[(h - 1) * n + (i - 1)][col] = entries[i - 1][j - 1]
     return RationalMatrix.from_rows(rows)
 
 
@@ -282,18 +298,18 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
 
     U comes from one ``_bareiss`` pass over [DA | D], pivoting in A's n
     columns, where the positive diagonal D clears the denominators of A's
-    rows (D = I for an integer A); DA and D are the integer rows and row
-    scales that ``validate_pattern`` checked.  Row i starts as [t A | t]
+    rows (D = I for an integer A); DA and D are A's stored ``ints`` and
+    ``scales``, which ``validate_pattern`` checked.  Row i starts as [t A | t]
     with t = d_i e_i, and every step replaces rows by combinations of rows,
     so each row keeps that form; every step is invertible, so the final
     right parts t are independent.  The rows past the rank r have t A = 0, hence A t = 0
     as A is symmetric: these k = n - r rows, each divided by its gcd, are a
     basis of ker A.
     """
-    rows, scales = validate_pattern(g, a)
+    validate_pattern(g, a)
     n = a.cols
-    m = [row + [d if i == j else 0 for j in range(n)]
-         for i, (row, d) in enumerate(zip(rows, scales))]
+    m = [[*row, *[0] * i, d, *[0] * (n - 1 - i)]
+         for i, (row, d) in enumerate(zip(a.ints, a.scales))]
     r = _bareiss(m, n)[0]
     k = n - r
     if k <= 1:
@@ -317,7 +333,7 @@ def odd_cycle_matrix(a: Sequence[Entry]) -> RationalMatrix:
         raise ValueError("cycle length must be odd and at least 3")
     if any(v == 0 for v in vals):
         raise ValueError("cycle entries must be nonzero")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for s in range(n):
         rows[s][s] = vals[(s + 1) % n]
         rows[s][(s - 1) % n] = vals[(s - 1) % n]

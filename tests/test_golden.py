@@ -15,6 +15,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -132,6 +133,26 @@ def _random_matrices(count: int = 300):
         elif t % 3 == 2 and rows >= 2 and rng.random() < 0.5:
             data[-1] = [x * rng.randint(-3, 3) for x in data[0]]
         yield RationalMatrix.from_rows(data)
+
+
+def test_stored_form_is_unique():
+    """Each random matrix, and its copies built from Fractions, from strings
+    and from ints wherever an entry is an integer, store the same integer
+    rows and row scales: every scale positive, coprime to its row."""
+    int_rows = mixed_rows = 0
+    for m in _random_matrices():
+        as_int = [[int(x) if x.denominator == 1 else x for x in row] for row in m.entries]
+        as_str = [[str(x) for x in row] for row in m.entries]
+        for rows in (m.entries, as_int, as_str):
+            copy = RationalMatrix.from_rows(rows)
+            assert copy == m and hash(copy) == hash(m) and copy.entries == m.entries
+        assert all(d > 0 for d in m.scales)
+        assert all(gcd(*row, d) == 1 for row, d in zip(m.ints, m.scales))
+        for row in as_int:
+            kinds = set(map(type, row))
+            int_rows += kinds == {int}
+            mixed_rows += kinds == {int, Fraction}
+    assert int_rows >= 100 and mixed_rows >= 100
 
 
 def _linalg_lines():

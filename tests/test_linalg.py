@@ -16,6 +16,7 @@ from sapforce.sapgame import vc_forcing_number
 from sapforce.zeroforcing import Rule
 
 from oracle import sap_oracle
+from reference_sampler import reference_sample_matrix
 
 P4_MATRIX = RationalMatrix.from_rows(
     [[-1, 1, 0, 0], [1, -1, 1, 0], [0, 1, -1, 1], [0, 0, 1, -1]])
@@ -56,6 +57,39 @@ def test_rank_basics():
     frac = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                      [Fraction(3, 2), 2]])
     assert frac.rank() == 2
+
+
+def test_add_scaled_diagonal():
+    m = RationalMatrix.from_rows([[1, 2], [2, 5]])
+    assert m.add_scaled_diagonal(7, [1]) == RationalMatrix.from_rows([[1, 2], [2, 12]])
+    # the shifted rows are stored reduced: (1/2, 1) + 3/2 e_1 is (2, 1) with scale 1
+    half = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+    shifted = half.add_scaled_diagonal(Fraction(3, 2), [0, 1])
+    assert shifted == RationalMatrix.from_rows([[2, 1], [1, Fraction(11, 6)]])
+    assert shifted.ints == ((2, 1), (6, 11)) and shifted.scales == (1, 6)
+    # each position must lie on the diagonal; -1 is not the last entry
+    for bad in ([-1], [2], [0, 5]):
+        with pytest.raises(ValueError, match=f"diagonal position {max(bad)} outside 0..1"):
+            m.add_scaled_diagonal(7, bad)
+    with pytest.raises(ValueError, match="diagonal position 1 outside 0..0"):
+        RationalMatrix.from_rows([[1, 2, 3]]).add_scaled_diagonal(1, [1])
+
+
+def test_add_scaled_diagonal_random():
+    """Against the same shift on Fractions, for random rational matrices."""
+    rng = random.Random(11)
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)]
+                for _ in range(r)]
+        scale = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        positions = rng.sample(range(min(r, c)), rng.randint(0, min(r, c)))
+        want = [row[:] for row in rows]
+        for i in positions:
+            want[i][i] += scale
+        got = RationalMatrix.from_rows(rows).add_scaled_diagonal(scale, positions)
+        assert got == RationalMatrix.from_rows(want)
+        assert got.entries == tuple(map(tuple, want))
 
 
 def test_rank_metamorphic():
@@ -111,7 +145,8 @@ def test_pattern_validation():
     assert _refusal(k2, [[Fraction(1, 2), 1], [2, 1]]) == "matrix is not symmetric"
     ok = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                    [Fraction(1, 3), 1]])
-    assert validate_pattern(k2, ok) == ([[3, 2], [1, 3]], [6, 3])
+    validate_pattern(k2, ok)
+    assert (ok.ints, ok.scales) == (((3, 2), (1, 3)), (6, 3))
     assert _refusal(families.empty(2), ok.entries) == \
         "entry (1,2) nonzero on a non-edge"
     assert _refusal(k2, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == \
@@ -142,6 +177,30 @@ def test_sampler_families():
         for k in range(1, g.n + 1):
             lead = RationalMatrix.from_rows([row[:k] for row in ap.entries[:k]])
             assert lead.determinant() >= 0
+    # the graph on no vertices gets the 0 x 0 matrix in every family
+    for family in PatternFamily:
+        assert sample_matrix(Graph(0, [0]), family, 0) == RationalMatrix.from_rows([])
+
+
+def _sample_matches_reference(graphs):
+    for idx, g in enumerate(graphs):
+        for family in PatternFamily:
+            got = sample_matrix(g, family, idx)
+            want = reference_sample_matrix(g, family, idx)
+            assert got == want and got.entries == want.entries, (g.to_graph6(), family)
+
+
+def test_sample_matrix_matches_the_fraction_reference(all_graphs_upto_7):
+    rng = random.Random("sampler/8")
+    _sample_matches_reference(all_graphs_upto_7 + rng.sample(list(enumerate_graphs(8)), 300))
+
+
+@pytest.mark.slow
+def test_sample_matrix_matches_the_fraction_reference_n8():
+    """Every graph on 8 vertices, the family rotating with the index."""
+    for idx, g in enumerate(enumerate_graphs(8)):
+        family = list(PatternFamily)[idx % 3]
+        assert sample_matrix(g, family, idx) == reference_sample_matrix(g, family, idx)
 
 
 def test_odd_cycle_matrix_shape():
@@ -359,3 +418,35 @@ def test_perturbation_witness_refuses_vertices_outside_the_graph():
     for marked in ({0}, {6}, {2, -1}):
         with pytest.raises(ValueError, match="outside 1..5"):
             perturbation_witness(star, a, marked)
+
+
+SCALES = (Fraction(3, 2), Fraction(-5, 3), Fraction(7, 4), Fraction(-2, 9), Fraction(1, 6))
+
+
+def test_rational_multiples_keep_verdict_and_nullity(adjacency_corpus, clique_psd_corpus):
+    """c A for c = +-p/q with q > 1, and D A D for a diagonal D of such
+    values, have A's verdict and nullity, and the sympy oracle agrees.  Their
+    rows carry scales > 1, which the integer matrices of the benchmark never
+    do.  The seeded picks include "no" verdicts and nullities >= 2, and J_4."""
+    rng = random.Random("rational multiples")
+    pool = [(g, a) for g, a in adjacency_corpus + clique_psd_corpus
+            if g.n >= 3 and any(map(any, a.ints))]
+    no = [p for p in pool if not has_sap(*p)]
+    rich = [p for p in pool if has_sap(*p) and p[1].nullity() >= 2]
+    picks = rng.sample(no, 15) + rng.sample(rich, 15) + rng.sample(pool, 10)
+    picks.append((families.complete(4), RationalMatrix.from_rows([[1] * 4] * 4)))
+    seen_no = seen_rich = 0
+    for g, a in picks:
+        verdict, k = has_sap(g, a), a.nullity()
+        c = rng.choice(SCALES)
+        d = [rng.choice(SCALES) for _ in range(g.n)]
+        ca = RationalMatrix.from_rows([[c * x for x in row] for row in a.entries])
+        dad = RationalMatrix.from_rows([[d[i] * x * d[j] for j, x in enumerate(row)]
+                                        for i, row in enumerate(a.entries)])
+        for b in (ca, dad):
+            assert max(b.scales) > 1
+            assert has_sap(g, b) == verdict and b.nullity() == k, g.to_graph6()
+            assert sap_oracle(g, b) == verdict, g.to_graph6()
+        seen_no += not verdict
+        seen_rich += k >= 2
+    assert seen_no >= 15 and seen_rich >= 16
