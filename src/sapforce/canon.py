@@ -206,10 +206,6 @@ def canonical_graph(g: Graph) -> Graph:
     return _word_graph(g.n, canonical_word(g))
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_word(g) == canonical_word(h)
-
-
 def _wins_ties(adj: list[int], degree: list[int], tied: int) -> bool:
     """Whether the last vertex's sorted neighbour degrees are at least those
     of every vertex in the bitset ``tied``, the others of its degree."""
@@ -293,10 +289,4 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
     for g in enumerate_graphs(n):
         if g.is_connected():
-            yield g
-
-
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    for g in enumerate_connected(n):
-        if g.num_edges() == n - 1:
             yield g

@@ -60,11 +60,11 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         if len(adj) != n + 1 or adj[0] != 0:
             raise GraphError("adjacency table must have slots 0..n with slot 0 empty")
-        full = (1 << (n + 1)) - 2
-        object.__setattr__(self, "full_mask", full)
+        object.__setattr__(self, "full_mask", (1 << (n + 1)) - 2)
         for v in range(1, n + 1):
             a = adj[v]
-            if a & ~full:
+            # bits 0 and n + 1 up, tested without an n-bit mask per slot
+            if a & 1 or a >> (n + 1):
                 raise GraphError(f"vertex {v} has neighbors outside 1..{n}")
             if a >> v & 1:
                 raise GraphError(f"vertex {v} has a self-loop")
@@ -119,9 +119,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in self.vertices()), default=0)
-
     def min_degree(self) -> int:
         return min((self.degree(v) for v in self.vertices()), default=0)
 
@@ -156,16 +153,6 @@ class Graph:
             adj.append(self.adj[v] | theirs)
         for v in other.vertices():
             adj.append((other.adj[v] << shift) | mine)
-        return Graph(n, tuple(adj))
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        n = self.n + other.n
-        shift = self.n
-        adj = [0]
-        for v in self.vertices():
-            adj.append(self.adj[v])
-        for v in other.vertices():
-            adj.append(other.adj[v] << shift)
         return Graph(n, tuple(adj))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
@@ -233,28 +220,6 @@ class Graph:
         if not self.is_tree():
             return False
         return all(self.degree(v) <= 2 for v in self.vertices())
-
-    def is_forest(self) -> bool:
-        return self.num_edges() == self.n - len(self.component_masks())
-
-    def diameter(self) -> int:
-        """Longest shortest-path distance; raises on disconnected input."""
-        if not self.is_connected():
-            raise GraphError("diameter undefined for disconnected graph")
-        best = 0
-        for s in self.vertices():
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for u in bits(self.adj[v]):
-                        if u not in dist:
-                            dist[u] = dist[v] + 1
-                            nxt.append(u)
-                frontier = nxt
-            best = max(best, max(dist.values()))
-        return best
 
     # -- encoding -----------------------------------------------------
 
@@ -508,9 +473,3 @@ def parse_edge_list(text: str, indexing: int = 1) -> Graph:
             raise _LineError(no, f"{name} is listed twice")
         edges[frozenset(edge)] = edge
     return Graph.from_edges(n, edges.values())
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

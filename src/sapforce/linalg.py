@@ -68,14 +68,28 @@ class RationalMatrix:
     row's reduced denominators, so gcd(row ints, scale) = 1.  Two rows with
     the same values then have the same pair (if ``r / s == r' / s'`` with
     both gcds 1, s divides s' and s' divides s), so the generated ``==``
-    and ``hash`` agree with entry-wise equality.  ``entries`` is the same
-    matrix as Fractions, built on first use.
+    and ``hash`` agree with entry-wise equality.  The constructor refuses
+    any other pair with a ``ValueError``.  ``entries`` is the same matrix
+    as Fractions, built on first use.
     """
 
     rows: int
     cols: int
     ints: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.ints) == len(self.scales) == self.rows:
+            raise ValueError(f"rows = {self.rows}, but {len(self.ints)} integer rows "
+                             f"and {len(self.scales)} scales")
+        for row, scale in zip(self.ints, self.scales):
+            if len(row) != self.cols:
+                raise ValueError("ragged rows")
+            if scale <= 0:
+                raise ValueError(f"row scale {scale} is not positive")
+            # an integer row (scale 1) is reduced by definition
+            if scale != 1 and gcd(*row, scale) != 1:
+                raise ValueError(f"row {list(row)} / {scale} is not reduced")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Entry]]) -> "RationalMatrix":
@@ -90,8 +104,6 @@ class RationalMatrix:
                 ints.append(tuple(x.numerator * (scale // x.denominator) for x in fracs))
                 scales.append(scale)
         ncols = len(ints[0]) if ints else 0
-        if any(len(row) != ncols for row in ints):
-            raise ValueError("ragged rows")
         return RationalMatrix(len(ints), ncols, tuple(ints), tuple(scales))
 
     @cached_property
@@ -168,10 +180,6 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
         prev = piv
         r += 1
     return r, sign, prev
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
 
 
 def nullity(m: RationalMatrix) -> int:

@@ -132,13 +132,6 @@ def format_sap_trace(trace: Sequence[SapForce]) -> str:
     return "\n".join(f"step {t}: {f}" for t, f in enumerate(trace, start=1))
 
 
-def local_blue_set(g: Graph, blue: Iterable[NonEdgePair], k: int) -> frozenset[int]:
-    """Initial blue vertices of the local game at k from the start ``blue``:
-    every vertex but k's white partners."""
-    _vertex_mask(g, (k,))
-    return frozenset(bits(g.full_mask & ~_start(g, blue, Rule.Z, ()).white[k]))
-
-
 def _odd_cycles(nbhd: int, white: list[int]) -> list[tuple[int, ...]] | None:
     """Components of the white graph inside ``nbhd`` that are odd cycles, by
     least vertex; each starts at its least vertex, then its lesser neighbor.
@@ -379,17 +372,6 @@ def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
     return _Game(g, NonEdgeColoring.start(g, blue).blue_nonedges, rule, _vertex_mask(g, cover))
 
 
-def applicable_forces(
-    g: Graph,
-    blue: Iterable[NonEdgePair],
-    rule: Rule,
-    cover: Collection[int] = (),
-) -> list[SapForce]:
-    """All moves from the start ``blue``, with the non-edges touching
-    ``cover`` blue as well: odd cycle applications, then triples."""
-    return _start(g, blue, rule, cover).legal_moves()
-
-
 def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
                 cover: Collection[int] = ()) -> tuple[NonEdgeColoring, list[SapForce]]:
     """Run the game to a fixed point, making the first legal move in policy
@@ -428,12 +410,6 @@ def is_zsap_zero(g: Graph, rule: Rule = Rule.Z) -> bool:
 def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[NonEdgePair]]:
     """Minimum number of initially blue non-edges that force all non-edges."""
     return smallest_winning_set(g.non_edges(), lambda combo: _Game(g, combo, rule).close())
-
-
-def complementary_closure(g: Graph, vertices: Collection[int]) -> frozenset[NonEdgePair]:
-    """All non-edges incident to the given vertex set: the blue non-edges
-    where the vertex-cover game on that set starts."""
-    return _Game(g, (), Rule.Z, _vertex_mask(g, vertices)).coloring().blue_nonedges
 
 
 def _winning_cover(g: Graph, rule: Rule, size: int) -> frozenset[int] | None:

@@ -21,6 +21,7 @@ from sapforce.sapgame import is_zsap_zero, sap_forcing_number, vc_forcing_number
 from sapforce.xi import XiUnresolvedError, m_small, xi
 from sapforce.zeroforcing import Rule, closure, min_zfs
 
+from conftest import diameter, is_forest, max_degree
 from oracle import sap_oracle
 
 pytestmark = pytest.mark.acceptance
@@ -245,12 +246,12 @@ def test_criterion_10_property_suites(connected_upto_5, all_graphs_upto_5,
 
     # complement-forest rule
     for g in corpus:
-        if g.complement().is_forest() and all(g.degree(v) > 0 for v in g.vertices()):
+        if is_forest(g.complement()) and all(g.degree(v) > 0 for v in g.vertices()):
             assert is_zsap_zero(g, Rule.Z)
 
     # diameter 2 with maximum degree 3
     for g in corpus:
-        if g.n >= 2 and g.is_connected() and g.max_degree() <= 3 and g.diameter() == 2:
+        if g.n >= 2 and g.is_connected() and max_degree(g) <= 3 and diameter(g) == 2:
             assert is_zsap_zero(g, Rule.Z)
 
     # vertex deletion bound via the finished-game case

@@ -21,7 +21,7 @@ import pytest
 
 from sapforce import (RationalMatrix, Rule, closure, enumerate_connected,
                       floor_force_sequence, format_sap_trace, format_trace,
-                      hadwiger, min_zfs, rank, sap_closure, sap_forcing_number,
+                      hadwiger, min_zfs, sap_closure, sap_forcing_number,
                       survey_graphs, vc_forcing_number, xi)
 
 from reference_game import reference_sap_closure
@@ -158,7 +158,7 @@ def test_stored_form_is_unique():
 def _linalg_lines():
     for m in _random_matrices():
         det = m.determinant() if m.rows == m.cols else "-"
-        yield f"{m.rows}x{m.cols} {rank(m)} {det}"
+        yield f"{m.rows}x{m.cols} {m.rank()} {det}"
 
 
 GOLDEN = {

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from sapforce import families
 from sapforce.canon import _encode_labeling, _word_graph, enumerate_graphs
 from sapforce.graphs import (Graph, Graph6Error, GraphError, _g6_read_n, _grow,
-                             bits, encode_graph6, format_edge_list,
-                             parse_edge_list, parse_graph6)
+                             bits, encode_graph6, parse_edge_list, parse_graph6)
+
+from conftest import disjoint_union, is_forest
 
 
 def test_single_vertex_decodes():
@@ -258,14 +259,14 @@ def test_join_k3_o4_shape(k3_join_o4):
 def test_components():
     assert families.path(4).components() == [frozenset({1, 2, 3, 4})]
     assert families.empty(3).components() == [frozenset({1}), frozenset({2}), frozenset({3})]
-    h = families.cycle(3).disjoint_union(families.empty(1))
+    h = disjoint_union(families.cycle(3), families.empty(1))
     assert h.components() == [frozenset({1, 2, 3}), frozenset({4})]
 
 
 def test_is_forest_means_every_component_is_a_tree(all_graphs_upto_7):
-    assert Graph.empty(0).is_forest()
+    assert is_forest(Graph.empty(0))
     for g in all_graphs_upto_7:
-        assert g.is_forest() == all(g.induced(c).is_tree() for c in g.components())
+        assert is_forest(g) == all(g.induced(c).is_tree() for c in g.components())
 
 
 def test_contract_and_delete():
@@ -339,8 +340,7 @@ def test_contract_edge_matches_reference_on_every_graph_upto_6():
 
 def test_edge_list_io():
     g = families.kite5()
-    text = format_edge_list(g)
-    assert parse_edge_list(text).adj == g.adj
+    assert parse_edge_list("5 5\n1 2\n2 3\n2 5\n3 4\n4 5\n").adj == g.adj
     zero_based = "5 5\n0 1\n1 2\n2 3\n3 4\n1 4\n"
     assert parse_edge_list(zero_based, indexing=0).adj == g.adj
     with pytest.raises(GraphError):

@@ -11,7 +11,7 @@ from sapforce.graphs import Graph, parse_graph6
 from sapforce.linalg import (PatternError, PatternFamily, PerturbationError,
                              RationalMatrix, build_sap_matrix, has_sap, nullity,
                              odd_cycle_det, odd_cycle_matrix, perturbation_witness,
-                             rank, sample_matrix, validate_pattern)
+                             sample_matrix, validate_pattern)
 from sapforce.sapgame import vc_forcing_number
 from sapforce.zeroforcing import Rule
 
@@ -50,13 +50,33 @@ def test_rank_basics():
     assert RationalMatrix.from_rows([[int(i == j) for j in range(5)]
                                      for i in range(5)]).rank() == 5
     ones = RationalMatrix.from_rows([[1] * 3] * 3)
-    assert rank(ones) == 1 and nullity(ones) == 2
+    assert ones.rank() == 1 and nullity(ones) == 2
     singular = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                          [Fraction(3, 2), 1]])
     assert singular.rank() == 1
     frac = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
                                      [Fraction(3, 2), 2]])
     assert frac.rank() == 2
+
+
+def test_constructor_refuses_a_pair_outside_the_stored_form():
+    # unchecked, the first compared unequal to from_rows([[1]]) with the same
+    # entries, the second had rank 1 as a "2 x 2" matrix, the third had a
+    # negative scale
+    for args, message in (((1, 1, ((2,),), (2,)), r"row \[2\] / 2 is not reduced"),
+                          ((2, 2, ((1,),), (1,)), "rows = 2, but 1 integer rows and 1 scales"),
+                          ((1, 1, ((1,),), (-1,)), "row scale -1 is not positive"),
+                          ((1, 1, ((1,),), (0,)), "row scale 0 is not positive"),
+                          ((1, 2, ((1,),), (1,)), "ragged rows"),
+                          ((1, 1, ((1,),), ()), "rows = 1, but 1 integer rows and 0 scales")):
+        with pytest.raises(ValueError, match=message):
+            RationalMatrix(*args)
+    with pytest.raises(ValueError, match="ragged rows"):
+        RationalMatrix.from_rows([[1, 2], [Fraction(1, 2)]])
+    # an integer row needs no gcd: scale 1 is reduced whatever the row
+    assert RationalMatrix(1, 2, ((4, 6),), (1,)) == RationalMatrix.from_rows([[4, 6]])
+    assert RationalMatrix(1, 2, ((2, 3),), (6,)) == \
+        RationalMatrix.from_rows([[Fraction(1, 3), Fraction(1, 2)]])
 
 
 def test_add_scaled_diagonal():

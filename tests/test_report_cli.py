@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sapforce import families
-from sapforce.canon import are_isomorphic, canonical_form
+from sapforce.canon import canonical_form
 from sapforce.cli import build_parser, load_graph, main, read_graphs
 from sapforce.graphs import GraphError, bits, parse_graph6
 from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
@@ -25,6 +26,8 @@ from sapforce.report import (CODE_VERSION, VERTEX_CAP, ParameterReport,
 from sapforce.sapgame import is_zsap_zero, sap_closure
 from sapforce.xi import load_t3_family, xi
 from sapforce.zeroforcing import Rule, is_zfs
+
+from conftest import disjoint_union
 
 
 def run_cli(*argv):
@@ -104,7 +107,7 @@ def test_component_max_records_replay(connected_upto_7):
     for _ in range(20):
         a = rng.choice(minor_cases)
         b = rng.choice([h for h in connected_upto_7 if h.n <= VERTEX_CAP - a.n])
-        g = b.disjoint_union(a)
+        g = disjoint_union(b, a)
         record = compute_report(g, ["xi"], []).certificates["xi"]
         assert record["case"] == "component_max" and len(record["components"]) == 2
         assert_xi_record_replays(record)
@@ -210,6 +213,15 @@ def test_size_caps_at_the_boundary(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["params"] == {"Z": 7}
     assert "non-edge count 21" in payload["refused"]["Zsap"]
+
+
+def test_vertex_cap_refuses_a_huge_empty_graph_quickly(capsys):
+    # the graph is built and checked before the cap refuses it, so the check
+    # must not build an n-bit mask per vertex (about 65 s for n = 10^6)
+    start = time.perf_counter()
+    assert run_cli("param", "--graph", "e1000000", "--params", "Z", "--flags", "") == 3
+    assert time.perf_counter() - start < 10
+    assert "vertex count 1000000 exceeds cap 10" in capsys.readouterr().err
 
 
 def test_cli_param_star(capsys):
@@ -330,7 +342,7 @@ def test_cli_input_errors(capsys):
 
 def test_cli_long_literal_graph6(capsys):
     # longer than a file name may be, so the file system cannot look it up
-    spec = families.complete(40).disjoint_union(families.complete(40)).to_graph6()
+    spec = disjoint_union(families.complete(40), families.complete(40)).to_graph6()
     assert len(spec) > 255
     assert run_cli("verify-sap", "--graph", spec, "--samples", "1") == 0
     assert capsys.readouterr().out == (
@@ -478,7 +490,7 @@ def test_param_on_mutated_graph_specs(tmp_path, capsys, kind, seed, edits):
         g6 = json.loads(out)["graph6"]
         g = parse_graph6(g6)
         assert lines == [] and g.to_graph6() == g6
-        assert are_isomorphic(g, load_graph(spec))
+        assert canonical_form(g) == canonical_form(load_graph(spec))
         # graph6 is ASCII, and a --graph file holds one graph
         assert kind != "literal" or spec.isascii()
         assert kind != "file" or len(read_graphs(spec)) == 1

@@ -5,15 +5,15 @@ import pytest
 
 from sapforce import families
 from sapforce.canon import enumerate_connected
-from sapforce.graphs import Graph
+from sapforce.graphs import Graph, bits
 from sapforce.report import compute_report
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game,
-                              _start, applicable_forces, complementary_closure,
-                              format_sap_trace, is_zsap_zero, local_blue_set,
+                              _start, format_sap_trace, is_zsap_zero,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
 from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, smallest_winning_set
 
+from conftest import diameter, is_forest, max_degree
 from reference_game import (reference_legal_moves, reference_local_blue_set,
                             reference_odd_cycle_applications, reference_sap_closure)
 
@@ -74,7 +74,7 @@ def test_random_order_matches_reference(connected_upto_5):
             coloring = NonEdgeColoring.start(g)
             for move in trace + [None]:
                 want = list(reference_legal_moves(g, coloring, rule))
-                assert applicable_forces(g, coloring.blue_nonedges, rule) == want
+                assert _start(g, coloring.blue_nonedges, rule, ()).legal_moves() == want
                 assert odd_cycle_applications(g, coloring.blue_nonedges) == \
                     reference_odd_cycle_applications(g, coloring)
                 if move is not None:
@@ -82,7 +82,7 @@ def test_random_order_matches_reference(connected_upto_5):
 
 
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
-    """``applicable_forces`` equals the reference's legal moves, in order, and
+    """``legal_moves`` equals the reference's legal moves, in order, and
     ``first_move`` the first of them, at every position the reference
     closure passes through."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
@@ -91,7 +91,7 @@ def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
         where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
-        assert applicable_forces(g, coloring.blue_nonedges, rule, cover) == want, where
+        assert _start(g, coloring.blue_nonedges, rule, cover).legal_moves() == want, where
         assert _start(g, coloring.blue_nonedges, rule, cover).first_move() == \
             (want[0] if want else None), where
         if move is not None:
@@ -119,18 +119,11 @@ def test_legal_moves_match_reference_at_every_position(connected_upto_5):
 
 
 def test_local_blue_sets():
-    p4 = families.path(4)
-    assert local_blue_set(p4, (), 4) == frozenset({3, 4})
-    assert local_blue_set(p4, [(2, 4)], 4) == frozenset({2, 3, 4})
-    assert local_blue_set(families.star(3), (), 2) == frozenset({1, 2})
-
-
-def test_local_blue_set_refuses_vertices_outside_the_graph():
-    # unchecked, k = 0 would give every vertex and k = -1 the answer for vertex 4
-    p4 = families.path(4)
-    for k in (0, -1, 5):
-        with pytest.raises(ValueError, match=f"vertex {k} outside 1..4"):
-            local_blue_set(p4, (), k)
+    # the local game at k starts with every vertex blue but k's white partners
+    p4, star = families.path(4), families.star(3)
+    for g, blue, k, want in ((p4, (), 4, {3, 4}), (p4, [(2, 4)], 4, {2, 3, 4}),
+                             (star, (), 2, {1, 2})):
+        assert set(bits(g.full_mask & ~_start(g, blue, Rule.Z, ()).white[k])) == want
 
 
 def test_local_blue_set_matches_reference(connected_upto_6):
@@ -139,14 +132,15 @@ def test_local_blue_set_matches_reference(connected_upto_6):
         nes = g.non_edges()
         for _ in range(3):
             coloring = NonEdgeColoring.start(g, [e for e in nes if rng.random() < 0.5])
+            game = _start(g, coloring.blue_nonedges, Rule.Z, ())
             for k in g.vertices():
-                assert local_blue_set(g, coloring.blue_nonedges, k) == \
+                assert frozenset(bits(g.full_mask & ~game.white[k])) == \
                     reference_local_blue_set(g, coloring, k)
 
 
 def test_applicable_forces_p4_first_round():
     p4 = families.path(4)
-    forces = applicable_forces(p4, (), Rule.Z)
+    forces = _start(p4, (), Rule.Z, ()).legal_moves()
     triples = {(f.k, f.i, f.j) for f in forces if isinstance(f, TripleForce)}
     assert (2, 3, 4) in triples
     assert (3, 2, 1) in triples
@@ -156,7 +150,7 @@ def test_applicable_forces_p4_first_round():
 
 def test_applicable_forces_star_odd_cycle():
     star = families.star(3)
-    forces = applicable_forces(star, (), Rule.Z)
+    forces = _start(star, (), Rule.Z, ()).legal_moves()
     assert len(forces) == 1
     (cycle,) = forces
     assert isinstance(cycle, OddCycleForce)
@@ -168,7 +162,7 @@ def triples_to_a_stall(g, blue, rule):
     """Play triples (first legal in policy order) until none is left; return
     the blue non-edges there."""
     blue = set(blue)
-    while triples := [m for m in applicable_forces(g, blue, rule)
+    while triples := [m for m in _start(g, blue, rule, ()).legal_moves()
                       if isinstance(m, TripleForce)]:
         blue |= set(triples[0].colored())
     return blue
@@ -177,7 +171,7 @@ def triples_to_a_stall(g, blue, rule):
 def test_close_round_hits_one_non_edge_from_both_ends():
     # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2)
     p4 = families.path(4)
-    moves = applicable_forces(p4, (), Rule.Z)
+    moves = _start(p4, (), Rule.Z, ()).legal_moves()
     assert TripleForce(2, 3, 4) in moves and TripleForce(4, 3, 2) in moves
     for rule in CONVENTIONAL_RULES:
         assert closed_coloring(p4, (), rule) == sap_closure(p4, (), rule)[0].blue_nonedges
@@ -189,10 +183,11 @@ def test_close_cycle_move_at_a_triple_stall_unlocks_triples():
     cube = families.cube()
     for rule in CONVENTIONAL_RULES:
         stall = triples_to_a_stall(cube, (), rule)
-        cycles = applicable_forces(cube, stall, rule)
+        cycles = _start(cube, stall, rule, ()).legal_moves()
         assert cycles and all(isinstance(m, OddCycleForce) for m in cycles)
         after = stall | set(cycles[0].colored())
-        assert any(isinstance(m, TripleForce) for m in applicable_forces(cube, after, rule))
+        assert any(isinstance(m, TripleForce)
+                   for m in _start(cube, after, rule, ()).legal_moves())
         assert closed_coloring(cube, (), rule) == sap_closure(cube, (), rule)[0].blue_nonedges
 
 
@@ -202,7 +197,7 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
     # not mark the cycle caches stale in those rounds stopped 7 non-edges short
     g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
     start = [(2, 4), (5, 7), (6, 8)]
-    assert [m.i for m in applicable_forces(g, start, Rule.Z)
+    assert [m.i for m in _start(g, start, Rule.Z, ()).legal_moves()
             if isinstance(m, OddCycleForce)] == [7]
     final, trace = sap_closure(g, start, Rule.Z)
     assert final.is_complete() and OddCycleForce(8, (1, 2, 5)) in trace
@@ -228,7 +223,7 @@ def test_close_from_a_vertex_cover_start():
     # the spider with legs 1, 2 and 4-3 at 5, cover {4}: under Z the vetoes
     # leave less blue than the plain game from the same start
     g = Graph.from_edges(5, [(1, 5), (2, 5), (3, 4), (4, 5)])
-    start = complementary_closure(g, {4})
+    start = _start(g, (), Rule.Z, {4}).coloring().blue_nonedges
     assert sap_closure(g, (), Rule.Z, {4})[0].blue_nonedges < \
         sap_closure(g, start, Rule.Z)[0].blue_nonedges
     for rule in (Rule.Z, Rule.ZL):
@@ -238,7 +233,7 @@ def test_close_from_a_vertex_cover_start():
 
 def test_vc_restricted_forces(k3_join_o4):
     g = k3_join_o4
-    moves = applicable_forces(g, (), Rule.Z, {4})
+    moves = _start(g, (), Rule.Z, {4}).legal_moves()
     assert any(isinstance(m, OddCycleForce) for m in moves)
     final, _ = sap_closure(g, (), Rule.Z, {4})
     assert final.is_complete()
@@ -248,8 +243,8 @@ def test_vc_game_starts_from_and_vetoes_its_cover():
     # cover {1} of P4 colors {1,3} and {1,4}; forcer 1 is not adjacent to
     # 4, so the triple (4: 1->2) of the plain game from that start is vetoed
     p4 = families.path(4)
-    assert TripleForce(4, 1, 2) in applicable_forces(p4, [(1, 3), (1, 4)], Rule.Z)
-    assert applicable_forces(p4, (), Rule.Z, {1}) == \
+    assert TripleForce(4, 1, 2) in _start(p4, [(1, 3), (1, 4)], Rule.Z, ()).legal_moves()
+    assert _start(p4, (), Rule.Z, {1}).legal_moves() == \
         [TripleForce(2, 3, 4), TripleForce(4, 3, 2)]
     final, trace = sap_closure(p4, (), Rule.Z, {1})
     assert final.is_complete() and trace[0] == TripleForce(2, 3, 4)
@@ -281,7 +276,7 @@ def test_is_zsap_zero_spot_values():
 
 def test_forest_complement_rule(connected_upto_6):
     for g in connected_upto_6:
-        if g.complement().is_forest() and all(g.degree(v) > 0 for v in g.vertices()):
+        if is_forest(g.complement()) and all(g.degree(v) > 0 for v in g.vertices()):
             assert is_zsap_zero(g, Rule.Z)
 
 
@@ -300,19 +295,11 @@ def test_sap_forcing_cap():
 
 
 def test_complementary_closure(k3_join_o4):
+    # the vertex-cover game on a set starts with every non-edge touching it blue
     g = k3_join_o4
-    assert complementary_closure(g, set()) == frozenset()
-    assert complementary_closure(g, {4}) == frozenset({(4, 5), (4, 6), (4, 7)})
-    comp_cover = {5, 6, 7}
-    assert complementary_closure(g, comp_cover) == frozenset(g.non_edges())
-
-
-def test_complementary_closure_refuses_vertices_outside_the_graph():
-    # unchecked, {0, 9} would give no non-edge: a vertex-cover game from nothing
-    p4 = families.path(4)
-    for vertices in ({0, 9}, {1, 5}, {-1}):
-        with pytest.raises(ValueError, match="outside 1..4"):
-            complementary_closure(p4, vertices)
+    for cover, want in ((set(), frozenset()), ({4}, frozenset({(4, 5), (4, 6), (4, 7)})),
+                        ({5, 6, 7}, frozenset(g.non_edges()))):
+        assert _start(g, (), Rule.Z, cover).coloring().blue_nonedges == want
 
 
 def test_vc_restriction_refuses_vertices_outside_the_graph():
@@ -320,7 +307,7 @@ def test_vc_restriction_refuses_vertices_outside_the_graph():
     p4 = families.path(4)
     for cover in ({0, 9}, {2, 5}, {-1}):
         for call in (lambda: sap_closure(p4, (), Rule.Z, cover),
-                     lambda: applicable_forces(p4, (), Rule.Z, cover),
+                     lambda: _start(p4, (), Rule.Z, cover).legal_moves(),
                      lambda: replay_trace(p4, (), [], Rule.Z, cover)):
             with pytest.raises(ValueError, match="outside 1..4"):
                 call()
@@ -334,7 +321,7 @@ def test_floor_rule_refused_on_every_path():
     for call in (lambda: sap_closure(star, (), Rule.FLOOR),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
                  lambda: sap_forcing_number(star, Rule.FLOOR),
-                 lambda: applicable_forces(star, (), Rule.FLOOR),
+                 lambda: _start(star, (), Rule.FLOOR, ()).legal_moves(),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
             call()
@@ -345,8 +332,7 @@ def test_coloring_of_another_host_is_refused():
     # blue non-edge that does not exist
     c4 = families.cycle(4)
     foreign = NonEdgeColoring.start(families.path(4), [(1, 4)]).blue_nonedges
-    for call in (lambda: applicable_forces(c4, foreign, Rule.Z),
-                 lambda: local_blue_set(c4, foreign, 1),
+    for call in (lambda: _start(c4, foreign, Rule.Z, ()).legal_moves(),
                  lambda: odd_cycle_applications(c4, foreign),
                  lambda: sap_closure(c4, foreign, Rule.Z)):
         with pytest.raises(ValueError, match="not a non-edge"):
@@ -393,7 +379,7 @@ def test_triple_monotonicity(connected_upto_6):
             for _ in range(6 if nes else 0):
                 base = {e for e in nes if rng.random() < 0.3}
                 extra = base | {e for e in nes if rng.random() < 0.3}
-                t1, t2 = ({f for f in applicable_forces(g, blue, rule)
+                t1, t2 = ({f for f in _start(g, blue, rule, ()).legal_moves()
                            if isinstance(f, TripleForce)} for blue in (base, extra))
                 for f in t1:
                     if f.colored()[0] not in extra:
@@ -414,7 +400,7 @@ def test_every_maximal_play_ends_in_the_closure(connected_upto_6):
             terminals = set()
             while todo:
                 blue = todo.pop()
-                moves = applicable_forces(g, blue, rule)
+                moves = _start(g, blue, rule, ()).legal_moves()
                 if not moves:
                     terminals.add(blue)
                 for move in moves:
@@ -525,9 +511,8 @@ def test_multipartite_flags():
 
 
 def test_tree_flags():
-    from sapforce.canon import enumerate_trees
     for n in range(2, 8):
-        for t in enumerate_trees(n):
+        for t in filter(Graph.is_tree, enumerate_connected(n)):
             assert is_zsap_zero(t, Rule.ZPLUS)
     spider = families.wide_spider9()
     assert not is_zsap_zero(spider, Rule.ZL)
@@ -535,7 +520,7 @@ def test_tree_flags():
 
 def test_diameter2_max_degree3(connected_upto_7):
     for g in connected_upto_7:
-        if g.n >= 2 and g.max_degree() <= 3 and g.is_connected() and g.diameter() == 2:
+        if g.n >= 2 and max_degree(g) <= 3 and g.is_connected() and diameter(g) == 2:
             assert is_zsap_zero(g, Rule.Z)
     assert is_zsap_zero(families.petersen(), Rule.Z)
 

@@ -6,7 +6,7 @@ from types import FunctionType
 import pytest
 
 from sapforce import families, minors
-from sapforce.canon import canonical_form, enumerate_trees
+from sapforce.canon import canonical_form, enumerate_connected
 from sapforce.graphs import CapExceededError, Graph, parse_graph6
 from sapforce.minors import clique_number, hadwiger, vertex_cover_number
 from sapforce.sapgame import is_zsap_zero, vc_forcing_number
@@ -15,6 +15,8 @@ from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          T3FamilyData, XiUnresolvedError, load_t3_family,
                          m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
+
+from conftest import disjoint_union
 
 # the package exports the function xi under the module's name
 xi_module = importlib.import_module("sapforce.xi")
@@ -35,7 +37,7 @@ def test_t3_minor_examples():
     assert not t3_minor(families.path(7))[0]
     assert t3_minor(families.complete(5))[0]
     for n in range(2, 8):
-        for t in enumerate_trees(n):
+        for t in filter(Graph.is_tree, enumerate_connected(n)):
             assert not t3_minor(t)[0]
 
 
@@ -71,7 +73,7 @@ def test_xi_tree_case():
 
 
 def test_xi_component_max():
-    g = families.path(4).disjoint_union(families.complete(4))
+    g = disjoint_union(families.path(4), families.complete(4))
     cert = xi(g)
     assert cert.case == CASE_COMPONENT_MAX
     assert cert.value == 3
@@ -221,7 +223,7 @@ def test_sandwich(connected_upto_6):
 
 def test_tree_floor_equals_xi():
     for n in range(2, 8):
-        for t in enumerate_trees(n):
+        for t in filter(Graph.is_tree, enumerate_connected(n)):
             assert min_zfs(t, Rule.FLOOR)[0] == xi(t).value
 
 

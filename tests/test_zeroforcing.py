@@ -11,6 +11,8 @@ from sapforce.zeroforcing import (CONVENTIONAL_RULES, Force, Rule, closure, floo
                                   format_trace, is_zfs, min_zfs, single_forces,
                                   smallest_winning_set)
 
+from conftest import disjoint_union
+
 
 def test_closure_examples():
     final, trace = closure(families.path(4), {1}, Rule.Z)
@@ -109,15 +111,14 @@ def test_rule_chains(connected_upto_6):
 
 
 def test_tree_floor_values():
-    from sapforce.canon import enumerate_trees
     for n in range(2, 8):
-        for t in enumerate_trees(n):
+        for t in filter(Graph.is_tree, enumerate_connected(n)):
             expected = 1 if t.is_path_graph() else 2
             assert min_zfs(t, Rule.FLOOR)[0] == expected
 
 
 def test_floor_disconnected_is_component_max():
-    g = families.path(3).disjoint_union(families.cycle(4))
+    g = disjoint_union(families.path(3), families.cycle(4))
     direct = None
     for size in range(1, g.n + 1):
         combos = (c for c in combinations(list(g.vertices()), size))
@@ -186,7 +187,7 @@ def test_floor_game_matches_bruteforce(connected_upto_5):
 
 
 def test_floor_force_sequence_replay():
-    g = families.cycle(3).disjoint_union(families.cycle(3))
+    g = disjoint_union(families.cycle(3), families.cycle(3))
     seq = floor_force_sequence(g, {1, 2})
     assert seq is not None
     assert any(f.hop for f in seq)
