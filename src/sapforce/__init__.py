@@ -4,7 +4,7 @@ verification, and the small-graph Colin de Verdiere type parameter."""
 from . import families
 from .canon import canonical_form, canonical_graph, enumerate_connected, enumerate_graphs
 from .graphs import (CapExceededError, Graph, Graph6Error, GraphError,
-                     encode_graph6, parse_edge_list, parse_graph6)
+                     encode_graph6, parse_graph6, parse_graphs)
 from .linalg import (PatternError, PatternFamily, PerturbationError,
                      RationalMatrix, build_sap_matrix, has_sap, nullity,
                      odd_cycle_det, perturbation_witness, sample_matrix)

@@ -17,12 +17,12 @@ import os
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import families
 from .canon import enumerate_connected
-from .graphs import (CapExceededError, Graph, GraphError, _LineError,
-                     parse_edge_list, parse_graph6)
+from .graphs import (CapExceededError, Graph, GraphError, _LineError, parse_graph6,
+                     parse_graphs)
 from .linalg import PatternFamily, has_sap, sample_matrix
 from .minors import has_minor, hadwiger
 from .report import (FLAG_NAMES, PARAM_NAMES, ReportInvariantError, ResultCache,
@@ -50,40 +50,25 @@ def parse_label(label: str, choices: Iterable[Enum], what: str) -> Enum:
 
 
 def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
-    """The graphs in a file, for ``--graph`` and ``survey --corpus`` alike.
-    Blank lines and ``#`` comments (to the end of a line) are dropped.  If
-    the first line left is two tokens of ASCII digits, the file is one edge
-    list: ``n m``, then ``m`` lines ``i j`` naming vertices from ``indexing``
-    (0 or 1) on.  Otherwise each line is one graph6 string.  Either way an
-    error on a line reads ``path:line: ...``; a wrong edge count is on the
-    header line.  A file with no graph left is an error."""
-    text = Path(path).read_text()
-    # a graph6 string holds no '#' or space, so comments go before the
-    # header line is looked for
-    lines = [(no, ln.split("#")[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise GraphError(f"{path}: empty graph file")
-    first = lines[0][1].split()
-    if len(first) == 2 and all(tok.isascii() and tok.isdigit() for tok in first):
-        try:
-            return [parse_edge_list(text, indexing=indexing)]
-        except _LineError as exc:
-            raise GraphError(f"{path}:{exc.line}: {exc.reason}") from exc
-    graphs = []
-    for no, ln in lines:
-        try:
-            graphs.append(parse_graph6(ln))
-        except GraphError as exc:
-            raise GraphError(f"{path}:{no}: {exc}") from exc
-    return graphs
+    """The graphs in a file, for ``--graph`` and ``survey --corpus`` alike,
+    by the one grammar of ``graphs.parse_graphs``.  An error on a line reads
+    ``path:line: ...``, any other ``path: ...``."""
+    try:
+        return parse_graphs(Path(path).read_text(), indexing)
+    except _LineError as exc:
+        raise GraphError(f"{path}:{exc.line}: {exc.reason}") from exc
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
 
 
-def load_graph(spec: str, indexing: int = 1) -> Graph:
+def load_graph(spec: str, indexing: int = 1,
+               check_order: Callable[[int], None] | None = None) -> Graph:
     """Resolve --graph: a file holding one graph (``read_graphs``), a known
     graph name, or a literal graph6 string, tried in that order, so a file
     wins over a name.  A spec the file system cannot even look up (a graph6
-    string longer than a file name may be) is not a file."""
+    string longer than a file name may be) is not a file.  ``check_order``
+    sees a sized name's vertex count before the graph is built (``param``
+    and ``minors`` pass the vertex cap)."""
     if os.path.isfile(spec):
         graphs = read_graphs(spec, indexing)
         if len(graphs) > 1:
@@ -91,14 +76,14 @@ def load_graph(spec: str, indexing: int = 1) -> Graph:
                              "graph (survey --corpus reads a list)")
         return graphs[0]
     try:
-        return families.by_name(spec)
+        return families.by_name(spec, check_order)
     except KeyError:
         pass
     return parse_graph6(spec)
 
 
 def cmd_param(args) -> int:
-    g = load_graph(args.graph, args.indexing)
+    g = load_graph(args.graph, args.indexing, check_vertex_cap)
     params = PARAM_NAMES if args.params == "all" else tuple(
         p for p in args.params.split(",") if p)
     flags = FLAG_NAMES if args.flags == "all" else tuple(
@@ -210,8 +195,8 @@ def cmd_verify_xi(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    g = load_graph(args.graph, args.indexing)
-    check_vertex_cap(g)
+    g = load_graph(args.graph, args.indexing, check_vertex_cap)
+    check_vertex_cap(g.n)
     if args.pattern is not None:
         hit, witness = has_minor(g, load_graph(args.pattern, args.indexing))
         if not hit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 from .graphs import Graph
 
@@ -93,29 +94,6 @@ def kite5() -> Graph:
     return Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
 
 
-def wide_spider9() -> Graph:
-    """K_{1,4} with one extra pendant leaf hung on each original leaf."""
-    edges = [(1, i) for i in range(2, 6)] + [(i, i + 4) for i in range(2, 6)]
-    return Graph.from_edges(9, edges)
-
-
-def ternary_spider13() -> Graph:
-    """Depth-2 tree: center 1, three branch vertices, three leaves per branch."""
-    edges = [(1, b) for b in (2, 3, 4)]
-    leaf = 5
-    for b in (2, 3, 4):
-        for _ in range(3):
-            edges.append((b, leaf))
-            leaf += 1
-    return Graph.from_edges(13, edges)
-
-
-def outer_triangle_on_wheel8() -> Graph:
-    """8-vertex graph: a wheel-like core 4..8 with three pendant spikes 1,2,3."""
-    edges = [(1, 4), (2, 6), (3, 7), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4), (4, 6), (4, 7)]
-    return Graph.from_edges(8, edges)
-
-
 NAMED = {
     "petersen": petersen,
     "tetrahedron": tetrahedron,
@@ -127,13 +105,20 @@ NAMED = {
 }
 
 
-def by_name(name: str) -> Graph:
+def by_name(name: str, check_order: Callable[[int], None] | None = None) -> Graph:
+    """The built-in graph called ``name``.  A sized name (``p<n>``, ``c<n>``,
+    ``k<n>``, ``e<n>``, ``k1,<n>``) shows its vertex count to
+    ``check_order`` before the graph is built, so a cap can refuse it
+    first."""
     key = name.lower()
     if key in NAMED:
         return NAMED[key]()
-    for prefix, fn in (("p", path), ("c", cycle), ("k", complete), ("e", empty)):
+    # "k1,5" is no k<n>: "1,5" is not all digits
+    for prefix, fn, extra in (("p", path, 0), ("c", cycle, 0), ("k", complete, 0),
+                              ("e", empty, 0), ("k1,", star, 1)):
         if key.startswith(prefix) and key[len(prefix):].isdigit():
-            return fn(int(key[len(prefix):]))
-    if key.startswith("k1,") and key[3:].isdigit():
-        return star(int(key[3:]))
+            size = int(key[len(prefix):])
+            if check_order is not None:
+                check_order(size + extra)
+            return fn(size)
     raise KeyError(f"unknown graph name {name!r}")

@@ -318,7 +318,7 @@ def sorted_non_edge(g: Graph, u: int, v: int) -> NonEdgePair:
 
 _G6_HEADER = ">>graph6<<"
 # the largest vertex count the 4-byte form of N(n) holds, so the largest
-# order ``encode_graph6`` writes and ``parse_edge_list`` reads
+# order ``encode_graph6`` writes and ``parse_graphs`` reads in an edge list
 _MAX_ORDER = 258047
 
 
@@ -418,13 +418,17 @@ def encode_graph6(g: Graph) -> str:
     return (head + body).decode("ascii")
 
 
-# -- edge-list text format ---------------------------------------------
+# -- graph files ---------------------------------------------------------
 #
-# First line "n m", then m lines "i j".  ``indexing=0`` accepts 0-based
-# vertex labels and converts to the internal 1-based convention.
+# One grammar for every graph file.  Blank lines and ``#`` comments (to the
+# end of a line) are dropped.  If the first line left is two tokens of ASCII
+# digits, the text is one edge list: ``n m``, then ``m`` lines ``i j``
+# naming vertices from ``indexing`` (0 or 1) on.  Otherwise each line is one
+# graph6 string.
 
 class _LineError(GraphError):
-    """An edge-list error on one line, read ``line N: reason``; ``cli``
+    """An error on one line of a graph file, in either format, read
+    ``line N: reason``; a wrong edge count is on the header line.  ``cli``
     names the file instead: ``path:N: reason``."""
 
     def __init__(self, line: int, reason: str):
@@ -433,29 +437,38 @@ class _LineError(GraphError):
 
 
 def _decimal(token: str, no: int) -> int:
-    """A count or vertex label: ASCII digits only, so no sign, underscore
-    or other script's digit slips through ``int``."""
+    """A vertex label: ASCII digits only, so no sign, underscore or other
+    script's digit slips through ``int``."""
     if not (token.isascii() and token.isdigit()):
         raise _LineError(no, f"expected a decimal number, got {token!r}")
     return int(token)
 
 
-def parse_edge_list(text: str, indexing: int = 1) -> Graph:
+def parse_graphs(text: str, indexing: int = 1) -> list[Graph]:
+    """The graphs in the text of a graph file, by the grammar above.  A text
+    with no graph left is an error."""
     if indexing not in (0, 1):
         raise GraphError("indexing must be 0 or 1")
+    # a graph6 string holds no '#' or space, so comments go before the
+    # header line is looked for
     lines = [(no, ln.split("#")[0].strip()) for no, ln in enumerate(text.splitlines(), 1)]
     lines = [(no, ln) for no, ln in lines if ln]
     if not lines:
-        raise GraphError("empty edge list")
-    no, first = lines[0]
-    head = first.split()
-    if len(head) != 2:
-        raise _LineError(no, f"expected header 'n m', got {first!r}")
-    n, m = (_decimal(tok, no) for tok in head)
+        raise GraphError("empty graph file")
+    head_no, head = lines[0][0], lines[0][1].split()
+    if not (len(head) == 2 and all(tok.isascii() and tok.isdigit() for tok in head)):
+        graphs = []
+        for no, ln in lines:
+            try:
+                graphs.append(parse_graph6(ln))
+            except GraphError as exc:
+                raise _LineError(no, str(exc)) from exc
+        return graphs
+    n, m = map(int, head)
     if n > _MAX_ORDER:
-        raise _LineError(no, f"vertex count {n} exceeds {_MAX_ORDER}")
+        raise _LineError(head_no, f"vertex count {n} exceeds {_MAX_ORDER}")
     if len(lines) - 1 != m:
-        raise _LineError(no, f"header promises {m} edges, found {len(lines) - 1}")
+        raise _LineError(head_no, f"header promises {m} edges, found {len(lines) - 1}")
     shift = 1 - indexing
     edges: dict[frozenset[int], tuple[int, int]] = {}
     for no, ln in lines[1:]:
@@ -472,4 +485,4 @@ def parse_edge_list(text: str, indexing: int = 1) -> Graph:
         if frozenset(edge) in edges:
             raise _LineError(no, f"{name} is listed twice")
         edges[frozenset(edge)] = edge
-    return Graph.from_edges(n, edges.values())
+    return [Graph.from_edges(n, edges.values())]

@@ -34,9 +34,9 @@ def _check_cap(value: int, limit: int, what: str) -> None:
         raise CapExceededError(f"{what} {value} exceeds cap {limit}")
 
 
-def check_vertex_cap(g: Graph) -> None:
+def check_vertex_cap(n: int) -> None:
     """Refuse a graph with more than ``VERTEX_CAP`` vertices."""
-    _check_cap(g.n, VERTEX_CAP, "vertex count")
+    _check_cap(n, VERTEX_CAP, "vertex count")
 
 
 @dataclass
@@ -135,7 +135,7 @@ def compute_report(
     ``NONEDGE_CAP`` non-edges, or one outside the range where it is known)
     lands in ``report.refused`` with the reason, and the rest are computed.
     """
-    check_vertex_cap(g)
+    check_vertex_cap(g.n)
     g = canonical_graph(g)
     g6 = g.to_graph6()
     report = ParameterReport(g6)

@@ -17,13 +17,14 @@ forbids triples whose forcer i lies in B with {i,k} a non-edge; the odd
 cycle rule is never restricted.
 
 One position (``_Game``) is read by every query and result: the legal
-moves, the policy's first move, and the coloring (``_Game.coloring``) that
-``sap_closure`` and ``replay_trace`` return.  A closure updates it in
-place.  Two exact facts say what a move can change.  The local game at k
-starts from every vertex but k's white partners, so coloring {j,k} changes
-the local games at j and k and no other.  The odd cycle rule at i sees only
-the white non-edges with both ends in N(i), so coloring {j,k} changes it
-only at the common neighbors of j and k.  Only those caches are re-scanned.
+moves in policy order (``_Game.moves``, the one statement of that order)
+and the coloring (``_Game.coloring``) that ``sap_closure`` and
+``replay_trace`` return.  A closure updates it in place.  Two exact facts
+say what a move can change.  The local game at k starts from every vertex
+but k's white partners, so coloring {j,k} changes the local games at j and
+k and no other.  The odd cycle rule at i sees only the white non-edges with
+both ends in N(i), so coloring {j,k} changes it only at the common
+neighbors of j and k.  Only those caches are re-scanned.
 
 The move order does not change where a closure ends, although the odd cycle
 rule is not monotone (a triple that colors part of a cycle removes that
@@ -59,7 +60,8 @@ over many rounds is re-scanned once.  It ends in the same coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from itertools import takewhile
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
@@ -173,7 +175,8 @@ def odd_cycle_applications(g: Graph, blue: Iterable[NonEdgePair]) -> list[OddCyc
     """All (i->C) moves from the start ``blue``: components of the white
     graph inside N(i) that are odd cycles, listed with i ascending and
     cycles by least vertex."""
-    return _start(g, blue, Rule.Z, ()).cycle_moves()
+    return list(takewhile(lambda move: type(move) is OddCycleForce,
+                          _start(g, blue, Rule.Z, ()).moves()))
 
 
 class _Game:
@@ -256,51 +259,40 @@ class _Game:
         w = self.white[k]
         return _forcers(self.g.adj, w, self.allowed[k] & ~w, self.rule, j)
 
-    def first_move(self) -> SapForce | None:
-        """The policy's move: the least vertex with an odd cycle, its cycle of
-        least vertex; else the least white non-edge {a,b} forced at a (first
-        allowed forcer), else at b."""
+    def moves(self) -> Iterator[SapForce]:
+        """Every legal move, lazily, in policy order; the policy plays the
+        first.  Odd cycle applications come first, the vertex i ascending and
+        its cycles by least vertex; then the forcing triples, lexicographic
+        by (non-edge {a,b} with a < b, local-game vertex a before b, forcer),
+        a Zl self-force after the other forcers of its target.  Play no move
+        while the generator is still read."""
         self._refresh_cycles()
         if self.has_cycle:
-            i = (self.has_cycle & -self.has_cycle).bit_length() - 1
-            return OddCycleForce(i, self.cycles[i][0])
+            for i in bits(self.has_cycle):
+                for c in self.cycles[i]:
+                    yield OddCycleForce(i, c)
         self._refresh_forces()
-        # the least non-edge forced at k is {k, its least target}; a tie
-        # goes to the lesser k
-        least = None
-        for t, hit in enumerate(self.hits):
-            if hit:
-                u = (hit & -hit).bit_length() - 1
-                pair = (u, t) if u < t else (t, u)
-                if least is None or pair < least:
-                    least, k, j = pair, t, u
-        if least is None:
-            return None
-        forcers, _ = self._forcers(k, j)
-        # no forcer from outside: j forces itself
-        return TripleForce(k, (forcers & -forcers).bit_length() - 1 if forcers else j, j)
-
-    def cycle_moves(self) -> list[OddCycleForce]:
-        """Every odd cycle application, vertices ascending, cycles by least vertex."""
-        self._refresh_cycles()
-        return [OddCycleForce(i, c) for i in bits(self.has_cycle) for c in self.cycles[i]]
-
-    def legal_moves(self) -> list[SapForce]:
-        """Every legal move in policy order: odd cycle applications, then
-        forcing triples lexicographic by (non-edge, local-game vertex, forcer),
-        a Zl self-force after the other forcers of its target."""
-        moves: list[SapForce] = list(self.cycle_moves())
-        self._refresh_forces()
-        hits = self.hits
+        hits, white = self.hits, self.white
+        # bits are walked inline, and a non-edge forced at neither end is
+        # skipped at once: ``sap_closure`` reads only the first move, and a
+        # generator per walk costs more than the walk on small graphs
         for a in self.g.vertices():
-            for b in bits(self.white[a] >> (a + 1) << (a + 1)):
+            rest = white[a] >> (a + 1) << (a + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                if not (hits[a] & low or hits[b] >> a & 1):
+                    continue
                 for k, j in ((a, b), (b, a)):
                     if hits[k] >> j & 1:
                         forcers, itself = self._forcers(k, j)
-                        moves += [TripleForce(k, i, j) for i in bits(forcers)]
+                        while forcers:
+                            bit = forcers & -forcers
+                            forcers ^= bit
+                            yield TripleForce(k, bit.bit_length() - 1, j)
                         if itself:
-                            moves.append(TripleForce(k, j, j))
-        return moves
+                            yield TripleForce(k, j, j)
 
     def play(self, move: SapForce) -> None:
         """Color the move's non-edges."""
@@ -341,8 +333,7 @@ class _Game:
             self._refresh_cycles()
             if not self.has_cycle:
                 return not any(white)
-            c = self.cycles[(self.has_cycle & -self.has_cycle).bit_length() - 1][0]
-            self._color(zip(c, c[1:] + c[:1]))
+            self.play(next(self.moves()))
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white
@@ -379,7 +370,7 @@ def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
     that vertex set."""
     game = _start(g, blue, rule, cover)
     trace: list[SapForce] = []
-    while (move := game.first_move()) is not None:
+    while (move := next(game.moves(), None)) is not None:
         game.play(move)
         trace.append(move)
     return game.coloring(), trace
@@ -395,7 +386,7 @@ def replay_trace(
     """Re-apply a recorded trace, checking every move is legal at its step."""
     game = _start(g, blue, rule, cover)
     for t, move in enumerate(trace, start=1):
-        if move not in game.legal_moves():
+        if move not in game.moves():
             raise ValueError(f"step {t}: {move} is not applicable")
         game.play(move)
     return game.coloring()

@@ -43,6 +43,31 @@ def disjoint_union(g, h):
     return Graph(g.n + h.n, g.adj + tuple(a << g.n for a in h.adj[1:]))
 
 
+# Test graphs that no CLI name or library code builds.
+
+def wide_spider9():
+    """K_{1,4} with one extra pendant leaf hung on each original leaf."""
+    edges = [(1, i) for i in range(2, 6)] + [(i, i + 4) for i in range(2, 6)]
+    return Graph.from_edges(9, edges)
+
+
+def ternary_spider13():
+    """Depth-2 tree: center 1, three branch vertices, three leaves per branch."""
+    edges = [(1, b) for b in (2, 3, 4)]
+    leaf = 5
+    for b in (2, 3, 4):
+        for _ in range(3):
+            edges.append((b, leaf))
+            leaf += 1
+    return Graph.from_edges(13, edges)
+
+
+def outer_triangle_on_wheel8():
+    """8-vertex graph: a wheel-like core 4..8 with three pendant spikes 1,2,3."""
+    edges = [(1, 4), (2, 6), (3, 7), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4), (4, 6), (4, 7)]
+    return Graph.from_edges(8, edges)
+
+
 @pytest.fixture(scope="session")
 def connected_upto_5():
     return [g for n in range(1, 6) for g in enumerate_connected(n)]

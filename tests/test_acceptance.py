@@ -21,7 +21,7 @@ from sapforce.sapgame import is_zsap_zero, sap_forcing_number, vc_forcing_number
 from sapforce.xi import XiUnresolvedError, m_small, xi
 from sapforce.zeroforcing import Rule, closure, min_zfs
 
-from conftest import diameter, is_forest, max_degree
+from conftest import diameter, is_forest, max_degree, outer_triangle_on_wheel8
 from oracle import sap_oracle
 
 pytestmark = pytest.mark.acceptance
@@ -114,7 +114,7 @@ def test_criterion_5_spot_values():
     assert m_small(kite) == 2
     assert sap_forcing_number(kite, Rule.Z)[0] == 0
     assert xi(kite).value == 2
-    fig = families.outer_triangle_on_wheel8()
+    fig = outer_triangle_on_wheel8()
     assert min_zfs(fig, Rule.Z)[0] == 3
     assert min_zfs(fig, Rule.FLOOR)[0] == 3
     ok("criterion 5", "Petersen and all platonic solids force from nothing; "

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from sapforce import families
 from sapforce.canon import _encode_labeling, _word_graph, enumerate_graphs
 from sapforce.graphs import (Graph, Graph6Error, GraphError, _g6_read_n, _grow,
-                             bits, encode_graph6, parse_edge_list, parse_graph6)
+                             bits, encode_graph6, parse_graph6, parse_graphs)
 
-from conftest import disjoint_union, is_forest
+from conftest import disjoint_union, is_forest, outer_triangle_on_wheel8
 
 
 def test_single_vertex_decodes():
@@ -39,7 +40,7 @@ def test_roundtrip_on_connected_5_vertex_corpus():
 
 
 def test_roundtrip_figure_graph():
-    g = families.outer_triangle_on_wheel8()
+    g = outer_triangle_on_wheel8()
     again = parse_graph6(encode_graph6(g))
     assert again.adj == g.adj
 
@@ -300,6 +301,14 @@ def test_induced_and_delete_vertex_refuse_vertices_outside_the_graph():
         tracemalloc.stop()
 
 
+def test_checking_a_huge_empty_table_is_linear():
+    # the check must not build an n-bit mask per vertex (about 65 s for
+    # n = 10^6 when it did)
+    start = time.perf_counter()
+    assert Graph.empty(10 ** 6).num_edges() == 0
+    assert time.perf_counter() - start < 10
+
+
 def test_relabel_refuses_a_list_that_is_not_a_permutation():
     # [0, 1, 1, 2] was refused as "vertex 1 has a self-loop", and the extra
     # slot of [0, 3, 2, 1, 4] was read by nobody
@@ -340,17 +349,17 @@ def test_contract_edge_matches_reference_on_every_graph_upto_6():
 
 def test_edge_list_io():
     g = families.kite5()
-    assert parse_edge_list("5 5\n1 2\n2 3\n2 5\n3 4\n4 5\n").adj == g.adj
+    assert [h.adj for h in parse_graphs("5 5\n1 2\n2 3\n2 5\n3 4\n4 5\n")] == [g.adj]
     zero_based = "5 5\n0 1\n1 2\n2 3\n3 4\n1 4\n"
-    assert parse_edge_list(zero_based, indexing=0).adj == g.adj
+    assert [h.adj for h in parse_graphs(zero_based, indexing=0)] == [g.adj]
     with pytest.raises(GraphError):
-        parse_edge_list("2 1\n")      # missing edge line
+        parse_graphs("2 1\n")  # missing edge line
     with pytest.raises(GraphError):
-        parse_edge_list("2 1\n1 1\n")  # self loop
+        parse_graphs("2 1\n1 1\n")  # self loop
     # a repeat would leave fewer edges than the header promises
     for text in ("3 2\n1 2\n1 2\n", "3 2\n1 2\n2 1\n"):
         with pytest.raises(GraphError, match="edge {.,.} is listed twice"):
-            parse_edge_list(text)
+            parse_graphs(text)
 
 
 def test_edge_list_labels_are_ascii_decimal():
@@ -361,9 +370,10 @@ def test_edge_list_labels_are_ascii_decimal():
             ("12 1\n1_0 2\n", "line 2: expected a decimal number, got '1_0'"),
             ("3 1\n1 x\n", "line 2: expected a decimal number, got 'x'"),
             ("# header\n3 1\n\n2 -1\n", "line 4: expected a decimal number, got '-1'"),
-            ("3 +1\n1 2\n", "line 1: expected a decimal number, got '+1'")):
+            # a header that is not two digit tokens is read as graph6
+            ("3 +1\n1 2\n", "line 1: header byte 51 out of range 63..126 (byte offset 0)")):
         with pytest.raises(GraphError) as err:
-            parse_edge_list(text)
+            parse_graphs(text)
         assert str(err.value) == message
 
 
@@ -371,7 +381,7 @@ def test_edge_list_refuses_orders_graph6_cannot_write():
     # refused from the header, before an adjacency list of n + 1 ints exists
     for n in (258048, 10 ** 12):
         with pytest.raises(GraphError, match=f"vertex count {n} exceeds 258047"):
-            parse_edge_list(f"{n} 0\n")
+            parse_graphs(f"{n} 0\n")
 
 
 def test_graph_validation():

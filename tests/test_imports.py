@@ -67,8 +67,8 @@ PUBLIC_NAMES = [
     "encode_graph6", "enumerate_connected", "enumerate_graphs", "families",
     "floor_force_sequence", "format_sap_trace", "format_trace", "graphs", "hadwiger",
     "has_minor", "has_sap", "is_zfs", "is_zsap_zero", "linalg", "load_t3_family",
-    "m_small", "min_zfs", "minors", "nullity", "odd_cycle_det", "parse_edge_list",
-    "parse_graph6", "perturbation_witness", "replay_trace", "report", "sample_matrix",
+    "m_small", "min_zfs", "minors", "nullity", "odd_cycle_det", "parse_graph6",
+    "parse_graphs", "perturbation_witness", "replay_trace", "report", "sample_matrix",
     "sap_closure", "sap_forcing_number", "sapgame", "survey_graphs", "t3_minor",
     "vc_forcing_number", "vertex_cover_number", "xi", "zeroforcing",
 ]

@@ -216,12 +216,28 @@ def test_size_caps_at_the_boundary(capsys):
 
 
 def test_vertex_cap_refuses_a_huge_empty_graph_quickly(capsys):
-    # the graph is built and checked before the cap refuses it, so the check
-    # must not build an n-bit mask per vertex (about 65 s for n = 10^6)
+    # a sized name is refused before it is built;
+    # ``test_graphs.py::test_checking_a_huge_empty_table_is_linear`` times
+    # the check of a built one
     start = time.perf_counter()
     assert run_cli("param", "--graph", "e1000000", "--params", "Z", "--flags", "") == 3
     assert time.perf_counter() - start < 10
     assert "vertex count 1000000 exceeds cap 10" in capsys.readouterr().err
+
+
+def test_vertex_cap_refuses_a_sized_name_before_building_it(capsys):
+    # built first, p1000000's rows would hold about n^2/2 bits in all (some
+    # 60 GB), and k100000 would list some 5 * 10^9 edges
+    for args in (("param", "--graph", "p1000000", "--params", "Z", "--flags", ""),
+                 ("minors", "--graph", "k100000")):
+        start = time.perf_counter()
+        assert run_cli(*args) == 3
+        assert time.perf_counter() - start < 10
+        n = args[2][1:]
+        assert f"vertex count {n} exceeds cap 10" in capsys.readouterr().err
+    # trace applies no cap, so a named graph over it still plays
+    assert run_cli("trace", "--graph", "dodecahedron") == 0
+    assert "verdict: all 160 non-edges blue" in capsys.readouterr().out
 
 
 def test_cli_param_star(capsys):

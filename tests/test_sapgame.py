@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -13,7 +13,7 @@ from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game
                               sap_forcing_number, vc_forcing_number)
 from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, smallest_winning_set
 
-from conftest import diameter, is_forest, max_degree
+from conftest import diameter, is_forest, max_degree, wide_spider9
 from reference_game import (reference_legal_moves, reference_local_blue_set,
                             reference_odd_cycle_applications, reference_sap_closure)
 
@@ -74,7 +74,7 @@ def test_random_order_matches_reference(connected_upto_5):
             coloring = NonEdgeColoring.start(g)
             for move in trace + [None]:
                 want = list(reference_legal_moves(g, coloring, rule))
-                assert _start(g, coloring.blue_nonedges, rule, ()).legal_moves() == want
+                assert list(_start(g, coloring.blue_nonedges, rule, ()).moves()) == want
                 assert odd_cycle_applications(g, coloring.blue_nonedges) == \
                     reference_odd_cycle_applications(g, coloring)
                 if move is not None:
@@ -82,17 +82,17 @@ def test_random_order_matches_reference(connected_upto_5):
 
 
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
-    """``legal_moves`` equals the reference's legal moves, in order, and
-    ``first_move`` the first of them, at every position the reference
-    closure passes through."""
+    """``moves`` yields the reference's legal moves, in order, and its first
+    is the first of them, at every position the reference closure passes
+    through."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
     touching = [e for e in g.non_edges() if set(e) & set(cover)]
     coloring = NonEdgeColoring.start(g, [*blue, *touching])
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
         where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
-        assert _start(g, coloring.blue_nonedges, rule, cover).legal_moves() == want, where
-        assert _start(g, coloring.blue_nonedges, rule, cover).first_move() == \
+        assert list(_start(g, coloring.blue_nonedges, rule, cover).moves()) == want, where
+        assert next(_start(g, coloring.blue_nonedges, rule, cover).moves(), None) == \
             (want[0] if want else None), where
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
@@ -140,7 +140,7 @@ def test_local_blue_set_matches_reference(connected_upto_6):
 
 def test_applicable_forces_p4_first_round():
     p4 = families.path(4)
-    forces = _start(p4, (), Rule.Z, ()).legal_moves()
+    forces = list(_start(p4, (), Rule.Z, ()).moves())
     triples = {(f.k, f.i, f.j) for f in forces if isinstance(f, TripleForce)}
     assert (2, 3, 4) in triples
     assert (3, 2, 1) in triples
@@ -150,7 +150,7 @@ def test_applicable_forces_p4_first_round():
 
 def test_applicable_forces_star_odd_cycle():
     star = families.star(3)
-    forces = _start(star, (), Rule.Z, ()).legal_moves()
+    forces = list(_start(star, (), Rule.Z, ()).moves())
     assert len(forces) == 1
     (cycle,) = forces
     assert isinstance(cycle, OddCycleForce)
@@ -162,7 +162,7 @@ def triples_to_a_stall(g, blue, rule):
     """Play triples (first legal in policy order) until none is left; return
     the blue non-edges there."""
     blue = set(blue)
-    while triples := [m for m in _start(g, blue, rule, ()).legal_moves()
+    while triples := [m for m in _start(g, blue, rule, ()).moves()
                       if isinstance(m, TripleForce)]:
         blue |= set(triples[0].colored())
     return blue
@@ -171,7 +171,7 @@ def triples_to_a_stall(g, blue, rule):
 def test_close_round_hits_one_non_edge_from_both_ends():
     # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2)
     p4 = families.path(4)
-    moves = _start(p4, (), Rule.Z, ()).legal_moves()
+    moves = list(_start(p4, (), Rule.Z, ()).moves())
     assert TripleForce(2, 3, 4) in moves and TripleForce(4, 3, 2) in moves
     for rule in CONVENTIONAL_RULES:
         assert closed_coloring(p4, (), rule) == sap_closure(p4, (), rule)[0].blue_nonedges
@@ -183,11 +183,11 @@ def test_close_cycle_move_at_a_triple_stall_unlocks_triples():
     cube = families.cube()
     for rule in CONVENTIONAL_RULES:
         stall = triples_to_a_stall(cube, (), rule)
-        cycles = _start(cube, stall, rule, ()).legal_moves()
+        cycles = list(_start(cube, stall, rule, ()).moves())
         assert cycles and all(isinstance(m, OddCycleForce) for m in cycles)
         after = stall | set(cycles[0].colored())
         assert any(isinstance(m, TripleForce)
-                   for m in _start(cube, after, rule, ()).legal_moves())
+                   for m in _start(cube, after, rule, ()).moves())
         assert closed_coloring(cube, (), rule) == sap_closure(cube, (), rule)[0].blue_nonedges
 
 
@@ -197,7 +197,7 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
     # not mark the cycle caches stale in those rounds stopped 7 non-edges short
     g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
     start = [(2, 4), (5, 7), (6, 8)]
-    assert [m.i for m in _start(g, start, Rule.Z, ()).legal_moves()
+    assert [m.i for m in _start(g, start, Rule.Z, ()).moves()
             if isinstance(m, OddCycleForce)] == [7]
     final, trace = sap_closure(g, start, Rule.Z)
     assert final.is_complete() and OddCycleForce(8, (1, 2, 5)) in trace
@@ -233,7 +233,7 @@ def test_close_from_a_vertex_cover_start():
 
 def test_vc_restricted_forces(k3_join_o4):
     g = k3_join_o4
-    moves = _start(g, (), Rule.Z, {4}).legal_moves()
+    moves = list(_start(g, (), Rule.Z, {4}).moves())
     assert any(isinstance(m, OddCycleForce) for m in moves)
     final, _ = sap_closure(g, (), Rule.Z, {4})
     assert final.is_complete()
@@ -243,8 +243,8 @@ def test_vc_game_starts_from_and_vetoes_its_cover():
     # cover {1} of P4 colors {1,3} and {1,4}; forcer 1 is not adjacent to
     # 4, so the triple (4: 1->2) of the plain game from that start is vetoed
     p4 = families.path(4)
-    assert TripleForce(4, 1, 2) in _start(p4, [(1, 3), (1, 4)], Rule.Z, ()).legal_moves()
-    assert _start(p4, (), Rule.Z, {1}).legal_moves() == \
+    assert TripleForce(4, 1, 2) in list(_start(p4, [(1, 3), (1, 4)], Rule.Z, ()).moves())
+    assert list(_start(p4, (), Rule.Z, {1}).moves()) == \
         [TripleForce(2, 3, 4), TripleForce(4, 3, 2)]
     final, trace = sap_closure(p4, (), Rule.Z, {1})
     assert final.is_complete() and trace[0] == TripleForce(2, 3, 4)
@@ -265,6 +265,60 @@ def test_sap_closure_examples(kite):
     assert replay_trace(kite, (), trace, Rule.Z).blue_nonedges == final.blue_nonedges
     final, trace = sap_closure(families.empty(4), (), Rule.Z)
     assert not final.blue_nonedges and not trace
+
+
+def odd_cycles_in(nbhd):
+    """Every odd cycle on 3 or 5 vertices of ``nbhd``, written as the game
+    writes one: its least vertex, then its lesser neighbor."""
+    for size in (3, 5):
+        for least, *rest in combinations(bits(nbhd), size):
+            for order in permutations(rest):
+                if order[0] < order[-1]:
+                    yield (least, *order)
+
+
+def assert_refused_at(g, trace, rule, step):
+    with pytest.raises(ValueError) as err:
+        replay_trace(g, (), trace, rule)
+    assert str(err.value) == f"step {step}: {trace[step - 1]} is not applicable", \
+        (g.to_graph6(), rule, trace)
+
+
+def test_replay_refuses_a_broken_trace_at_its_step(connected_upto_6):
+    """``replay_trace`` stops at the first legal move equal to the recorded
+    one, so every way to break a trace is pinned at the step it breaks:
+    two moves swapped where the later was not legal first, a repeated move,
+    a triple given a vertex that does not force there, and a cycle move whose
+    cycle is not a white component.  The reference decides what is legal."""
+    refused = {"swap": 0, "repeat": 0, "forcer": 0, "cycle": 0}
+    for g in connected_upto_6:
+        for rule in CONVENTIONAL_RULES:
+            _, trace = sap_closure(g, (), rule)
+            coloring = NonEdgeColoring.start(g)
+            for t, move in enumerate(trace + [None]):
+                # the position before step t + 1
+                legal = set(reference_legal_moves(g, coloring, rule))
+                head = trace[:t]
+                if t + 1 < len(trace) and trace[t + 1] not in legal:
+                    assert_refused_at(g, head + [trace[t + 1], move, *trace[t + 2:]], rule, t + 1)
+                    refused["swap"] += 1
+                if t:
+                    assert trace[t - 1] not in legal
+                    assert_refused_at(g, head + [trace[t - 1], *trace[t:]], rule, t + 1)
+                    refused["repeat"] += 1
+                if type(move) is TripleForce:
+                    for i in g.vertices():
+                        if (bad := TripleForce(move.k, i, move.j)) not in legal:
+                            assert_refused_at(g, head + [bad], rule, t + 1)
+                            refused["forcer"] += 1
+                for i in g.vertices():
+                    for cycle in odd_cycles_in(g.adj[i]):
+                        if (bad := OddCycleForce(i, cycle)) not in legal:
+                            assert_refused_at(g, head + [bad], rule, t + 1)
+                            refused["cycle"] += 1
+                if move is not None:
+                    coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
+    assert all(refused.values()), refused
 
 
 def test_is_zsap_zero_spot_values():
@@ -307,7 +361,7 @@ def test_vc_restriction_refuses_vertices_outside_the_graph():
     p4 = families.path(4)
     for cover in ({0, 9}, {2, 5}, {-1}):
         for call in (lambda: sap_closure(p4, (), Rule.Z, cover),
-                     lambda: _start(p4, (), Rule.Z, cover).legal_moves(),
+                     lambda: list(_start(p4, (), Rule.Z, cover).moves()),
                      lambda: replay_trace(p4, (), [], Rule.Z, cover)):
             with pytest.raises(ValueError, match="outside 1..4"):
                 call()
@@ -321,7 +375,7 @@ def test_floor_rule_refused_on_every_path():
     for call in (lambda: sap_closure(star, (), Rule.FLOOR),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
                  lambda: sap_forcing_number(star, Rule.FLOOR),
-                 lambda: _start(star, (), Rule.FLOOR, ()).legal_moves(),
+                 lambda: list(_start(star, (), Rule.FLOOR, ()).moves()),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
             call()
@@ -332,7 +386,7 @@ def test_coloring_of_another_host_is_refused():
     # blue non-edge that does not exist
     c4 = families.cycle(4)
     foreign = NonEdgeColoring.start(families.path(4), [(1, 4)]).blue_nonedges
-    for call in (lambda: _start(c4, foreign, Rule.Z, ()).legal_moves(),
+    for call in (lambda: list(_start(c4, foreign, Rule.Z, ()).moves()),
                  lambda: odd_cycle_applications(c4, foreign),
                  lambda: sap_closure(c4, foreign, Rule.Z)):
         with pytest.raises(ValueError, match="not a non-edge"):
@@ -379,7 +433,7 @@ def test_triple_monotonicity(connected_upto_6):
             for _ in range(6 if nes else 0):
                 base = {e for e in nes if rng.random() < 0.3}
                 extra = base | {e for e in nes if rng.random() < 0.3}
-                t1, t2 = ({f for f in _start(g, blue, rule, ()).legal_moves()
+                t1, t2 = ({f for f in _start(g, blue, rule, ()).moves()
                            if isinstance(f, TripleForce)} for blue in (base, extra))
                 for f in t1:
                     if f.colored()[0] not in extra:
@@ -400,7 +454,7 @@ def test_every_maximal_play_ends_in_the_closure(connected_upto_6):
             terminals = set()
             while todo:
                 blue = todo.pop()
-                moves = _start(g, blue, rule, ()).legal_moves()
+                moves = list(_start(g, blue, rule, ()).moves())
                 if not moves:
                     terminals.add(blue)
                 for move in moves:
@@ -514,7 +568,7 @@ def test_tree_flags():
     for n in range(2, 8):
         for t in filter(Graph.is_tree, enumerate_connected(n)):
             assert is_zsap_zero(t, Rule.ZPLUS)
-    spider = families.wide_spider9()
+    spider = wide_spider9()
     assert not is_zsap_zero(spider, Rule.ZL)
 
 

@@ -16,7 +16,7 @@ from sapforce.xi import (CASE_COMPONENT_MAX, CASE_T3_FAMILY, CASE_TREE,
                          m_small, t3_minor, xi)
 from sapforce.zeroforcing import Rule, is_zfs, min_zfs
 
-from conftest import disjoint_union
+from conftest import disjoint_union, ternary_spider13
 
 # the package exports the function xi under the module's name
 xi_module = importlib.import_module("sapforce.xi")
@@ -47,7 +47,7 @@ def test_m_small(kite, k3_join_o4):
     with pytest.raises(MSizeError):
         m_small(families.petersen())
     # trees of any size are fine; this one's path cover number is 7
-    assert m_small(families.ternary_spider13()) == 7
+    assert m_small(ternary_spider13()) == 7
 
 
 def test_xi_examples(kite, k3_join_o4):
@@ -230,7 +230,7 @@ def test_tree_floor_equals_xi():
 def test_ternary_spider_floor_value():
     # two claims circulate for this 13-vertex tree (exactly 3 vs more than
     # 3); record the computed value without endorsing either text
-    t = families.ternary_spider13()
+    t = ternary_spider13()
     value = min_zfs(t, Rule.FLOOR)[0]
     assert value in (3, 4)
     assert value > 2  # either way it exceeds every tree's parameter value

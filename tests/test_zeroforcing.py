@@ -11,7 +11,7 @@ from sapforce.zeroforcing import (CONVENTIONAL_RULES, Force, Rule, closure, floo
                                   format_trace, is_zfs, min_zfs, single_forces,
                                   smallest_winning_set)
 
-from conftest import disjoint_union
+from conftest import disjoint_union, outer_triangle_on_wheel8
 
 
 def test_closure_examples():
@@ -49,7 +49,7 @@ def test_is_zfs_examples():
 
 def test_min_zfs_paper_values(kite):
     assert min_zfs(kite, Rule.Z)[0] == 2
-    fig = families.outer_triangle_on_wheel8()
+    fig = outer_triangle_on_wheel8()
     assert min_zfs(fig, Rule.Z)[0] == 3
     assert min_zfs(fig, Rule.FLOOR)[0] == 3
     assert min_zfs(families.dodecahedron(), Rule.Z)[0] == 6
