@@ -62,24 +62,27 @@ def read_graphs(path: str, indexing: int = 1) -> list[Graph]:
 
 
 def load_graph(spec: str, indexing: int = 1,
-               check_order: Callable[[int], None] | None = None) -> Graph:
+               check_order: Callable[[int], None] = lambda n: None) -> Graph:
     """Resolve --graph: a file holding one graph (``read_graphs``), a known
     graph name, or a literal graph6 string, tried in that order, so a file
     wins over a name.  A spec the file system cannot even look up (a graph6
     string longer than a file name may be) is not a file.  ``check_order``
-    sees a sized name's vertex count before the graph is built (``param``
-    and ``minors`` pass the vertex cap)."""
+    sees the vertex count of every graph returned, and a sized name's also
+    before the graph is built (``param`` and ``minors`` pass the vertex
+    cap)."""
     if os.path.isfile(spec):
         graphs = read_graphs(spec, indexing)
         if len(graphs) > 1:
             raise GraphError(f"{spec}: {len(graphs)} graph6 lines, but --graph reads one "
                              "graph (survey --corpus reads a list)")
-        return graphs[0]
-    try:
-        return families.by_name(spec, check_order)
-    except KeyError:
-        pass
-    return parse_graph6(spec)
+        g = graphs[0]
+    else:
+        try:
+            g = families.by_name(spec, check_order)
+        except KeyError:
+            g = parse_graph6(spec)
+    check_order(g.n)
+    return g
 
 
 def cmd_param(args) -> int:
@@ -196,9 +199,8 @@ def cmd_verify_xi(args) -> int:
 
 def cmd_minors(args) -> int:
     g = load_graph(args.graph, args.indexing, check_vertex_cap)
-    check_vertex_cap(g.n)
     if args.pattern is not None:
-        hit, witness = has_minor(g, load_graph(args.pattern, args.indexing))
+        hit, witness = has_minor(g, load_graph(args.pattern, args.indexing, check_vertex_cap))
         if not hit:
             print("minor: no")
             return EXIT_OK

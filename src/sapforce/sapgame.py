@@ -19,12 +19,11 @@ cycle rule is never restricted.
 One position (``_Game``) is read by every query and result: the legal
 moves in policy order (``_Game.moves``, the one statement of that order)
 and the coloring (``_Game.coloring``) that ``sap_closure`` and
-``replay_trace`` return.  A closure updates it in place.  Two exact facts
-say what a move can change.  The local game at k starts from every vertex
+``replay_trace`` return.  A closure updates it in place.  One exact fact
+says what a move can change.  The local game at k starts from every vertex
 but k's white partners, so coloring {j,k} changes the local games at j and
-k and no other.  The odd cycle rule at i sees only the white non-edges with
-both ends in N(i), so coloring {j,k} changes it only at the common
-neighbors of j and k.  Only those caches are re-scanned.
+k and no other, and only those two are re-read.  The odd cycles are not
+kept: they are scanned when the moves are read.
 
 The move order does not change where a closure ends, although the odd cycle
 rule is not monotone (a triple that colors part of a cycle removes that
@@ -52,9 +51,8 @@ under each of Z, Zl and Zplus, with or without a cover, as each end lies
 inside the other.  So ``sap_closure`` plays the first legal move in policy
 order, the one order that gives a trace, and ``_Game.close`` plays the
 cheapest order: triples to a stall, then one cycle move, and again.  Its
-triples come in rounds, every target in the forcing caches at once, and the
-odd cycles are scanned only at a stall, so a vertex whose cycles went stale
-over many rounds is re-scanned once.  It ends in the same coloring.
+triples come in rounds, every target of the local games at once, and the
+odd cycles are scanned only at a stall.  It ends in the same coloring.
 """
 
 from __future__ import annotations
@@ -183,15 +181,16 @@ class _Game:
     """A position of the non-edge game; closures update it in place.
 
     The start colors ``blue`` and every non-edge touching the bitset
-    ``cover``.  Holds the white-adjacency masks, and per vertex the odd
-    cycles of the white graph inside its neighborhood and, as one bitset,
-    the vertices its local game forces in its first round.  The local game
-    at k has white set ``white[k]``, so ``zeroforcing._targets`` reads those
-    targets off k's white partners, not off every blue vertex; a move's
-    forcers are derived when they are asked for.  Vetoed forcers, those in
-    ``cover`` that are not adjacent to k, never count.  A move marks stale
-    only the caches it can change (see the module docstring); each query
-    refreshes the stale ones first.
+    ``cover``.  Holds the white-adjacency masks, per vertex the targets of
+    its local game's first round as one bitset, and as one bitset
+    ``may_cycle``, the vertices whose neighborhood can still hold an odd
+    cycle.  The local game at k has white set ``white[k]``, so
+    ``zeroforcing._targets`` reads those targets off k's white partners, not
+    off every blue vertex; a move's forcers are derived when they are asked
+    for.  Vetoed forcers, those in ``cover`` that are not adjacent to k,
+    never count.  A move marks stale only the local games it can change (see
+    the module docstring), and each query re-reads those first; the odd
+    cycles are scanned when the moves are read.
     """
 
     def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
@@ -210,12 +209,9 @@ class _Game:
         # allowed[k]: the vertices not vetoed as forcers in the local game at k
         self.allowed = [0] + [g.full_mask & ~(cover & ~g.closed_neighborhood(k))
                               for k in g.vertices()]
-        self.cycles: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
-        self.has_cycle = 0
         self.may_cycle = g.full_mask
         # hits[k]: the vertices forced in the first round of the local game at k
         self.hits = [0] * (g.n + 1)
-        self.stale_cycles = g.full_mask
 
     def set_rule(self, rule: Rule) -> None:
         """Play the local games under ``rule`` from now on: every one is
@@ -224,23 +220,6 @@ class _Game:
             raise ValueError("the non-edge game runs local games under Z, Zl, or Zplus")
         self.rule = rule
         self.stale_forces = self.g.full_mask
-
-    def _refresh_cycles(self) -> None:
-        adj, white, cycles = self.g.adj, self.white, self.cycles
-        stale = self.stale_cycles & self.may_cycle
-        while stale:
-            low = stale & -stale
-            stale ^= low
-            i = low.bit_length() - 1
-            found = _odd_cycles(adj[i], white)
-            if found is None:
-                self.may_cycle &= ~low
-            cycles[i] = found or []
-            if found:
-                self.has_cycle |= low
-            else:
-                self.has_cycle &= ~low
-        self.stale_cycles = 0
 
     def _refresh_forces(self) -> None:
         adj, rule, white, allowed = self.g.adj, self.rule, self.white, self.allowed
@@ -253,11 +232,22 @@ class _Game:
             self.hits[k] = _targets(adj, w, allowed[k] & ~w, rule) if w else 0
         self.stale_forces = 0
 
-    def _forcers(self, k: int, j: int) -> tuple[int, bool]:
-        """The allowed forcers of j in the local game at k as a bitset, and
-        whether j forces itself under Zl."""
-        w = self.white[k]
-        return _forcers(self.g.adj, w, self.allowed[k] & ~w, self.rule, j)
+    def _cycle_moves(self) -> Iterator[OddCycleForce]:
+        """The odd cycle applications in policy order, scanned as they are
+        read: the vertex i ascending, its cycles by least vertex.  A vertex
+        whose neighborhood holds too few white non-edges leaves
+        ``may_cycle`` for good."""
+        adj, white = self.g.adj, self.white
+        rest = self.may_cycle
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if (found := _odd_cycles(adj[i], white)) is None:
+                self.may_cycle &= ~low
+                continue
+            for c in found:
+                yield OddCycleForce(i, c)
 
     def moves(self) -> Iterator[SapForce]:
         """Every legal move, lazily, in policy order; the policy plays the
@@ -266,12 +256,9 @@ class _Game:
         by (non-edge {a,b} with a < b, local-game vertex a before b, forcer),
         a Zl self-force after the other forcers of its target.  Play no move
         while the generator is still read."""
-        self._refresh_cycles()
-        if self.has_cycle:
-            for i in bits(self.has_cycle):
-                for c in self.cycles[i]:
-                    yield OddCycleForce(i, c)
+        yield from self._cycle_moves()
         self._refresh_forces()
+        adj, rule, allowed = self.g.adj, self.rule, self.allowed
         hits, white = self.hits, self.white
         # bits are walked inline, and a non-edge forced at neither end is
         # skipped at once: ``sap_closure`` reads only the first move, and a
@@ -286,7 +273,10 @@ class _Game:
                     continue
                 for k, j in ((a, b), (b, a)):
                     if hits[k] >> j & 1:
-                        forcers, itself = self._forcers(k, j)
+                        # the allowed forcers of j at k, and whether j forces
+                        # itself under Zl
+                        w = white[k]
+                        forcers, itself = _forcers(adj, w, allowed[k] & ~w, rule, j)
                         while forcers:
                             bit = forcers & -forcers
                             forcers ^= bit
@@ -295,9 +285,13 @@ class _Game:
                             yield TripleForce(k, j, j)
 
     def play(self, move: SapForce) -> None:
-        """Color the move's non-edges."""
+        """Color the move's non-edges.  Coloring {u,v} changes the local
+        games at u and v only."""
         # a triple colors {j,k}: read it off without building colored()
-        self._color(((move.j, move.k),) if type(move) is TripleForce else move.colored())
+        for u, v in ((move.j, move.k),) if type(move) is TripleForce else move.colored():
+            self.white[u] &= ~(1 << v)
+            self.white[v] &= ~(1 << u)
+            self.stale_forces |= 1 << u | 1 << v
 
     def close(self) -> bool:
         """Play until no move is legal; does every non-edge end blue?
@@ -306,34 +300,29 @@ class _Game:
         colors every triple target in ``hits`` at once: a triple stays legal
         while its non-edge is white, so each round is a play, and a non-edge
         forced from both ends is colored twice to the same masks.  The odd
-        cycles are read only at a stall.  By the lemma in the module
-        docstring the play ends where ``sap_closure`` ends."""
-        adj, white, hits = self.g.adj, self.white, self.hits
+        cycles are scanned only at a stall, up to the first one found.  By
+        the lemma in the module docstring the play ends where
+        ``sap_closure`` ends."""
+        white, hits = self.white, self.hits
         while True:
             self._refresh_forces()
             touched = 0
             for k, hit in enumerate(hits):
                 if hit:
-                    # color {j,k} for every target j; the odd cycles can change
-                    # at the common neighbors of j and k
+                    # color {j,k} for every target j
                     white[k] &= ~hit
                     touched |= hit | 1 << k
                     clear_k = ~(1 << k)
-                    near = 0
                     while hit:
                         low = hit & -hit
                         hit ^= low
-                        j = low.bit_length() - 1
-                        white[j] &= clear_k
-                        near |= adj[j]
-                    self.stale_cycles |= adj[k] & near
+                        white[low.bit_length() - 1] &= clear_k
             if touched:
                 self.stale_forces |= touched
                 continue
-            self._refresh_cycles()
-            if not self.has_cycle:
+            if (move := next(self._cycle_moves(), None)) is None:
                 return not any(white)
-            self.play(next(self.moves()))
+            self.play(move)
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white
@@ -342,16 +331,6 @@ class _Game:
         return NonEdgeColoring(g, frozenset(
             (u, v) for u in g.vertices()
             for v in bits(g.full_mask >> (u + 1) << (u + 1) & ~g.adj[u] & ~white[u])))
-
-    def _color(self, pairs: Iterable[NonEdgePair]) -> None:
-        """Color non-edges blue.  Coloring {u,v} changes the local games at u
-        and v only, and the odd cycles only at common neighbors."""
-        adj, white = self.g.adj, self.white
-        for u, v in pairs:
-            white[u] &= ~(1 << v)
-            white[v] &= ~(1 << u)
-            self.stale_forces |= 1 << u | 1 << v
-            self.stale_cycles |= adj[u] & adj[v]
 
 
 def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,

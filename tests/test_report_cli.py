@@ -227,14 +227,17 @@ def test_vertex_cap_refuses_a_huge_empty_graph_quickly(capsys):
 
 def test_vertex_cap_refuses_a_sized_name_before_building_it(capsys):
     # built first, p1000000's rows would hold about n^2/2 bits in all (some
-    # 60 GB), and k100000 would list some 5 * 10^9 edges
-    for args in (("param", "--graph", "p1000000", "--params", "Z", "--flags", ""),
-                 ("minors", "--graph", "k100000")):
+    # 60 GB), and k100000 would list some 5 * 10^9 edges, as host or pattern
+    for n, args in (("1000000", ("param", "--graph", "p1000000", "--params", "Z", "--flags", "")),
+                    ("100000", ("minors", "--graph", "k100000")),
+                    ("100000", ("minors", "--graph", "petersen", "--pattern", "k100000"))):
         start = time.perf_counter()
         assert run_cli(*args) == 3
         assert time.perf_counter() - start < 10
-        n = args[2][1:]
         assert f"vertex count {n} exceeds cap 10" in capsys.readouterr().err
+    # a pattern under the cap but larger than the host is simply no minor
+    assert run_cli("minors", "--graph", "p4", "--pattern", "k5") == 0
+    assert capsys.readouterr().out == "minor: no\n"
     # trace applies no cap, so a named graph over it still plays
     assert run_cli("trace", "--graph", "dodecahedron") == 0
     assert "verdict: all 160 non-edges blue" in capsys.readouterr().out

@@ -84,18 +84,22 @@ def test_random_order_matches_reference(connected_upto_5):
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
     """``moves`` yields the reference's legal moves, in order, and its first
     is the first of them, at every position the reference closure passes
-    through."""
+    through: both at a position started there and at one position played
+    along the reference trace, whose pruned vertices must stay pruned."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
     touching = [e for e in g.non_edges() if set(e) & set(cover)]
     coloring = NonEdgeColoring.start(g, [*blue, *touching])
+    played = _start(g, blue, rule, cover)
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
         where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
         assert list(_start(g, coloring.blue_nonedges, rule, cover).moves()) == want, where
         assert next(_start(g, coloring.blue_nonedges, rule, cover).moves(), None) == \
             (want[0] if want else None), where
+        assert list(played.moves()) == want, where
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
+            played.play(move)
 
 
 def test_legal_moves_match_reference_at_every_position(connected_upto_5):
@@ -193,8 +197,9 @@ def test_close_cycle_move_at_a_triple_stall_unlocks_triples():
 
 def test_close_rescans_cycles_made_stale_by_triple_rounds():
     # from this start the cycle {1,2,5} in N(8) is no component until the
-    # triples after the first stall color {1,4} and {4,5}; a closure that did
-    # not mark the cycle caches stale in those rounds stopped 7 non-edges short
+    # triples after the first stall color {1,4} and {4,5}; a closure must scan
+    # N(8) again at the next stall, as one that kept the cycles found before
+    # those rounds stopped 7 non-edges short
     g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
     start = [(2, 4), (5, 7), (6, 8)]
     assert [m.i for m in _start(g, start, Rule.Z, ()).moves()

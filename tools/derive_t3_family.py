@@ -42,7 +42,7 @@ Without --scan the script verifies all six certificates on the family as
 ``sapforce.xi.load_t3_family()`` builds it, re-derives the n <= 7 members,
 and checks the minor equivalence on every connected graph up to 7 vertices;
 a failed check is an AssertionError and a nonzero exit.  With --scan it
-also repeats the slower exhaustive n = 8 and n = 9 scans (a few minutes).
+also repeats the slower exhaustive n = 8 and n = 9 scans (one to two minutes).
 """
 
 from __future__ import annotations
@@ -147,51 +147,43 @@ def family_free(g: Graph, members: list[Graph]) -> bool:
     return all(m.n > g.n or not has_minor(g, m)[0] for m in members)
 
 
-def scan_level(n: int, parents: list[Graph], members: list[Graph], max_edges: int):
-    """Connected n-vertex graphs avoiding the known members, floor >= 3,
-    whose one-step minors all avoid the known members too."""
+def scan(candidates: list[Graph], members: list[Graph]):
+    """The candidates with floor >= 3 that avoid the known members, and
+    those of them whose one-step minors with floor >= 3 avoid them too."""
+    free = [g for g in candidates if floor_of(g) >= 3 and family_free(g, members)]
+    minimal = [g for g in free if all(floor_of(m) <= 2 or family_free(m, members)
+                                      for m in one_step_minors(g))]
+    return free, minimal
+
+
+def extend(parents: list[Graph], n: int, max_edges: int) -> list[Graph]:
+    """The connected n-vertex graphs with at most ``max_edges`` edges that
+    are a parent plus vertex n, canonical and each once.  The scan needs it
+    for n = 9, beyond the library's enumeration."""
     seen: dict[str, Graph] = {}
     for base in parents:
         for subset in range(1, 1 << (n - 1)):
-            if base.num_edges() + bin(subset).count("1") > max_edges:
+            if base.num_edges() + subset.bit_count() > max_edges:
                 continue
             adj = list(base.adj) + [subset << 1]
             for v in bits(subset << 1):
                 adj[v] |= 1 << n
             g = Graph(n, tuple(adj))
-            if not g.is_connected():
-                continue
-            cg = canonical_graph(g)
-            seen.setdefault(cg.to_graph6(), cg)
-    floor3 = [g for g in seen.values() if floor_of(g) >= 3]
-    free = [g for g in floor3 if family_free(g, members)]
-    minimal = []
-    for g in free:
-        ok = True
-        for m in one_step_minors(g):
-            if floor_of(m) >= 3 and not family_free(m, members):
-                ok = False
-                break
-        if ok:
-            minimal.append(g)
-    return seen, free, minimal
+            if g.is_connected():
+                cg = canonical_graph(g)
+                seen.setdefault(cg.to_graph6(), cg)
+    return list(seen.values())
 
 
 def full_scan() -> None:
+    """The n = 8 and n = 9 scans.  A graph that avoids the members has every
+    vertex deletion avoid them too, so the n = 8 candidates are read off the
+    library's classes, and the n = 9 ones extend the member-free classes."""
     members = load_t3_family().graphs
-    small = members[:4]
+    small, five = members[:4], members[:5]
 
     t0 = time.time()
-    derived = derive_small_members()
-    assert len(derived) == 4
-    for got, want in zip(derived, small):
-        assert got.to_graph6() == canonical_graph(want).to_graph6()
-    print(f"n<=7 exhaustive search confirms the four small members ({time.time()-t0:.0f}s)")
-
-    t0 = time.time()
-    parents7 = [g for g in enumerate_graphs(7)
-                if g.num_edges() <= 13 and family_free(g, small)]
-    _, free8, minimal8 = scan_level(8, parents7, small, max_edges=13)
+    free8, minimal8 = scan([g for g in enumerate_connected(8) if g.num_edges() <= 13], small)
     print(f"n=8 scan: {len(free8)} member-free graphs with floor>=3, "
           f"{len(minimal8)} minimal ({time.time()-t0:.0f}s)")
     g8 = canonical_graph(members[4]).to_graph6()
@@ -202,9 +194,8 @@ def full_scan() -> None:
     print(f"  minimal at n=8: {keys8}; certified member: {g8}")
 
     t0 = time.time()
-    five = members[:5]
-    parents8 = [g for g in free_graphs_level8(parents7, five)]
-    _, free9, minimal9 = scan_level(9, parents8, five, max_edges=15)
+    parents8 = [g for g in enumerate_graphs(8) if g.num_edges() <= 13 and family_free(g, five)]
+    free9, minimal9 = scan(extend(parents8, 9, max_edges=15), five)
     g9 = canonical_graph(members[5]).to_graph6()
     keys9 = sorted(m.to_graph6() for m in minimal9)
     print(f"n=9 scan: {len(free9)} member-free graphs with floor>=3, "
@@ -213,21 +204,6 @@ def full_scan() -> None:
     # the certified 9-vertex member is minor-minimal outright
     assert all(floor_of(m) <= 2 for m in one_step_minors(members[5]))
     print(f"  certified member {g9} has all one-step minors with floor <= 2")
-
-
-def free_graphs_level8(parents7: list[Graph], members: list[Graph]) -> list[Graph]:
-    """All 8-vertex graphs (any connectivity) avoiding the known members."""
-    seen: dict[str, Graph] = {}
-    for base in parents7:
-        for subset in range(1 << 7):
-            if base.num_edges() + bin(subset).count("1") > 13:
-                continue
-            adj = list(base.adj) + [subset << 1]
-            for v in bits(subset << 1):
-                adj[v] |= 1 << 8
-            cg = canonical_graph(Graph(8, tuple(adj)))
-            seen.setdefault(cg.to_graph6(), cg)
-    return [g for g in seen.values() if family_free(g, members)]
 
 
 def main() -> None:
