@@ -53,6 +53,7 @@ order, the one order that gives a trace, and ``_Game.close`` plays the
 cheapest order: triples to a stall, then one cycle move, and again.  Its
 triples come in rounds, every target of the local games at once, and the
 odd cycles are scanned only at a stall.  It ends in the same coloring.
+Both stop once no white non-edge is left: a complete position has no move.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ class NonEdgeColoring:
             if not 1 <= u < v <= n or adj[u] >> v & 1:
                 sorted_non_edge(self.host, u, v)
                 raise ValueError(f"non-edge {{{u},{v}}} must be stored sorted")
+
+    @staticmethod
+    def _unchecked(host: Graph, blue_nonedges: frozenset[NonEdgePair]) -> "NonEdgeColoring":
+        """A coloring whose pairs are valid by construction, built without
+        the checks of ``__post_init__``.  The caller guarantees that every
+        pair (u, v) has 1 <= u < v <= host.n and is a non-edge of ``host``;
+        ``_Game.coloring`` reads its pairs off the white masks that way."""
+        c = object.__new__(NonEdgeColoring)
+        object.__setattr__(c, "host", host)
+        object.__setattr__(c, "blue_nonedges", blue_nonedges)
+        return c
 
     @staticmethod
     def start(host: Graph, blue: Iterable[NonEdgePair] = ()) -> "NonEdgeColoring":
@@ -197,19 +209,21 @@ class _Game:
                  cover: int = 0) -> None:
         self.g = g
         self.set_rule(rule)
+        adj, full = g.adj, g.full_mask
         # white[v]: the white non-edge partners of v; a non-edge touching
         # the cover is blue
-        uncovered = g.full_mask & ~cover
+        uncovered = full & ~cover
         self.white = white = [0] + [
-            0 if cover >> v & 1 else uncovered & ~g.closed_neighborhood(v)
+            0 if cover >> v & 1 else uncovered & ~(adj[v] | 1 << v)
             for v in g.vertices()]
         for u, v in blue:
             white[u] &= ~(1 << v)
             white[v] &= ~(1 << u)
-        # allowed[k]: the vertices not vetoed as forcers in the local game at k
-        self.allowed = [0] + [g.full_mask & ~(cover & ~g.closed_neighborhood(k))
-                              for k in g.vertices()]
-        self.may_cycle = g.full_mask
+        # allowed[k]: the vertices not vetoed as forcers in the local game at
+        # k, the cover's non-neighbours of k; without a cover, every vertex
+        self.allowed = [0] + ([full & ~(cover & ~(adj[k] | 1 << k)) for k in g.vertices()]
+                              if cover else [full] * g.n)
+        self.may_cycle = full
         # hits[k]: the vertices forced in the first round of the local game at k
         self.hits = [0] * (g.n + 1)
 
@@ -254,8 +268,11 @@ class _Game:
         first.  Odd cycle applications come first, the vertex i ascending and
         its cycles by least vertex; then the forcing triples, lexicographic
         by (non-edge {a,b} with a < b, local-game vertex a before b, forcer),
-        a Zl self-force after the other forcers of its target.  Play no move
+        a Zl self-force after the other forcers of its target.  A complete
+        position has none, and is neither scanned nor re-read.  Play no move
         while the generator is still read."""
+        if not any(self.white):
+            return
         yield from self._cycle_moves()
         self._refresh_forces()
         adj, rule, allowed = self.g.adj, self.rule, self.allowed
@@ -300,11 +317,13 @@ class _Game:
         colors every triple target in ``hits`` at once: a triple stays legal
         while its non-edge is white, so each round is a play, and a non-edge
         forced from both ends is colored twice to the same masks.  The odd
-        cycles are scanned only at a stall, up to the first one found.  By
+        cycles are scanned only at a stall, up to the first one found.  The
+        play ends, True, as soon as no white non-edge is left, since a
+        complete position has no legal move: no stall scan is run there.  By
         the lemma in the module docstring the play ends where
         ``sap_closure`` ends."""
         white, hits = self.white, self.hits
-        while True:
+        while any(white):
             self._refresh_forces()
             touched = 0
             for k, hit in enumerate(hits):
@@ -321,14 +340,15 @@ class _Game:
                 self.stale_forces |= touched
                 continue
             if (move := next(self._cycle_moves(), None)) is None:
-                return not any(white)
+                return False
             self.play(move)
+        return True
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white
         bit is clear."""
         g, white = self.g, self.white
-        return NonEdgeColoring(g, frozenset(
+        return NonEdgeColoring._unchecked(g, frozenset(
             (u, v) for u in g.vertices()
             for v in bits(g.full_mask >> (u + 1) << (u + 1) & ~g.adj[u] & ~white[u])))
 

@@ -30,7 +30,10 @@ and white only shrinks.  Two consequences:
     |idle| - |blue| + |start|, so whether it wins depends on its blue set
     alone.  The search remembers lost positions by their blue set; that
     prunes only positions that cannot win, so the first win it finds is the
-    one a search without memo finds.
+    one a search without memo finds.  The count of unspent idle vertices
+    reads |start| and no other trace of the start, so a blue set lost from
+    one start of size s is lost from every start of size s: the searches of
+    ``min_zfs`` share one memo per start-set size.
 """
 
 from __future__ import annotations
@@ -200,11 +203,14 @@ def closure(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> tuple[froz
     return frozenset(bits(mask)), trace
 
 
-def _floor_game_sequence(g: Graph, start: int) -> list[Force] | None:
-    """A winning force sequence for the floor game, or None."""
+def _floor_game_sequence(g: Graph, start: int, lost: dict[int, set[int]]
+                         ) -> list[Force] | None:
+    """A winning force sequence for the floor game, or None.  ``lost``
+    maps a start-set size to the blue sets known to lose from starts of that
+    size (lemma (b)); the search adds the ones it loses."""
     adj = g.adj
     full = g.full_mask
-    dead: set[int] = set()
+    dead = lost.setdefault(start.bit_count(), set())
 
     def search(blue: int, used: int) -> list[Force] | None:
         if blue == full:
@@ -240,21 +246,22 @@ def floor_force_sequence(g: Graph, blue: set[int] | frozenset[int]) -> list[Forc
     every vertex.  Useful for traces; membership tests should prefer
     ``is_zfs`` which short-circuits through the plain closure.
     """
-    return _floor_game_sequence(g, _vertex_mask(g, blue))
+    return _floor_game_sequence(g, _vertex_mask(g, blue), {})
 
 
-def _wins(g: Graph, blue: int, rule: Rule) -> bool:
-    """Does the start bitset ``blue`` force the whole vertex set?"""
+def _wins(g: Graph, blue: int, rule: Rule, lost: dict[int, set[int]]) -> bool:
+    """Does the start bitset ``blue`` force the whole vertex set?  The
+    floor game reads and extends the memo ``lost``."""
     if rule is not _FLOOR:
         return _closure_mask(g, blue, rule) == g.full_mask
     # floor game: a plain-Z completion needs no hops and is always a win
     return (_closure_mask(g, blue, _Z) == g.full_mask
-            or _floor_game_sequence(g, blue) is not None)
+            or _floor_game_sequence(g, blue, lost) is not None)
 
 
 def is_zfs(g: Graph, blue: set[int] | frozenset[int], rule: Rule) -> bool:
     """Can the given start set force the whole vertex set under the rule?"""
-    return _wins(g, _vertex_mask(g, blue), rule)
+    return _wins(g, _vertex_mask(g, blue), rule, {})
 
 
 def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], bool]
@@ -284,11 +291,14 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # Refusing those sets unplayed keeps the first winner in (size,
     # combinations) order.  Zplus forces into one white component at a time,
     # so it may move from fewer.  Start sets are tried as sums of vertex bits,
-    # in the order of their vertices, and played by the mask-level ``_wins``.
+    # in the order of their vertices, and played by the mask-level ``_wins``;
+    # the floor searches share one memo of lost blue sets per start-set size
+    # (lemma (b)).
     least = 0 if rule is _ZPLUS else g.min_degree()
+    lost: dict[int, set[int]] = {}
     size, combo = smallest_winning_set(
         [1 << v for v in g.vertices()],
-        lambda combo: len(combo) >= least and _wins(g, sum(combo), rule))
+        lambda combo: len(combo) >= least and _wins(g, sum(combo), rule, lost))
     return size, frozenset(b.bit_length() - 1 for b in combo)
 
 

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from sapforce import families
+from sapforce import families, sapgame
 from sapforce.canon import enumerate_connected
 from sapforce.graphs import Graph, bits
 from sapforce.report import compute_report
@@ -234,6 +234,28 @@ def test_close_from_a_vertex_cover_start():
     for rule in (Rule.Z, Rule.ZL):
         assert closed_coloring(g, (), rule, {4}) == \
             sap_closure(g, (), rule, {4})[0].blue_nonedges
+    # forcer 4 is vetoed at its non-neighbours 1 and 2 only
+    assert [set(bits(a)) for a in _Game(g, (), Rule.Z, 1 << 4).allowed[1:]] == \
+        [{1, 2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}]
+
+
+def test_a_complete_position_scans_no_cycles(kite, monkeypatch):
+    # kite5 finishes through a cycle move, the octahedron through triples
+    # alone; once no white non-edge is left, no query scans a neighbourhood
+    scan = sapgame._odd_cycles
+
+    def scan_while_white(nbhd, white):
+        assert any(white), "an odd cycle scan at a complete position"
+        return scan(nbhd, white)
+
+    monkeypatch.setattr(sapgame, "_odd_cycles", scan_while_white)
+    for g in (kite, families.octahedron()):
+        for rule in CONVENTIONAL_RULES:
+            game = _Game(g, (), rule)
+            assert game.close() and game.coloring().is_complete()
+            assert list(game.moves()) == []
+            final, trace = sap_closure(g, (), rule)
+            assert final.is_complete() and trace
 
 
 def test_vc_restricted_forces(k3_join_o4):
