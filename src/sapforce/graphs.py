@@ -122,10 +122,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in self.vertices()), default=0)
 
-    def closed_neighborhood(self, v: int) -> int:
-        """Bitset ``N[v] = N(v) + v``."""
-        return self.adj[v] | (1 << v)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in self.vertices() for v in bits(self.adj[u]) if u < v]
 

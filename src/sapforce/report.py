@@ -139,7 +139,7 @@ def compute_report(
     g = canonical_graph(g)
     g6 = g.to_graph6()
     report = ParameterReport(g6)
-    for name in params:
+    for name in dict.fromkeys(params):
         if name not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {name!r}; expected one of {PARAM_NAMES}")
         # the cache holds values only; xi's value is reported with its certificate
@@ -162,7 +162,7 @@ def compute_report(
             continue
         if store:
             store.put(g6, name, report.params[name])
-    for name in flags or []:
+    for name in dict.fromkeys(flags or []):
         if name not in _FLAG_COMPUTERS:
             raise ValueError(f"unknown flag {name!r}; expected one of {FLAG_NAMES}")
         report.flags[name] = _FLAG_COMPUTERS[name](g)

@@ -19,11 +19,13 @@ cycle rule is never restricted.
 One position (``_Game``) is read by every query and result: the legal
 moves in policy order (``_Game.moves``, the one statement of that order)
 and the coloring (``_Game.coloring``) that ``sap_closure`` and
-``replay_trace`` return.  A closure updates it in place.  One exact fact
-says what a move can change.  The local game at k starts from every vertex
-but k's white partners, so coloring {j,k} changes the local games at j and
-k and no other, and only those two are re-read.  The odd cycles are not
-kept: they are scanned when the moves are read.
+``replay_trace`` return, read off the white masks, so its pairs need no
+check: a start's pairs are checked once, by ``NonEdgeColoring.start``.  A
+closure updates the position in place.  One exact fact says what a move
+can change.  The local game at k starts from every vertex but k's white
+partners, so coloring {j,k} changes the local games at j and k and no
+other, and only those two are re-read.  The odd cycles are not kept: they
+are scanned when the moves are read.
 
 The move order does not change where a closure ends, although the odd cycle
 rule is not monotone (a triple that colors part of a cycle removes that
@@ -70,32 +72,19 @@ from .zeroforcing import (CONVENTIONAL_RULES, Rule, _first_winner, _forcers,
 
 @dataclass(frozen=True)
 class NonEdgeColoring:
-    """Blue/white partition of the non-edges of ``host``."""
+    """Blue/white partition of the non-edges of ``host``.
+
+    A coloring comes from ``start``, which checks each pair, or from
+    ``_Game.coloring``, which reads its pairs off the white masks.  No
+    library function reads a coloring as input: a game starts from pairs,
+    and ``_start`` checks them through ``start``."""
 
     host: Graph
     blue_nonedges: frozenset[NonEdgePair]
 
-    def __post_init__(self) -> None:
-        n, adj = self.host.n, self.host.adj
-        for u, v in self.blue_nonedges:
-            if not 1 <= u < v <= n or adj[u] >> v & 1:
-                sorted_non_edge(self.host, u, v)
-                raise ValueError(f"non-edge {{{u},{v}}} must be stored sorted")
-
-    @staticmethod
-    def _unchecked(host: Graph, blue_nonedges: frozenset[NonEdgePair]) -> "NonEdgeColoring":
-        """A coloring whose pairs are valid by construction, built without
-        the checks of ``__post_init__``.  The caller guarantees that every
-        pair (u, v) has 1 <= u < v <= host.n and is a non-edge of ``host``;
-        ``_Game.coloring`` reads its pairs off the white masks that way."""
-        c = object.__new__(NonEdgeColoring)
-        object.__setattr__(c, "host", host)
-        object.__setattr__(c, "blue_nonedges", blue_nonedges)
-        return c
-
     @staticmethod
     def start(host: Graph, blue: Iterable[NonEdgePair] = ()) -> "NonEdgeColoring":
-        return NonEdgeColoring(host, frozenset(_pair(u, v) for u, v in blue))
+        return NonEdgeColoring(host, frozenset(sorted_non_edge(host, u, v) for u, v in blue))
 
     def white_nonedges(self) -> list[NonEdgePair]:
         return [e for e in self.host.non_edges() if e not in self.blue_nonedges]
@@ -346,9 +335,9 @@ class _Game:
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white
-        bit is clear."""
+        bit is clear, each a sorted non-edge of g by construction."""
         g, white = self.g, self.white
-        return NonEdgeColoring._unchecked(g, frozenset(
+        return NonEdgeColoring(g, frozenset(
             (u, v) for u in g.vertices()
             for v in bits(g.full_mask >> (u + 1) << (u + 1) & ~g.adj[u] & ~white[u])))
 
@@ -356,9 +345,10 @@ class _Game:
 def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
            cover: Collection[int]) -> _Game:
     """The game position at the start, ``blue`` plus every non-edge touching
-    ``cover``.  The one check of a start: a pair that is not a non-edge of g
-    (``NonEdgeColoring.start``), a cover vertex outside g (``_vertex_mask``)
-    or a rule but Z, Zl and Zplus (``_Game``) raises ``ValueError``."""
+    ``cover``.  The one check of a start: a pair outside 1..n or not a
+    non-edge of g (``NonEdgeColoring.start``), a cover vertex outside g
+    (``_vertex_mask``) or a rule but Z, Zl and Zplus (``_Game``) raises
+    ``ValueError``."""
     return _Game(g, NonEdgeColoring.start(g, blue).blue_nonedges, rule, _vertex_mask(g, cover))
 
 

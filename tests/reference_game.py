@@ -57,7 +57,7 @@ def reference_odd_cycle_applications(g, coloring):
 
 
 def reference_local_blue_mask(g, coloring, k):
-    mask = g.closed_neighborhood(k)
+    mask = g.adj[k] | 1 << k
     for u, v in coloring.blue_nonedges:
         if u == k:
             mask |= 1 << v

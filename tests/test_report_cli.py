@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sapforce import families
+from sapforce import families, report as report_module
 from sapforce.canon import canonical_form
 from sapforce.cli import build_parser, load_graph, main, read_graphs
 from sapforce.graphs import GraphError, bits, parse_graph6
@@ -42,6 +42,30 @@ def test_report_computation(kite):
     assert report.flags == {"zsap_zero": True}
     payload = json.loads(report.to_json())
     assert payload["graph6"] == report.graph6
+
+
+def test_repeated_names_are_computed_once(monkeypatch):
+    calls = Counter()
+
+    def counted(table, name):
+        inner = table[name]
+
+        def wrapper(g):
+            calls[name] += 1
+            return inner(g)
+        monkeypatch.setitem(table, name, wrapper)
+
+    counted(report_module._PARAM_COMPUTERS, "Z")
+    counted(report_module._FLAG_COMPUTERS, "zsap_zero")
+    petersen = families.petersen()
+    report = compute_report(petersen, ["Z", "Z", "Z"], ["zsap_zero", "zsap_zero"])
+    assert calls == {"Z": 1, "zsap_zero": 1}
+    assert report.params == {"Z": 5}
+    assert report.flags == {"zsap_zero": is_zsap_zero(petersen, Rule.Z)}
+    with pytest.raises(ValueError, match="unknown parameter"):
+        compute_report(petersen, ["Z", "nope", "nope"])
+    with pytest.raises(ValueError, match="unknown flag"):
+        compute_report(petersen, ["Z"], ["zsap_zero", "nope"])
 
 
 def assert_xi_record_replays(record):

@@ -418,6 +418,24 @@ def test_coloring_of_another_host_is_refused():
                  lambda: sap_closure(c4, foreign, Rule.Z)):
         with pytest.raises(ValueError, match="not a non-edge"):
             call()
+    # NonEdgeColoring.start is the one check of a start's pairs: a vertex
+    # outside the host (checked before any shift, so 10**8 builds no huge
+    # mask) or a loop is refused on every path that takes a start
+    p4 = families.path(4)
+    _, trace = sap_closure(p4, [(1, 3)], Rule.Z)
+    for bad, message in (((0, 3), "outside 1..4"), ((2, 9), "outside 1..4"),
+                         ((1, 10**8), "outside 1..4"), ((2, 2), "not a non-edge")):
+        for call in (lambda: NonEdgeColoring.start(p4, [bad]),
+                     lambda: sap_closure(p4, [bad], Rule.Z),
+                     lambda: replay_trace(p4, [bad], [], Rule.Z),
+                     lambda: odd_cycle_applications(p4, [bad])):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # a reversed pair is the same non-edge, stored sorted
+    assert NonEdgeColoring.start(p4, [(3, 1)]).blue_nonedges == {(1, 3)}
+    assert sap_closure(p4, [(3, 1)], Rule.Z) == sap_closure(p4, [(1, 3)], Rule.Z)
+    assert replay_trace(p4, [(3, 1)], trace, Rule.Z) == replay_trace(p4, [(1, 3)], trace, Rule.Z)
+    assert odd_cycle_applications(p4, [(3, 1)]) == odd_cycle_applications(p4, [(1, 3)])
 
 
 def test_vc_game(k3_join_o4):
