@@ -24,11 +24,11 @@ share no factor, so the stored form of a matrix is unique and equal
 matrices compare and hash equal.  An integer row is stored as given, with
 scale 1, and no ``Fraction`` is built for it; ``entries`` gives the
 Fractions on demand.  One fraction-free (Bareiss) elimination loop over
-copies of the integer rows gives rank, determinant and, carrying an
-identity block along, the kernel of A.  ``validate_pattern`` checks A on
-the integer rows, symmetry by cross multiplication with the row scales,
-and ``has_sap`` ranks its kernel system as the transpose.  There is no
-tolerance anywhere.
+copies of the integer rows gives rank and determinant, and its echelon
+rows give an integer basis of ker A by back substitution.
+``validate_pattern`` checks A on the integer rows, symmetry by cross
+multiplication with the row scales, and ``has_sap`` ranks its kernel
+system as the transpose.  There is no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -146,15 +146,13 @@ class RationalMatrix:
 
 
 def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
-    """Fraction-free elimination of integer rows, in place, with
-    first-nonzero pivoting; returns (rank, sign of the row swaps, last
-    pivot).
+    """Fraction-free elimination of integer rows of width ``cols``, in
+    place, with first-nonzero pivoting; returns (rank, sign of the row
+    swaps, last pivot).
 
-    Pivots are taken in the first ``cols`` columns only, but every row is
-    updated across its full width, so columns past ``cols`` carry the row
-    operations along: on [A | I] they end as the transform T with T A the
-    echelon form.  Each entry is a minor of the matrix (Bareiss, 1968), so
-    the division by the previous pivot is exact in every column.
+    The first rank rows end in echelon form, each starting at its pivot,
+    and the rows past them are zero.  Each entry is a minor of the matrix
+    (Bareiss, 1968), so the division by the previous pivot is exact.
     """
     rows = len(m)
     sign = 1
@@ -174,12 +172,44 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
         for i in range(r + 1, rows):
             mi = m[i]
             mic = mi[c]
-            for j in range(c + 1, len(mr)):
+            for j in range(c + 1, cols):
                 mi[j] = (mi[j] * piv - mic * mr[j]) // prev
             mi[c] = 0
         prev = piv
         r += 1
     return r, sign, prev
+
+
+def _kernel_basis(m: list[list[int]], r: int) -> list[list[int]]:
+    """A basis of the kernel of the integer rows that ``_bareiss`` left in
+    ``m`` with rank ``r``: one primitive integer vector per free column,
+    the columns without a pivot, in column order.  ``m`` has a row.
+
+    For a free column f, x_f = 1 and every other free coordinate is 0; the
+    pivot rows, bottom-up, each fix their pivot coordinate.  A row with
+    pivot d at column p asks d x_p + s = 0, where s sums the row times the
+    coordinates already set; with g = gcd(s, d), the whole vector is scaled
+    by d / g and x_p set to -s / g, so every entry stays an integer.  The
+    vector stays primitive: x_p was 0, so if gcd(x) = 1 the new gcd is
+    gcd(d / g, s / g) = 1.  Restricted to the free columns the vectors form
+    a diagonal with nonzero entries, so they are independent, and there are
+    as many as the nullity.
+    """
+    n = len(m[0])
+    pivots = [next(c for c, x in enumerate(row) if x) for row in m[:r]]
+    basis = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        x = [0] * n
+        x[f] = 1
+        for row, p in zip(reversed(m[:r]), reversed(pivots)):
+            s = sum(row[j] * x[j] for j in range(p + 1, n))
+            if s:
+                g = gcd(s, row[p])
+                t = row[p] // g
+                x = [v * t for v in x]
+                x[p] = -s // g
+        basis.append(x)
+    return basis
 
 
 def nullity(m: RationalMatrix) -> int:
@@ -304,26 +334,22 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
     a pivot.  With k <= 1 the answer is yes: S = (s) and s u_i^2 = 0 at a
     vertex where u_i != 0.
 
-    U comes from one ``_bareiss`` pass over [DA | D], pivoting in A's n
-    columns, where the positive diagonal D clears the denominators of A's
-    rows (D = I for an integer A); DA and D are A's stored ``ints`` and
-    ``scales``, which ``validate_pattern`` checked.  Row i starts as [t A | t]
-    with t = d_i e_i, and every step replaces rows by combinations of rows,
-    so each row keeps that form; every step is invertible, so the final
-    right parts t are independent.  The rows past the rank r have t A = 0, hence A t = 0
-    as A is symmetric: these k = n - r rows, each divided by its gcd, are a
-    basis of ker A.
+    U comes from one ``_bareiss`` pass over DA, A's stored ``ints``, which
+    ``validate_pattern`` checked; D is the positive diagonal of A's row
+    ``scales`` (D = I for an integer A).  D is invertible, so ker DA = ker
+    A and A's rank is DA's: the elimination ranks DA, and only when
+    k = n - r >= 2 does ``_kernel_basis`` read k primitive integer vectors
+    off its echelon rows by back substitution.  They lie in ker A and are
+    independent, so they are a basis of it; any basis gives the same
+    verdict, as the argument above holds for every U.
     """
     validate_pattern(g, a)
-    n = a.cols
-    m = [[*row, *[0] * i, d, *[0] * (n - 1 - i)]
-         for i, (row, d) in enumerate(zip(a.ints, a.scales))]
-    r = _bareiss(m, n)[0]
-    k = n - r
+    m = [list(row) for row in a.ints]
+    r = _bareiss(m, a.cols)[0]
+    k = a.cols - r
     if k <= 1:
         return True
-    basis = [row[n:] for row in m[r:]]
-    u = list(zip(*([x // gcd(*t) for x in t] for t in basis)))
+    u = list(zip(*_kernel_basis(m, r)))
     pairs = [(p, q) for p in range(k) for q in range(p, k)]
     cells = [(u[i - 1], u[j - 1]) for i, j in [(v, v) for v in g.vertices()] + g.edges()]
     system = [[ui[p] * uj[q] + ui[q] * uj[p] for ui, uj in cells] for p, q in pairs]

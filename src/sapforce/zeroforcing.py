@@ -288,18 +288,22 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # vertex has >= d - (|S| - 1) >= 2 white neighbours, so it cannot force;
     # a Zl self-force needs all >= d neighbours of a white vertex blue; a hop
     # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1.
-    # Refusing those sets unplayed keeps the first winner in (size,
-    # combinations) order.  Zplus forces into one white component at a time,
-    # so it may move from fewer.  Start sets are tried as sums of vertex bits,
-    # in the order of their vertices, and played by the mask-level ``_wins``;
-    # the floor searches share one memo of lost blue sets per start-set size
-    # (lemma (b)).
+    # Starting the sizes at d keeps the first winner in (size, combinations)
+    # order.  Zplus forces into one white component at a time, so it may
+    # move from fewer.  Start sets are tried as sums of vertex bits, in the
+    # order of their vertices, and played by the mask-level ``_wins``; the
+    # floor searches share one memo of lost blue sets per start-set size
+    # (lemma (b)).  The whole vertex set wins, so some size does.
     least = 0 if rule is _ZPLUS else g.min_degree()
+    items = [1 << v for v in g.vertices()]
     lost: dict[int, set[int]] = {}
-    size, combo = smallest_winning_set(
-        [1 << v for v in g.vertices()],
-        lambda combo: len(combo) >= least and _wins(g, sum(combo), rule, lost))
-    return size, frozenset(b.bit_length() - 1 for b in combo)
+
+    def wins(combo: tuple[int, ...]) -> bool:
+        return _wins(g, sum(combo), rule, lost)
+
+    return next((size, frozenset(b.bit_length() - 1 for b in combo))
+                for size in range(least, g.n + 1)
+                if (combo := _first_winner(items, size, wins)) is not None)
 
 
 def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

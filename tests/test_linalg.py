@@ -1,6 +1,8 @@
 import importlib.util
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -9,14 +11,15 @@ from sapforce import families
 from sapforce.canon import enumerate_connected, enumerate_graphs
 from sapforce.graphs import Graph, parse_graph6
 from sapforce.linalg import (PatternError, PatternFamily, PerturbationError,
-                             RationalMatrix, build_sap_matrix, has_sap, nullity,
-                             odd_cycle_det, odd_cycle_matrix, perturbation_witness,
-                             sample_matrix, validate_pattern)
+                             RationalMatrix, _bareiss, _kernel_basis, build_sap_matrix,
+                             has_sap, nullity, odd_cycle_det, odd_cycle_matrix,
+                             perturbation_witness, sample_matrix, validate_pattern)
 from sapforce.sapgame import vc_forcing_number
 from sapforce.zeroforcing import Rule
 
 from oracle import sap_oracle
 from reference_sampler import reference_sample_matrix
+from reference_sap import reference_has_sap, reference_kernel_basis
 
 P4_MATRIX = RationalMatrix.from_rows(
     [[-1, 1, 0, 0], [1, -1, 1, 0], [0, 1, -1, 1], [0, 0, 1, -1]])
@@ -294,6 +297,7 @@ def test_block_structure_random():
 
 # -- the kernel form of has_sap against the system matrix Psi -----------------
 
+@cache
 def _perfbench_clique_psd():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "matrices.py"
     spec = importlib.util.spec_from_file_location("perfbench_matrices", path)
@@ -308,31 +312,32 @@ def adjacency_matrix(g, sign=lambda u, v: 1):
          for u in g.vertices()])
 
 
+def adjacency_pair(g):
+    """The plain and a seeded +-1-signed adjacency matrix of ``g``."""
+    rng = random.Random(f"signs/{g.to_graph6()}")
+    signs = {e: rng.choice((-1, 1)) for e in g.edges()}
+    return [(g, adjacency_matrix(g)), (g, adjacency_matrix(g, lambda u, v: signs[u, v]))]
+
+
+def clique_psd_draws(g, count):
+    """``count`` seeded ``clique_psd`` draws for ``g``."""
+    rng = random.Random(f"clique_psd/{g.to_graph6()}")
+    return [(g, _perfbench_clique_psd()(g, rng)) for _ in range(count)]
+
+
 @pytest.fixture(scope="module")
 def adjacency_corpus():
     """Plain and seeded +-1-signed adjacency matrices of every graph with
     n <= 7.  Their diagonals are zero, so the I o X = O rows are not implied
     by the A o X = O rows."""
-    corpus = []
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            rng = random.Random(f"signs/{g.to_graph6()}")
-            signs = {e: rng.choice((-1, 1)) for e in g.edges()}
-            corpus += [(g, adjacency_matrix(g)),
-                       (g, adjacency_matrix(g, lambda u, v: signs[u, v]))]
-    return corpus
+    return [p for n in range(1, 8) for g in enumerate_graphs(n) for p in adjacency_pair(g)]
 
 
 @pytest.fixture(scope="module")
 def clique_psd_corpus():
     """Two nullity-rich ``clique_psd`` draws per connected graph with n <= 7."""
-    clique_psd = _perfbench_clique_psd()
-    corpus = []
-    for n in range(1, 8):
-        for g in enumerate_connected(n):
-            rng = random.Random(f"clique_psd/{g.to_graph6()}")
-            corpus += [(g, clique_psd(g, rng)) for _ in range(2)]
-    return corpus
+    return [p for n in range(1, 8) for g in enumerate_connected(n)
+            for p in clique_psd_draws(g, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +392,88 @@ def test_kernel_form_matches_system_matrix_on_clique_psd(clique_psd_corpus):
 
 def test_kernel_form_matches_system_matrix_on_twin_blowups(twin_blowup_corpus):
     assert check_against_system_matrix(twin_blowup_corpus) == (758, 203, 758)
+
+
+def library_kernel(a):
+    """The basis ``has_sap`` reads: ``_kernel_basis`` on A's integer rows
+    after ``_bareiss``."""
+    m = [list(row) for row in a.ints]
+    return _kernel_basis(m, _bareiss(m, a.cols)[0])
+
+
+def check_kernel_basis(a):
+    """Assert the library basis has n - rank primitive integer vectors, each
+    with A u = 0 on the Fraction entries, forming a nonzero diagonal on the
+    free columns: those where the rank of the leading columns does not grow,
+    found from the column prefixes alone."""
+    basis = library_kernel(a)
+    assert len(basis) == a.cols - a.rank()
+    for u in basis:
+        assert len(u) == a.cols and gcd(*u) == 1
+        assert all(sum(x * y for x, y in zip(row, u)) == 0 for row in a.entries)
+    prefix = [RationalMatrix.from_rows([row[:c] for row in a.entries]).rank()
+              for c in range(a.cols + 1)]
+    free = [c for c in range(a.cols) if prefix[c + 1] == prefix[c]]
+    on_free = [[u[f] for f in free] for u in basis]
+    assert all((x != 0) == (i == j) for i, row in enumerate(on_free) for j, x in enumerate(row))
+
+
+def test_kernel_basis_on_the_corpora(adjacency_corpus, clique_psd_corpus, twin_blowup_corpus):
+    """The basis on every matrix of the three n <= 7 corpora, and the verdict
+    against the former [DA | D] kernel path."""
+    for g, a in adjacency_corpus + clique_psd_corpus + twin_blowup_corpus:
+        check_kernel_basis(a)
+        assert has_sap(g, a) == reference_has_sap(g, a), g.to_graph6()
+
+
+def test_kernel_basis_on_rational_rows():
+    """Random products B C of rank <= r, row i divided by its own prime, so
+    every nonzero row has its own scale; A u = 0 is checked on the
+    Fractions, not on the integer rows the basis is read from."""
+    rng = random.Random("kernel rows")
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    rich = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        r = rng.randint(0, n)
+        b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        a = RationalMatrix.from_rows(
+            [[Fraction(sum(b[i][t] * c[t][j] for t in range(r)), primes[i]) for j in range(n)]
+             for i in range(n)])
+        check_kernel_basis(a)
+        rich += a.nullity() >= 2 and len(set(a.scales)) == n
+    assert rich >= 50
+
+
+def test_kernel_basis_with_a_free_column_before_a_pivot():
+    """The zero first column is free, and so is column 2; the pivot 2 of
+    row 0 does not divide s = 3, so the vector is rescaled by 2."""
+    a = RationalMatrix.from_rows([[0, 2, 3, 1], [0, 4, 6, 5]])
+    assert library_kernel(a) == [[1, 0, 0, 0], [0, -3, 2, 0]]
+    check_kernel_basis(a)
+
+
+@pytest.mark.slow
+def test_has_sap_matches_the_reference_kernel_path_on_n8():
+    """Verdict and nullity against the former [DA | D] kernel path: plain
+    and signed adjacency matrices of all 12,346 graphs on 8 vertices, and
+    one ``clique_psd`` draw per connected one."""
+    def check(corpus):
+        """The matrices, the "no" verdicts and the matrices of nullity >= 2."""
+        no = nullity2 = 0
+        for g, a in corpus:
+            verdict, k = has_sap(g, a), a.nullity()
+            assert verdict == reference_has_sap(g, a), g.to_graph6()
+            assert k == len(library_kernel(a)) == len(reference_kernel_basis(a)), g.to_graph6()
+            no += not verdict
+            nullity2 += k >= 2
+        return len(corpus), no, nullity2
+
+    assert check([p for g in enumerate_graphs(8) for p in adjacency_pair(g)]) == \
+        (24692, 1911, 4666)
+    assert check([p for g in enumerate_connected(8) for p in clique_psd_draws(g, 1)]) == \
+        (11117, 503, 5182)
 
 
 def test_kernel_form_hand_cases():
