@@ -17,10 +17,12 @@ forbids triples whose forcer i lies in B with {i,k} a non-edge; the odd
 cycle rule is never restricted.
 
 One position (``_Game``) is read by every query and result: the legal
-moves in policy order (``_Game.moves``, the one statement of that order)
-and the coloring (``_Game.coloring``) that ``sap_closure`` and
-``replay_trace`` return, read off the white masks, so its pairs need no
-check: a start's pairs are checked once, by ``NonEdgeColoring.start``.  A
+moves in policy order (``_Game.moves``, the full statement of that order),
+the first of them (``_Game.first_move``, found without generators and
+tested against ``moves``), and the coloring (``_Game.coloring``) that
+``sap_closure`` and ``replay_trace`` return, read off the white masks, so
+its pairs need no check: a start's pairs are checked once, by
+``NonEdgeColoring.start``, and a coloring built directly checks its own.  A
 closure updates the position in place.  One exact fact says what a move
 can change.  The local game at k starts from every vertex but k's white
 partners, so coloring {j,k} changes the local games at j and k and no
@@ -50,41 +52,59 @@ white at T, played at a position B; every non-edge blue at B is blue at T.
     under Z, hence under Zl and Zplus, a contradiction.
 Corollary: from one start, every maximal play ends in the same coloring,
 under each of Z, Zl and Zplus, with or without a cover, as each end lies
-inside the other.  So ``sap_closure`` plays the first legal move in policy
-order, the one order that gives a trace, and ``_Game.close`` plays the
-cheapest order: triples to a stall, then one cycle move, and again.  Its
-triples come in rounds, every target of the local games at once, and the
-odd cycles are scanned only at a stall.  It ends in the same coloring.
+inside the other.  So ``sap_closure`` plays ``first_move``, the first
+legal move in policy order, the one order that gives a trace, and
+``_Game.close`` plays the cheapest order: triples to a stall, then one
+cycle move, and again.  Its triples come in rounds, every target of the
+local games at once, and the odd cycles are scanned only at a stall.  It
+ends in the same coloring.
 Both stop once no white non-edge is left: a complete position has no move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import combinations, takewhile
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
-from .zeroforcing import (CONVENTIONAL_RULES, Rule, _first_winner, _forcers,
-                          _targets, smallest_winning_set)
+from .zeroforcing import (CONVENTIONAL_RULES, Rule, _forcers, _targets,
+                          smallest_winning_set)
 
 
 @dataclass(frozen=True)
 class NonEdgeColoring:
     """Blue/white partition of the non-edges of ``host``.
 
-    A coloring comes from ``start``, which checks each pair, or from
-    ``_Game.coloring``, which reads its pairs off the white masks.  No
-    library function reads a coloring as input: a game starts from pairs,
-    and ``_start`` checks them through ``start``."""
+    Built directly, a coloring checks that each blue pair (u, v) has u < v
+    and is a non-edge of ``host``.  ``start`` checks and sorts each pair
+    itself, and ``_Game.coloring`` reads its pairs off the white masks, so
+    both skip that check through ``_unchecked``.  No library function reads
+    a coloring as input: a game starts from pairs, and ``_start`` checks
+    them through ``start``."""
 
     host: Graph
     blue_nonedges: frozenset[NonEdgePair]
 
+    def __post_init__(self) -> None:
+        for u, v in self.blue_nonedges:
+            if sorted_non_edge(self.host, u, v) != (u, v):
+                raise ValueError(f"({u}, {v}) is not a sorted non-edge: write ({v}, {u})")
+
+    @staticmethod
+    def _unchecked(host: Graph, blue: frozenset[NonEdgePair]) -> "NonEdgeColoring":
+        """A coloring whose pairs are sorted non-edges of ``host`` by
+        construction, built without the checks of ``__post_init__``."""
+        coloring = object.__new__(NonEdgeColoring)
+        object.__setattr__(coloring, "host", host)
+        object.__setattr__(coloring, "blue_nonedges", blue)
+        return coloring
+
     @staticmethod
     def start(host: Graph, blue: Iterable[NonEdgePair] = ()) -> "NonEdgeColoring":
-        return NonEdgeColoring(host, frozenset(sorted_non_edge(host, u, v) for u, v in blue))
+        return NonEdgeColoring._unchecked(
+            host, frozenset(sorted_non_edge(host, u, v) for u, v in blue))
 
     def white_nonedges(self) -> list[NonEdgePair]:
         return [e for e in self.host.non_edges() if e not in self.blue_nonedges]
@@ -254,12 +274,13 @@ class _Game:
 
     def moves(self) -> Iterator[SapForce]:
         """Every legal move, lazily, in policy order; the policy plays the
-        first.  Odd cycle applications come first, the vertex i ascending and
-        its cycles by least vertex; then the forcing triples, lexicographic
-        by (non-edge {a,b} with a < b, local-game vertex a before b, forcer),
-        a Zl self-force after the other forcers of its target.  A complete
-        position has none, and is neither scanned nor re-read.  Play no move
-        while the generator is still read."""
+        first, which ``first_move`` returns.  Odd cycle applications come
+        first, the vertex i ascending and its cycles by least vertex; then
+        the forcing triples, lexicographic by (non-edge {a,b} with a < b,
+        local-game vertex a before b, forcer), a Zl self-force after the
+        other forcers of its target.  A complete position has none, and is
+        neither scanned nor re-read.  Play no move while the generator is
+        still read."""
         if not any(self.white):
             return
         yield from self._cycle_moves()
@@ -267,8 +288,7 @@ class _Game:
         adj, rule, allowed = self.g.adj, self.rule, self.allowed
         hits, white = self.hits, self.white
         # bits are walked inline, and a non-edge forced at neither end is
-        # skipped at once: ``sap_closure`` reads only the first move, and a
-        # generator per walk costs more than the walk on small graphs
+        # skipped at once: ``replay_trace`` reads up to each recorded move
         for a in self.g.vertices():
             rest = white[a] >> (a + 1) << (a + 1)
             while rest:
@@ -289,6 +309,46 @@ class _Game:
                             yield TripleForce(k, bit.bit_length() - 1, j)
                         if itself:
                             yield TripleForce(k, j, j)
+
+    def first_move(self) -> SapForce | None:
+        """The first element of ``moves()``, or None, found without its
+        generators: the first odd cycle of the least vertex in ``may_cycle``
+        that has one, else the first triple of the lexicographically first
+        white non-edge forced at either end.  It prunes ``may_cycle`` as
+        reading ``moves()`` up to that move does."""
+        white = self.white
+        if not any(white):
+            return None
+        adj = self.g.adj
+        rest = self.may_cycle
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if (found := _odd_cycles(adj[i], white)) is None:
+                self.may_cycle &= ~low
+            elif found:
+                return OddCycleForce(i, found[0])
+        self._refresh_forces()
+        hits = self.hits
+        for a in self.g.vertices():
+            rest = white[a] >> (a + 1) << (a + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                if hits[a] & low:
+                    k, j = a, b
+                elif hits[b] >> a & 1:
+                    k, j = b, a
+                else:
+                    continue
+                # ``_targets`` and ``_forcers`` read the same force kernel, so
+                # a target has an allowed forcer or, under Zl, forces itself
+                w = white[k]
+                forcers, _ = _forcers(adj, w, self.allowed[k] & ~w, self.rule, j)
+                return TripleForce(k, (forcers & -forcers).bit_length() - 1 if forcers else j, j)
+        return None
 
     def play(self, move: SapForce) -> None:
         """Color the move's non-edges.  Coloring {u,v} changes the local
@@ -337,9 +397,15 @@ class _Game:
         """The position as a coloring: blue are the non-edges whose white
         bit is clear, each a sorted non-edge of g by construction."""
         g, white = self.g, self.white
-        return NonEdgeColoring(g, frozenset(
-            (u, v) for u in g.vertices()
-            for v in bits(g.full_mask >> (u + 1) << (u + 1) & ~g.adj[u] & ~white[u])))
+        adj, full = g.adj, g.full_mask
+        blue = []
+        for u in g.vertices():
+            rest = full >> (u + 1) << (u + 1) & ~adj[u] & ~white[u]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                blue.append((u, low.bit_length() - 1))
+        return NonEdgeColoring._unchecked(g, frozenset(blue))
 
 
 def _start(g: Graph, blue: Iterable[NonEdgePair], rule: Rule,
@@ -359,7 +425,7 @@ def sap_closure(g: Graph, blue: Iterable[NonEdgePair] = (), rule: Rule = Rule.Z,
     that vertex set."""
     game = _start(g, blue, rule, cover)
     trace: list[SapForce] = []
-    while (move := next(game.moves(), None)) is not None:
+    while (move := game.first_move()) is not None:
         game.play(move)
         trace.append(move)
     return game.coloring(), trace
@@ -394,11 +460,12 @@ def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[No
 
 def _winning_cover(g: Graph, rule: Rule, size: int) -> frozenset[int] | None:
     """The first cover of ``size`` vertices, in ``combinations`` order, whose
-    vertex-cover game forces every non-edge, or None."""
-    # covers are tried as sums of vertex bits, in the order of their vertices
-    cover = _first_winner([1 << v for v in g.vertices()], size,
-                          lambda cover: _Game(g, (), rule, sum(cover)).close())
-    return None if cover is None else frozenset(b.bit_length() - 1 for b in cover)
+    vertex-cover game forces every non-edge, or None.  Covers are played as
+    sums of vertex bits."""
+    for cover in map(sum, combinations([1 << v for v in g.vertices()], size)):
+        if _Game(g, (), rule, cover).close():
+            return frozenset(bits(cover))
+    return None
 
 
 def vc_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[int]]:

@@ -269,17 +269,10 @@ def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], boo
     """Size and members of the first subset that wins, trying subsets by
     size and then in ``combinations`` order."""
     for size in range(len(items) + 1):
-        combo = _first_winner(items, size, wins)
-        if combo is not None:
-            return size, frozenset(combo)
+        for combo in combinations(items, size):
+            if wins(combo):
+                return size, frozenset(combo)
     raise AssertionError("no subset wins, not even the whole set")
-
-
-def _first_winner(items: Sequence[T], size: int, wins: Callable[[tuple[T, ...]], bool]
-                  ) -> tuple[T, ...] | None:
-    """The first subset of ``size`` items in ``combinations`` order that
-    wins, or None."""
-    return next(filter(wins, combinations(items, size)), None)
 
 
 def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
@@ -290,20 +283,20 @@ def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1.
     # Starting the sizes at d keeps the first winner in (size, combinations)
     # order.  Zplus forces into one white component at a time, so it may
-    # move from fewer.  Start sets are tried as sums of vertex bits, in the
-    # order of their vertices, and played by the mask-level ``_wins``; the
-    # floor searches share one memo of lost blue sets per start-set size
-    # (lemma (b)).  The whole vertex set wins, so some size does.
-    least = 0 if rule is _ZPLUS else g.min_degree()
-    items = [1 << v for v in g.vertices()]
+    # move from fewer.  Start sets are the sums of vertex bits in
+    # ``combinations`` order, each played as a mask: by ``_closure_mask``,
+    # or under FloorZ by ``_wins``, whose searches share one memo of lost
+    # blue sets per start-set size (lemma (b)).  The whole vertex set wins,
+    # so some size does.
+    full = g.full_mask
+    vertex_bits = [1 << v for v in g.vertices()]
     lost: dict[int, set[int]] = {}
-
-    def wins(combo: tuple[int, ...]) -> bool:
-        return _wins(g, sum(combo), rule, lost)
-
-    return next((size, frozenset(b.bit_length() - 1 for b in combo))
-                for size in range(least, g.n + 1)
-                if (combo := _first_winner(items, size, wins)) is not None)
+    for size in range(0 if rule is _ZPLUS else g.min_degree(), g.n + 1):
+        for start in map(sum, combinations(vertex_bits, size)):
+            if (_wins(g, start, rule, lost) if rule is _FLOOR
+                    else _closure_mask(g, start, rule) == full):
+                return size, frozenset(bits(start))
+    raise AssertionError("the whole vertex set forces itself")
 
 
 def min_zfs(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:

@@ -83,19 +83,22 @@ def test_random_order_matches_reference(connected_upto_5):
 
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
     """``moves`` yields the reference's legal moves, in order, and its first
-    is the first of them, at every position the reference closure passes
-    through: both at a position started there and at one position played
-    along the reference trace, whose pruned vertices must stay pruned."""
+    is the first of them, as is ``first_move``, at every position the
+    reference closure passes through: both at a position started there and
+    at one position played along the reference trace, whose pruned vertices
+    must stay pruned."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
     touching = [e for e in g.non_edges() if set(e) & set(cover)]
     coloring = NonEdgeColoring.start(g, [*blue, *touching])
     played = _start(g, blue, rule, cover)
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
+        first = want[0] if want else None
         where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
         assert list(_start(g, coloring.blue_nonedges, rule, cover).moves()) == want, where
-        assert next(_start(g, coloring.blue_nonedges, rule, cover).moves(), None) == \
-            (want[0] if want else None), where
+        assert next(_start(g, coloring.blue_nonedges, rule, cover).moves(), None) == first, where
+        assert _start(g, coloring.blue_nonedges, rule, cover).first_move() == first, where
+        assert played.first_move() == first, where
         assert list(played.moves()) == want, where
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
@@ -438,6 +441,22 @@ def test_coloring_of_another_host_is_refused():
     assert odd_cycle_applications(p4, [(3, 1)]) == odd_cycle_applications(p4, [(1, 3)])
 
 
+def test_a_coloring_built_directly_checks_its_pairs():
+    # unchecked, these three pairs would count as P4's three non-edges, and
+    # is_complete() would contradict white_nonedges()
+    p4 = families.path(4)
+    with pytest.raises(ValueError, match="outside 1..4|not a non-edge"):
+        NonEdgeColoring(p4, frozenset({(1, 2), (0, 9), (5, 6)}))
+    for bad, message in (((1, 2), "not a non-edge"), ((0, 9), "outside 1..4"),
+                         ((5, 6), "outside 1..4"), ((3, 3), "not a non-edge"),
+                         ((3, 1), "not a sorted non-edge")):
+        with pytest.raises(ValueError, match=message):
+            NonEdgeColoring(p4, frozenset({bad}))
+    coloring = NonEdgeColoring(p4, frozenset({(1, 3), (2, 4)}))
+    assert coloring.white_nonedges() == [(1, 4)] and not coloring.is_complete()
+    assert coloring == NonEdgeColoring.start(p4, [(3, 1), (4, 2)])
+
+
 def test_vc_game(k3_join_o4):
     value, witness = vc_forcing_number(k3_join_o4, Rule.Z)
     assert value == 1 and len(witness) == 1
@@ -579,6 +598,29 @@ def check_chain_continuation(graphs) -> int:
                 (g.to_graph6(), weaker, stronger)
             checks += 1
     return checks
+
+
+@pytest.mark.slow
+def test_first_move_matches_moves_along_closures_n8():
+    """``first_move`` is the first element of ``moves`` at every position of
+    every empty-start closure of each connected 8-vertex graph under Z, Zl
+    and Zplus.  Two games play the same moves, one reading only
+    ``first_move`` and one only ``moves``, so each prunes ``may_cycle`` on
+    its own; the count of positions compared, the final ones included, is
+    pinned."""
+    positions = 0
+    for g in enumerate_connected(8):
+        for rule in CONVENTIONAL_RULES:
+            fast, full = _Game(g, (), rule), _Game(g, (), rule)
+            while True:
+                move = fast.first_move()
+                assert move == next(full.moves(), None), (g.to_graph6(), rule, fast.white)
+                positions += 1
+                if move is None:
+                    break
+                fast.play(move)
+                full.play(move)
+    assert positions == 387780
 
 
 def test_chain_continuation_matches_empty_start(connected_upto_7):
