@@ -16,18 +16,20 @@ vertex set B, its cover: it starts from all non-edges touching B as well and
 forbids triples whose forcer i lies in B with {i,k} a non-edge; the odd
 cycle rule is never restricted.
 
-One position (``_Game``) is read by every query and result: the legal
-moves in policy order (``_Game.moves``, the full statement of that order),
-the first of them (``_Game.first_move``, found without generators and
-tested against ``moves``), and the coloring (``_Game.coloring``) that
-``sap_closure`` and ``replay_trace`` return, read off the white masks, so
-its pairs need no check: a start's pairs are checked once, by
-``NonEdgeColoring.start``, and a coloring built directly checks its own.  A
-closure updates the position in place.  One exact fact says what a move
-can change.  The local game at k starts from every vertex but k's white
-partners, so coloring {j,k} changes the local games at j and k and no
-other, and only those two are re-read.  The odd cycles are not kept: they
-are scanned when the moves are read.
+One position (``_Game``) is read by every query and result: the first
+legal move in policy order (``_Game.first_move``, the one statement of
+that order in the library; ``tests/reference_game.py`` states it again,
+independently, as the tests' oracle), whether a given move is legal
+(``_Game.is_legal``, the check ``replay_trace`` makes at each step), and
+the coloring (``_Game.coloring``) that ``sap_closure`` and
+``replay_trace`` return, read off the white masks, so its pairs need no
+check: a start's pairs are checked once, by ``NonEdgeColoring.start``, and
+a coloring built directly checks its own.  A closure updates the position
+in place.  One exact fact says what a move can change.  The local game at
+k starts from every vertex but k's white partners, so coloring {j,k}
+changes the local games at j and k and no other, and only those two are
+re-read.  The odd cycles are not kept: they are scanned when a move is
+asked for.
 
 The move order does not change where a closure ends, although the odd cycle
 rule is not monotone (a triple that colors part of a cycle removes that
@@ -64,8 +66,8 @@ Both stop once no white non-edge is left: a complete position has no move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, takewhile
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Sequence
 
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
@@ -194,8 +196,8 @@ def odd_cycle_applications(g: Graph, blue: Iterable[NonEdgePair]) -> list[OddCyc
     """All (i->C) moves from the start ``blue``: components of the white
     graph inside N(i) that are odd cycles, listed with i ascending and
     cycles by least vertex."""
-    return list(takewhile(lambda move: type(move) is OddCycleForce,
-                          _start(g, blue, Rule.Z, ()).moves()))
+    white = _start(g, blue, Rule.Z, ()).white
+    return [OddCycleForce(i, c) for i in g.vertices() for c in _odd_cycles(g.adj[i], white) or ()]
 
 
 class _Game:
@@ -211,7 +213,7 @@ class _Game:
     for.  Vetoed forcers, those in ``cover`` that are not adjacent to k,
     never count.  A move marks stale only the local games it can change (see
     the module docstring), and each query re-reads those first; the odd
-    cycles are scanned when the moves are read.
+    cycles are scanned when a move is asked for.
     """
 
     def __init__(self, g: Graph, blue: Iterable[NonEdgePair], rule: Rule = Rule.Z,
@@ -255,71 +257,13 @@ class _Game:
             self.hits[k] = _targets(adj, w, allowed[k] & ~w, rule) if w else 0
         self.stale_forces = 0
 
-    def _cycle_moves(self) -> Iterator[OddCycleForce]:
-        """The odd cycle applications in policy order, scanned as they are
-        read: the vertex i ascending, its cycles by least vertex.  A vertex
-        whose neighborhood holds too few white non-edges leaves
-        ``may_cycle`` for good."""
+    def _first_cycle(self) -> OddCycleForce | None:
+        """The first odd cycle application in policy order, or None: the
+        first cycle, by least vertex, of the least vertex i in ``may_cycle``
+        whose neighborhood holds one.  Each vertex passed on the way whose
+        neighborhood holds too few white non-edges leaves ``may_cycle`` for
+        good."""
         adj, white = self.g.adj, self.white
-        rest = self.may_cycle
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            if (found := _odd_cycles(adj[i], white)) is None:
-                self.may_cycle &= ~low
-                continue
-            for c in found:
-                yield OddCycleForce(i, c)
-
-    def moves(self) -> Iterator[SapForce]:
-        """Every legal move, lazily, in policy order; the policy plays the
-        first, which ``first_move`` returns.  Odd cycle applications come
-        first, the vertex i ascending and its cycles by least vertex; then
-        the forcing triples, lexicographic by (non-edge {a,b} with a < b,
-        local-game vertex a before b, forcer), a Zl self-force after the
-        other forcers of its target.  A complete position has none, and is
-        neither scanned nor re-read.  Play no move while the generator is
-        still read."""
-        if not any(self.white):
-            return
-        yield from self._cycle_moves()
-        self._refresh_forces()
-        adj, rule, allowed = self.g.adj, self.rule, self.allowed
-        hits, white = self.hits, self.white
-        # bits are walked inline, and a non-edge forced at neither end is
-        # skipped at once: ``replay_trace`` reads up to each recorded move
-        for a in self.g.vertices():
-            rest = white[a] >> (a + 1) << (a + 1)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                b = low.bit_length() - 1
-                if not (hits[a] & low or hits[b] >> a & 1):
-                    continue
-                for k, j in ((a, b), (b, a)):
-                    if hits[k] >> j & 1:
-                        # the allowed forcers of j at k, and whether j forces
-                        # itself under Zl
-                        w = white[k]
-                        forcers, itself = _forcers(adj, w, allowed[k] & ~w, rule, j)
-                        while forcers:
-                            bit = forcers & -forcers
-                            forcers ^= bit
-                            yield TripleForce(k, bit.bit_length() - 1, j)
-                        if itself:
-                            yield TripleForce(k, j, j)
-
-    def first_move(self) -> SapForce | None:
-        """The first element of ``moves()``, or None, found without its
-        generators: the first odd cycle of the least vertex in ``may_cycle``
-        that has one, else the first triple of the lexicographically first
-        white non-edge forced at either end.  It prunes ``may_cycle`` as
-        reading ``moves()`` up to that move does."""
-        white = self.white
-        if not any(white):
-            return None
-        adj = self.g.adj
         rest = self.may_cycle
         while rest:
             low = rest & -rest
@@ -329,8 +273,22 @@ class _Game:
                 self.may_cycle &= ~low
             elif found:
                 return OddCycleForce(i, found[0])
+        return None
+
+    def first_move(self) -> SapForce | None:
+        """The first legal move in policy order, or None; the policy plays
+        it.  Odd cycle applications come first, the vertex i ascending and
+        its cycles by least vertex; then the forcing triples, lexicographic
+        by (non-edge {a,b} with a < b, local-game vertex a before b,
+        forcer), a Zl self-force after the other forcers of its target.  A
+        complete position has no move, and is neither scanned nor re-read."""
+        white = self.white
+        if not any(white):
+            return None
+        if (move := self._first_cycle()) is not None:
+            return move
         self._refresh_forces()
-        hits = self.hits
+        adj, hits = self.g.adj, self.hits
         for a in self.g.vertices():
             rest = white[a] >> (a + 1) << (a + 1)
             while rest:
@@ -349,6 +307,24 @@ class _Game:
                 forcers, _ = _forcers(adj, w, self.allowed[k] & ~w, self.rule, j)
                 return TripleForce(k, (forcers & -forcers).bit_length() - 1 if forcers else j, j)
         return None
+
+    def is_legal(self, move: object) -> bool:
+        """Is ``move`` legal at this position?  A cycle move (i->C) is when
+        C is an odd cycle component of the white graph inside N(i); a triple
+        (k: i->j) is when {j,k} is white and i is an allowed forcer of j in
+        the local game at k, or i = j forces itself under Zl.  A vertex
+        outside 1..n, or anything but a move, is not legal."""
+        n, adj, white = self.g.n, self.g.adj, self.white
+        if type(move) is OddCycleForce:
+            return 1 <= move.i <= n and move.cycle in (_odd_cycles(adj[move.i], white) or ())
+        if type(move) is not TripleForce:
+            return False
+        k, i, j = move.k, move.i, move.j
+        if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n and white[k] >> j & 1):
+            return False
+        w = white[k]
+        forcers, itself = _forcers(adj, w, self.allowed[k] & ~w, self.rule, j)
+        return bool(forcers >> i & 1) or i == j and itself
 
     def play(self, move: SapForce) -> None:
         """Color the move's non-edges.  Coloring {u,v} changes the local
@@ -388,7 +364,7 @@ class _Game:
             if touched:
                 self.stale_forces |= touched
                 continue
-            if (move := next(self._cycle_moves(), None)) is None:
+            if (move := self._first_cycle()) is None:
                 return False
             self.play(move)
         return True
@@ -438,10 +414,13 @@ def replay_trace(
     rule: Rule,
     cover: Collection[int] = (),
 ) -> NonEdgeColoring:
-    """Re-apply a recorded trace, checking every move is legal at its step."""
+    """Re-apply a recorded trace, checking with ``_Game.is_legal`` that
+    every move is legal at its step; the first that is not raises
+    ``ValueError``.  A move need not be the policy's first: any legal
+    move is replayed."""
     game = _start(g, blue, rule, cover)
     for t, move in enumerate(trace, start=1):
-        if move not in game.moves():
+        if not game.is_legal(move):
             raise ValueError(f"step {t}: {move} is not applicable")
         game.play(move)
     return game.coloring()

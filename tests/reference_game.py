@@ -94,9 +94,14 @@ def reference_legal_moves(g, coloring, rule, cover=()):
     return moves()
 
 
-def reference_sap_closure(g, blue=(), rule=Rule.Z, cover=(), rng=None):
+def reference_start(g, blue=(), cover=()):
+    """The start ``blue`` plus every non-edge touching ``cover``."""
     touching = [e for e in g.non_edges() if set(e) & set(cover)]
-    coloring = NonEdgeColoring.start(g, [*blue, *touching])
+    return NonEdgeColoring.start(g, [*blue, *touching])
+
+
+def reference_sap_closure(g, blue=(), rule=Rule.Z, cover=(), rng=None):
+    coloring = reference_start(g, blue, cover)
     trace = []
     while True:
         moves = reference_legal_moves(g, coloring, rule, cover)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, permutations
 
@@ -11,11 +12,12 @@ from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game
                               _start, format_sap_trace, is_zsap_zero,
                               odd_cycle_applications, replay_trace, sap_closure,
                               sap_forcing_number, vc_forcing_number)
-from sapforce.zeroforcing import CONVENTIONAL_RULES, Rule, smallest_winning_set
+from sapforce.zeroforcing import CONVENTIONAL_RULES, Force, Rule, smallest_winning_set
 
 from conftest import diameter, is_forest, max_degree, wide_spider9
 from reference_game import (reference_legal_moves, reference_local_blue_set,
-                            reference_odd_cycle_applications, reference_sap_closure)
+                            reference_odd_cycle_applications, reference_sap_closure,
+                            reference_start)
 
 
 def assert_same_closure(g, blue, rule, cover=()):
@@ -23,6 +25,13 @@ def assert_same_closure(g, blue, rule, cover=()):
     want_final, want_trace = reference_sap_closure(g, blue, rule, cover)
     assert trace == want_trace, (g.to_graph6(), rule, sorted(blue), cover)
     assert final.blue_nonedges == want_final.blue_nonedges
+    return trace
+
+
+def legal_moves(g, blue, rule, cover=()):
+    """The reference's legal moves, in policy order, at the start ``blue``
+    plus every non-edge touching ``cover``."""
+    return list(reference_legal_moves(g, reference_start(g, blue, cover), rule, cover))
 
 
 def closed_coloring(g, blue, rule, cover=()):
@@ -65,41 +74,41 @@ def test_closure_matches_reference_from_random_starts(connected_upto_7):
             assert_same_closure(g, [e for e in nes if rng.random() < density], rule)
 
 
-def test_random_order_matches_reference(connected_upto_5):
-    """Along the reference's seeded random play, every legal move list is the
-    reference's, in the reference's order."""
-    for idx, g in enumerate(connected_upto_5):
-        for rule in CONVENTIONAL_RULES:
-            _, trace = reference_sap_closure(g, (), rule, rng=random.Random(idx))
-            coloring = NonEdgeColoring.start(g)
-            for move in trace + [None]:
-                want = list(reference_legal_moves(g, coloring, rule))
-                assert list(_start(g, coloring.blue_nonedges, rule, ()).moves()) == want
-                assert odd_cycle_applications(g, coloring.blue_nonedges) == \
-                    reference_odd_cycle_applications(g, coloring)
-                if move is not None:
-                    coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
+def candidate_moves(g, coloring):
+    """Every triple (k: i->j) on a white non-edge {j,k}, and every odd cycle
+    move on 3 or 5 vertices of each neighborhood, legal or not."""
+    for a, b in coloring.white_nonedges():
+        for k, j in ((a, b), (b, a)):
+            for i in g.vertices():
+                yield TripleForce(k, i, j)
+    for i in g.vertices():
+        for cycle in odd_cycles_in(g.adj[i]):
+            yield OddCycleForce(i, cycle)
 
 
 def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None):
-    """``moves`` yields the reference's legal moves, in order, and its first
-    is the first of them, as is ``first_move``, at every position the
-    reference closure passes through: both at a position started there and
-    at one position played along the reference trace, whose pruned vertices
-    must stay pruned."""
+    """At every position the reference closure passes through, both at a
+    position started there and at one position played along the reference
+    trace, whose pruned vertices must stay pruned: ``first_move`` is the
+    reference's first legal move, and ``is_legal`` holds for exactly the
+    reference's legal moves among every candidate.  The start's odd cycle
+    moves are the reference's, too."""
     _, trace = reference_sap_closure(g, blue, rule, cover, rng)
-    touching = [e for e in g.non_edges() if set(e) & set(cover)]
-    coloring = NonEdgeColoring.start(g, [*blue, *touching])
+    coloring = reference_start(g, blue, cover)
     played = _start(g, blue, rule, cover)
     for move in trace + [None]:
         want = list(reference_legal_moves(g, coloring, rule, cover))
         first = want[0] if want else None
         where = (g.to_graph6(), rule, sorted(blue), cover, sorted(coloring.blue_nonedges))
-        assert list(_start(g, coloring.blue_nonedges, rule, cover).moves()) == want, where
-        assert next(_start(g, coloring.blue_nonedges, rule, cover).moves(), None) == first, where
-        assert _start(g, coloring.blue_nonedges, rule, cover).first_move() == first, where
-        assert played.first_move() == first, where
-        assert list(played.moves()) == want, where
+        fresh = _start(g, coloring.blue_nonedges, rule, cover)
+        for game in (fresh, played):
+            assert game.first_move() == first, where
+            assert all(game.is_legal(m) for m in want), where
+        legal = set(want)
+        for m in candidate_moves(g, coloring):
+            assert played.is_legal(m) == (m in legal), (*where, m)
+        assert odd_cycle_applications(g, coloring.blue_nonedges) == \
+            reference_odd_cycle_applications(g, coloring), where
         if move is not None:
             coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
             played.play(move)
@@ -107,13 +116,14 @@ def assert_moves_match_along_reference_closure(g, blue, rule, cover=(), rng=None
 
 def test_legal_moves_match_reference_at_every_position(connected_upto_5):
     """The game caches only the targets of each local game and derives their
-    forcers when asked; these lists pin that derivation: vetoed forcers
+    forcers when asked; these checks pin that derivation: vetoed forcers
     dropped, a Zl self-force after the other forcers of its target, and
     Zplus forcers per white component."""
     rng = random.Random(19)
-    for g in connected_upto_5:
+    for idx, g in enumerate(connected_upto_5):
         nes = g.non_edges()
         for rule in CONVENTIONAL_RULES:
+            assert_moves_match_along_reference_closure(g, (), rule, rng=random.Random(idx))
             for size in range(3):
                 for cover in combinations(g.vertices(), size):
                     assert_moves_match_along_reference_closure(g, (), rule, cover)
@@ -147,7 +157,7 @@ def test_local_blue_set_matches_reference(connected_upto_6):
 
 def test_applicable_forces_p4_first_round():
     p4 = families.path(4)
-    forces = list(_start(p4, (), Rule.Z, ()).moves())
+    forces = legal_moves(p4, (), Rule.Z)
     triples = {(f.k, f.i, f.j) for f in forces if isinstance(f, TripleForce)}
     assert (2, 3, 4) in triples
     assert (3, 2, 1) in triples
@@ -157,7 +167,7 @@ def test_applicable_forces_p4_first_round():
 
 def test_applicable_forces_star_odd_cycle():
     star = families.star(3)
-    forces = list(_start(star, (), Rule.Z, ()).moves())
+    forces = legal_moves(star, (), Rule.Z)
     assert len(forces) == 1
     (cycle,) = forces
     assert isinstance(cycle, OddCycleForce)
@@ -165,12 +175,22 @@ def test_applicable_forces_star_odd_cycle():
     assert sorted(cycle.colored()) == [(2, 3), (2, 4), (3, 4)]
 
 
+def test_a_neighbourhood_with_two_odd_cycles_plays_the_lesser_first():
+    # in K_{1,3,3} the white non-edges inside N(1) are two triangles; no
+    # graph on fewer vertices has two, so the reference closures on n <= 5
+    # never meet one
+    g = families.complete_multipartite(1, 3, 3)
+    first, second = OddCycleForce(1, (2, 3, 4)), OddCycleForce(1, (5, 6, 7))
+    assert legal_moves(g, (), Rule.Z)[:2] == [first, second]
+    for rule in CONVENTIONAL_RULES:
+        assert assert_same_closure(g, (), rule) == [first, second]
+
+
 def triples_to_a_stall(g, blue, rule):
     """Play triples (first legal in policy order) until none is left; return
     the blue non-edges there."""
     blue = set(blue)
-    while triples := [m for m in _start(g, blue, rule, ()).moves()
-                      if isinstance(m, TripleForce)]:
+    while triples := [m for m in legal_moves(g, blue, rule) if isinstance(m, TripleForce)]:
         blue |= set(triples[0].colored())
     return blue
 
@@ -178,7 +198,7 @@ def triples_to_a_stall(g, blue, rule):
 def test_close_round_hits_one_non_edge_from_both_ends():
     # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2)
     p4 = families.path(4)
-    moves = list(_start(p4, (), Rule.Z, ()).moves())
+    moves = legal_moves(p4, (), Rule.Z)
     assert TripleForce(2, 3, 4) in moves and TripleForce(4, 3, 2) in moves
     for rule in CONVENTIONAL_RULES:
         assert closed_coloring(p4, (), rule) == sap_closure(p4, (), rule)[0].blue_nonedges
@@ -190,11 +210,10 @@ def test_close_cycle_move_at_a_triple_stall_unlocks_triples():
     cube = families.cube()
     for rule in CONVENTIONAL_RULES:
         stall = triples_to_a_stall(cube, (), rule)
-        cycles = list(_start(cube, stall, rule, ()).moves())
+        cycles = legal_moves(cube, stall, rule)
         assert cycles and all(isinstance(m, OddCycleForce) for m in cycles)
         after = stall | set(cycles[0].colored())
-        assert any(isinstance(m, TripleForce)
-                   for m in _start(cube, after, rule, ()).moves())
+        assert any(isinstance(m, TripleForce) for m in legal_moves(cube, after, rule))
         assert closed_coloring(cube, (), rule) == sap_closure(cube, (), rule)[0].blue_nonedges
 
 
@@ -205,8 +224,7 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
     # those rounds stopped 7 non-edges short
     g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
     start = [(2, 4), (5, 7), (6, 8)]
-    assert [m.i for m in _start(g, start, Rule.Z, ()).moves()
-            if isinstance(m, OddCycleForce)] == [7]
+    assert [m.i for m in legal_moves(g, start, Rule.Z) if isinstance(m, OddCycleForce)] == [7]
     final, trace = sap_closure(g, start, Rule.Z)
     assert final.is_complete() and OddCycleForce(8, (1, 2, 5)) in trace
     assert closed_coloring(g, start, Rule.Z) == final.blue_nonedges
@@ -256,14 +274,14 @@ def test_a_complete_position_scans_no_cycles(kite, monkeypatch):
         for rule in CONVENTIONAL_RULES:
             game = _Game(g, (), rule)
             assert game.close() and game.coloring().is_complete()
-            assert list(game.moves()) == []
+            assert game.first_move() is None
             final, trace = sap_closure(g, (), rule)
             assert final.is_complete() and trace
 
 
 def test_vc_restricted_forces(k3_join_o4):
     g = k3_join_o4
-    moves = list(_start(g, (), Rule.Z, {4}).moves())
+    moves = legal_moves(g, (), Rule.Z, {4})
     assert any(isinstance(m, OddCycleForce) for m in moves)
     final, _ = sap_closure(g, (), Rule.Z, {4})
     assert final.is_complete()
@@ -273,8 +291,8 @@ def test_vc_game_starts_from_and_vetoes_its_cover():
     # cover {1} of P4 colors {1,3} and {1,4}; forcer 1 is not adjacent to
     # 4, so the triple (4: 1->2) of the plain game from that start is vetoed
     p4 = families.path(4)
-    assert TripleForce(4, 1, 2) in list(_start(p4, [(1, 3), (1, 4)], Rule.Z, ()).moves())
-    assert list(_start(p4, (), Rule.Z, {1}).moves()) == \
+    assert TripleForce(4, 1, 2) in legal_moves(p4, [(1, 3), (1, 4)], Rule.Z)
+    assert legal_moves(p4, (), Rule.Z, {1}) == \
         [TripleForce(2, 3, 4), TripleForce(4, 3, 2)]
     final, trace = sap_closure(p4, (), Rule.Z, {1})
     assert final.is_complete() and trace[0] == TripleForce(2, 3, 4)
@@ -315,8 +333,8 @@ def assert_refused_at(g, trace, rule, step):
 
 
 def test_replay_refuses_a_broken_trace_at_its_step(connected_upto_6):
-    """``replay_trace`` stops at the first legal move equal to the recorded
-    one, so every way to break a trace is pinned at the step it breaks:
+    """``replay_trace`` checks each recorded move with ``is_legal``, so
+    every way to break a trace is pinned at the step it breaks:
     two moves swapped where the later was not legal first, a repeated move,
     a triple given a vertex that does not force there, and a cycle move whose
     cycle is not a white component.  The reference decides what is legal."""
@@ -349,6 +367,26 @@ def test_replay_refuses_a_broken_trace_at_its_step(connected_upto_6):
                 if move is not None:
                     coloring = NonEdgeColoring(g, coloring.blue_nonedges | set(move.colored()))
     assert all(refused.values()), refused
+
+
+def test_replay_refuses_malformed_moves(kite):
+    """A vertex outside 1..n in a triple or at a cycle move, or anything but a
+    move, is refused at its step like any illegal move: never read as a
+    negative shift or an index past the position's masks."""
+    p4 = families.path(4)
+    # each move below is legal as it stands: only the bad vertex refuses it
+    triple = TripleForce(1, 2, 3)
+    cycle = sap_closure(kite, (), Rule.Z)[1][0]
+    replay_trace(p4, (), [triple], Rule.Z)
+    replay_trace(kite, (), [cycle], Rule.Z)
+    for field in ("k", "i", "j"):
+        for v in (0, p4.n + 1, -1):
+            assert_refused_at(p4, [dataclasses.replace(triple, **{field: v})], Rule.Z, 1)
+    for i in (0, kite.n + 1):
+        assert_refused_at(kite, [OddCycleForce(i, cycle.cycle)], Rule.Z, 1)
+    for g in (p4, kite):
+        for rule in CONVENTIONAL_RULES:
+            assert_refused_at(g, [Force(1, 2)], rule, 1)
 
 
 def test_is_zsap_zero_spot_values():
@@ -391,7 +429,7 @@ def test_vc_restriction_refuses_vertices_outside_the_graph():
     p4 = families.path(4)
     for cover in ({0, 9}, {2, 5}, {-1}):
         for call in (lambda: sap_closure(p4, (), Rule.Z, cover),
-                     lambda: list(_start(p4, (), Rule.Z, cover).moves()),
+                     lambda: _start(p4, (), Rule.Z, cover),
                      lambda: replay_trace(p4, (), [], Rule.Z, cover)):
             with pytest.raises(ValueError, match="outside 1..4"):
                 call()
@@ -405,7 +443,7 @@ def test_floor_rule_refused_on_every_path():
     for call in (lambda: sap_closure(star, (), Rule.FLOOR),
                  lambda: is_zsap_zero(star, Rule.FLOOR),
                  lambda: sap_forcing_number(star, Rule.FLOOR),
-                 lambda: list(_start(star, (), Rule.FLOOR, ()).moves()),
+                 lambda: _start(star, (), Rule.FLOOR, ()),
                  lambda: replay_trace(star, (), trace, Rule.FLOOR)):
         with pytest.raises(ValueError, match="Z, Zl, or Zplus"):
             call()
@@ -416,7 +454,7 @@ def test_coloring_of_another_host_is_refused():
     # blue non-edge that does not exist
     c4 = families.cycle(4)
     foreign = NonEdgeColoring.start(families.path(4), [(1, 4)]).blue_nonedges
-    for call in (lambda: list(_start(c4, foreign, Rule.Z, ()).moves()),
+    for call in (lambda: _start(c4, foreign, Rule.Z, ()),
                  lambda: odd_cycle_applications(c4, foreign),
                  lambda: sap_closure(c4, foreign, Rule.Z)):
         with pytest.raises(ValueError, match="not a non-edge"):
@@ -497,11 +535,10 @@ def test_triple_monotonicity(connected_upto_6):
             for _ in range(6 if nes else 0):
                 base = {e for e in nes if rng.random() < 0.3}
                 extra = base | {e for e in nes if rng.random() < 0.3}
-                t1, t2 = ({f for f in _start(g, blue, rule, ()).moves()
-                           if isinstance(f, TripleForce)} for blue in (base, extra))
-                for f in t1:
-                    if f.colored()[0] not in extra:
-                        assert f in t2, (g.to_graph6(), rule, sorted(base), sorted(extra))
+                later = _start(g, extra, rule, ())
+                for f in legal_moves(g, base, rule):
+                    if type(f) is TripleForce and f.colored()[0] not in extra:
+                        assert later.is_legal(f), (g.to_graph6(), rule, sorted(base), sorted(extra))
                         checks += 1
     assert checks == 16353
 
@@ -518,7 +555,7 @@ def test_every_maximal_play_ends_in_the_closure(connected_upto_6):
             terminals = set()
             while todo:
                 blue = todo.pop()
-                moves = list(_start(g, blue, rule, ()).moves())
+                moves = legal_moves(g, blue, rule)
                 if not moves:
                     terminals.add(blue)
                 for move in moves:
@@ -601,25 +638,15 @@ def check_chain_continuation(graphs) -> int:
 
 
 @pytest.mark.slow
-def test_first_move_matches_moves_along_closures_n8():
-    """``first_move`` is the first element of ``moves`` at every position of
-    every empty-start closure of each connected 8-vertex graph under Z, Zl
-    and Zplus.  Two games play the same moves, one reading only
-    ``first_move`` and one only ``moves``, so each prunes ``may_cycle`` on
-    its own; the count of positions compared, the final ones included, is
-    pinned."""
+def test_first_move_matches_reference_along_closures_n8():
+    """``sap_closure``, which plays ``first_move``, gives the reference's
+    trace and final coloring from the empty start of each connected
+    8-vertex graph under Z, Zl and Zplus.  The count of positions compared,
+    the final ones included, is pinned."""
     positions = 0
     for g in enumerate_connected(8):
         for rule in CONVENTIONAL_RULES:
-            fast, full = _Game(g, (), rule), _Game(g, (), rule)
-            while True:
-                move = fast.first_move()
-                assert move == next(full.moves(), None), (g.to_graph6(), rule, fast.white)
-                positions += 1
-                if move is None:
-                    break
-                fast.play(move)
-                full.play(move)
+            positions += len(assert_same_closure(g, (), rule)) + 1
     assert positions == 387780
 
 
