@@ -72,7 +72,7 @@ from typing import Collection, Iterable, Sequence
 from .graphs import (Graph, NonEdgePair, _grow, _pair, _vertex_mask, bits,
                      sorted_non_edge)
 from .zeroforcing import (CONVENTIONAL_RULES, Rule, _forcers, _targets,
-                          smallest_winning_set)
+                          _twin_filter, smallest_winning_set)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,12 @@ class _Game:
     ``cover``.  Holds the white-adjacency masks, per vertex the targets of
     its local game's first round as one bitset, and as one bitset
     ``may_cycle``, the vertices whose neighborhood can still hold an odd
-    cycle.  The local game at k has white set ``white[k]``, so
+    cycle, and as another, ``quiet``, the vertices of ``may_cycle`` whose
+    last scan found no odd cycle, with no non-edge inside their
+    neighborhood colored since: a quiet vertex would scan the same white
+    graph again, so it is skipped.  Coloring {u,v} wakes the common
+    neighbours of u and v, and a round of ``close`` that colors anything
+    wakes every vertex.  The local game at k has white set ``white[k]``, so
     ``zeroforcing._targets`` reads those targets off k's white partners, not
     off every blue vertex; a move's forcers are derived when they are asked
     for.  Vetoed forcers, those in ``cover`` that are not adjacent to k,
@@ -235,6 +240,7 @@ class _Game:
         self.allowed = [0] + ([full & ~(cover & ~(adj[k] | 1 << k)) for k in g.vertices()]
                               if cover else [full] * g.n)
         self.may_cycle = full
+        self.quiet = 0
         # hits[k]: the vertices forced in the first round of the local game at k
         self.hits = [0] * (g.n + 1)
 
@@ -260,11 +266,12 @@ class _Game:
     def _first_cycle(self) -> OddCycleForce | None:
         """The first odd cycle application in policy order, or None: the
         first cycle, by least vertex, of the least vertex i in ``may_cycle``
-        whose neighborhood holds one.  Each vertex passed on the way whose
-        neighborhood holds too few white non-edges leaves ``may_cycle`` for
-        good."""
+        whose neighborhood holds one; quiet vertices are skipped.  Each
+        vertex passed on the way whose neighborhood holds too few white
+        non-edges leaves ``may_cycle`` for good, and each whose neighborhood
+        holds no odd cycle turns quiet."""
         adj, white = self.g.adj, self.white
-        rest = self.may_cycle
+        rest = self.may_cycle & ~self.quiet
         while rest:
             low = rest & -rest
             rest ^= low
@@ -273,6 +280,8 @@ class _Game:
                 self.may_cycle &= ~low
             elif found:
                 return OddCycleForce(i, found[0])
+            else:
+                self.quiet |= low
         return None
 
     def first_move(self) -> SapForce | None:
@@ -328,12 +337,15 @@ class _Game:
 
     def play(self, move: SapForce) -> None:
         """Color the move's non-edges.  Coloring {u,v} changes the local
-        games at u and v only."""
+        games at u and v only, and the white graph inside the neighborhoods
+        of their common neighbours only."""
+        adj = self.g.adj
         # a triple colors {j,k}: read it off without building colored()
         for u, v in ((move.j, move.k),) if type(move) is TripleForce else move.colored():
             self.white[u] &= ~(1 << v)
             self.white[v] &= ~(1 << u)
             self.stale_forces |= 1 << u | 1 << v
+            self.quiet &= ~(adj[u] & adj[v])
 
     def close(self) -> bool:
         """Play until no move is legal; does every non-edge end blue?
@@ -362,7 +374,9 @@ class _Game:
                         hit ^= low
                         white[low.bit_length() - 1] &= clear_k
             if touched:
+                # waking every vertex is exact: it only costs rescans
                 self.stale_forces |= touched
+                self.quiet = 0
                 continue
             if (move := self._first_cycle()) is None:
                 return False
@@ -440,8 +454,16 @@ def sap_forcing_number(g: Graph, rule: Rule = Rule.Z) -> tuple[int, frozenset[No
 def _winning_cover(g: Graph, rule: Rule, size: int) -> frozenset[int] | None:
     """The first cover of ``size`` vertices, in ``combinations`` order, whose
     vertex-cover game forces every non-edge, or None.  Covers are played as
-    sums of vertex bits."""
+    sums of vertex bits.  Swapping two twins (vertices with the same open or
+    the same closed neighbourhood) is an automorphism, so by the twin lemma
+    (c) in the ``zeroforcing`` docstring the first winner holds an initial
+    segment, in vertex order, of every twin class: a cover is played only
+    when it does, a test of one set lookup that a graph without twins
+    skips.  No class counts as a fort: the caller fixes the size."""
+    twins, fits, _ = _twin_filter(g, False, False)
     for cover in map(sum, combinations([1 << v for v in g.vertices()], size)):
+        if twins and cover & twins not in fits:
+            continue
         if _Game(g, (), rule, cover).close():
             return frozenset(bits(cover))
     return None

@@ -34,6 +34,36 @@ and white only shrinks.  Two consequences:
     reads |start| and no other trace of the start, so a blue set lost from
     one start of size s is lost from every start of size s: the searches of
     ``min_zfs`` share one memo per start-set size.
+
+Twin lemma.  Two vertices are open twins when they have the same open
+neighbourhood (so they are not adjacent), closed twins when they have the
+same closed one (so they are); a twin class is a largest set of pairwise
+twins of one kind.  No vertex has twins of both kinds: if u ~ w are closed
+twins and v an open twin of u, then w is in N(u) = N(v), so v is in N[w] =
+N[u], and u ~ v.  Swapping two twins is an automorphism, so every rule's
+verdict on a start set, and the vertex-cover game's on a cover, is the same
+for a set and its image.
+
+(c) Initial segments.  Let W be the first winning set of some size in
+    ``combinations`` order, C a twin class, v in W and u < v a member of C
+    outside W.  The swap of u and v takes W to a winning set that comes
+    earlier in that order, which cannot be.  So in every twin class the
+    first winner holds an initial segment of the class in vertex order, and
+    a search may skip every other set unplayed and still return the same
+    witness.  ``min_zfs`` and ``sapgame._winning_cover`` do.
+(d) Forts.  Let u and v be twins, both white.  A blue vertex next to one is
+    next to the other, so no regular force reaches either while the other
+    is white; under Zplus that holds too when the twins are closed, since
+    adjacent twins lie in one white component.  A closed twin has the other
+    as a white neighbour, so it cannot force itself under Zl.  So under Z
+    every twin class, and under Zl and Zplus every closed twin class, is
+    a fort family: a winning start holds all but at most one vertex of each,
+    and ``min_zfs`` starts its sizes at the sum of |C| - 1 over them when
+    that is above the least-degree bound.  Open twins are not forts under
+    Zl or Zplus: a path on three vertices is won from its centre, whose two
+    white leaves force themselves under Zl and lie in two white components
+    under Zplus.  The floor game has no fort, since a hop reaches any
+    vertex.
 """
 
 from __future__ import annotations
@@ -275,24 +305,65 @@ def smallest_winning_set(items: Sequence[T], wins: Callable[[tuple[T, ...]], boo
     raise AssertionError("no subset wins, not even the whole set")
 
 
+def _twin_filter(g: Graph, open_forts: bool, closed_forts: bool) -> tuple[int, set[int], int]:
+    """The twin classes of g with two or more members (the twin lemma in
+    the module docstring) as a filter on start sets: their union ``twins``,
+    the set ``fits`` of the intersections with ``twins`` that hold an
+    initial segment of every class in vertex order, and the fort bound.  A
+    class of open twins is a fort when ``open_forts`` is set, one of closed
+    twins when ``closed_forts`` is; an intersection in ``fits`` then holds
+    all but at most the last member of each fort class, and the bound is
+    the sum of |C| - 1 over the fort classes.  ``fits`` has one member per
+    choice of a segment in every class, at most 2^n."""
+    adj = g.adj
+    twins, fits, bound = 0, {0}, 0
+    for closed, keys in ((False, adj), (True, [a | 1 << v for v, a in enumerate(adj)])):
+        # slot 0 holds no vertex; a graph without twins of this kind, the
+        # common case, is told by one set at C speed
+        if len(set(keys)) == len(keys):
+            continue
+        classes: dict[int, int] = {}
+        for v in g.vertices():
+            classes[keys[v]] = classes.get(keys[v], 0) | 1 << v
+        for c in classes.values():
+            if c & (c - 1):
+                segments = [0]
+                for v in bits(c):
+                    segments.append(segments[-1] | 1 << v)
+                if closed_forts if closed else open_forts:
+                    bound += len(segments) - 2
+                    segments = segments[-2:]
+                twins |= c
+                fits = {a | b for a in fits for b in segments}
+    return twins, fits, bound
+
+
 def _min_zfs_connected(g: Graph, rule: Rule) -> tuple[int, frozenset[int]]:
     # Under Z, Zl and FloorZ a start set S with |S| < least degree d has no
     # first move, so it loses (S is not everything: |S| < d < n).  A blue
     # vertex has >= d - (|S| - 1) >= 2 white neighbours, so it cannot force;
     # a Zl self-force needs all >= d neighbours of a white vertex blue; a hop
     # needs a blue vertex whose >= d neighbours are blue too, so |S| >= d + 1.
-    # Starting the sizes at d keeps the first winner in (size, combinations)
-    # order.  Zplus forces into one white component at a time, so it may
-    # move from fewer.  Start sets are the sums of vertex bits in
-    # ``combinations`` order, each played as a mask: by ``_closure_mask``,
-    # or under FloorZ by ``_wins``, whose searches share one memo of lost
-    # blue sets per start-set size (lemma (b)).  The whole vertex set wins,
-    # so some size does.
+    # Zplus forces into one white component at a time, so it may move from
+    # fewer.  Twin classes prune the rest (the twin lemma): a start set is
+    # played only when it holds an initial segment of every class (c), one
+    # that leaves out at most one member of each class that is a fort under
+    # the rule (d).  The test is one set lookup, and a graph without twins
+    # skips it.  Starting the sizes at the larger of the least-degree and
+    # fort bounds keeps the first winner in (size, combinations) order.
+    # Start sets are the sums of vertex bits in ``combinations`` order, each
+    # played as a mask: by ``_closure_mask``, or under FloorZ by ``_wins``,
+    # whose searches share one memo of lost blue sets per start-set size
+    # (lemma (b)).  The whole vertex set wins, so some size does.
     full = g.full_mask
     vertex_bits = [1 << v for v in g.vertices()]
     lost: dict[int, set[int]] = {}
-    for size in range(0 if rule is _ZPLUS else g.min_degree(), g.n + 1):
+    least = 0 if rule is _ZPLUS else g.min_degree()
+    twins, fits, forts = _twin_filter(g, rule is _Z, rule is not _FLOOR)
+    for size in range(max(least, forts), g.n + 1):
         for start in map(sum, combinations(vertex_bits, size)):
+            if twins and start & twins not in fits:
+                continue
             if (_wins(g, start, rule, lost) if rule is _FLOOR
                     else _closure_mask(g, start, rule) == full):
                 return size, frozenset(bits(start))

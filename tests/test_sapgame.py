@@ -230,6 +230,20 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
     assert closed_coloring(g, start, Rule.Z) == final.blue_nonedges
 
 
+def test_close_wakes_quiet_vertices_after_a_triple_round():
+    # from nothing under Z, the scan at the second stall finds no odd cycle
+    # in N(5), so 5 turns quiet, and plays (6->C); the triple rounds after
+    # that leave the cycle {1,4,7} in N(5), and a round wakes every vertex.
+    # A closure that kept 5 quiet through those rounds stalled with 14 of
+    # the 38 non-edges white
+    g = Graph.from_edges(11, [(1, 3), (1, 5), (1, 11), (2, 6), (2, 11), (3, 5), (3, 8),
+                              (3, 9), (3, 11), (4, 5), (5, 7), (6, 7), (6, 10), (7, 8),
+                              (8, 10), (9, 11), (10, 11)])
+    final, trace = sap_closure(g, (), Rule.Z)
+    assert final.is_complete() and OddCycleForce(5, (1, 4, 7)) in trace
+    assert closed_coloring(g, (), Rule.Z) == final.blue_nonedges
+
+
 def test_close_continues_under_zplus_from_a_zl_stall():
     # a triangle {3,4,7} with the paths 7-5-2 and 7-6-1: Z and Zl stall with
     # two blue non-edges, and Zplus colors all 14 from there
@@ -515,6 +529,38 @@ def test_vc_forcing_number_matches_reference(all_graphs_upto_7):
         for rule in (Rule.Z, Rule.ZL):
             assert vc_forcing_number(g, rule) == reference_vc_forcing_number(g, rule), \
                 (g.to_graph6(), rule)
+
+
+def plain_winning_cover(g, rule, size):
+    """The former cover search: every cover of ``size`` vertices in
+    ``combinations`` order, none skipped for its twins."""
+    for cover in combinations(g.vertices(), size):
+        if _start(g, (), rule, cover).close():
+            return frozenset(cover)
+    return None
+
+
+def assert_winning_cover_matches_the_plain_loop(graphs):
+    """The twin-pruned cover search at every size, under Z and Zl: the same
+    first winner as the plain loop, or the same None.  Returns how many
+    sizes no cover wins."""
+    losing = 0
+    for g in graphs:
+        for rule in (Rule.Z, Rule.ZL):
+            for size in range(g.n + 1):
+                got = sapgame._winning_cover(g, rule, size)
+                assert got == plain_winning_cover(g, rule, size), (g.to_graph6(), rule, size)
+                losing += got is None
+    return losing
+
+
+def test_winning_cover_matches_the_plain_loop(all_graphs_upto_7):
+    assert assert_winning_cover_matches_the_plain_loop(all_graphs_upto_7) > 0
+
+
+@pytest.mark.slow
+def test_winning_cover_matches_reference_search_n8():
+    assert_winning_cover_matches_the_plain_loop(enumerate_connected(8))
 
 
 def test_vc_zero_iff_zsap_zero(connected_upto_5):

@@ -5,7 +5,7 @@ import pytest
 
 from sapforce import families, zeroforcing
 from sapforce.canon import enumerate_connected, enumerate_graphs
-from sapforce.graphs import CapExceededError, Graph, bits
+from sapforce.graphs import CapExceededError, Graph, bits, parse_graph6
 from sapforce.report import compute_report
 from sapforce.zeroforcing import (CONVENTIONAL_RULES, Force, Rule, closure, floor_force_sequence,
                                   format_trace, is_zfs, min_zfs, single_forces,
@@ -375,9 +375,82 @@ def test_min_zfs_matches_reference_search(connected_upto_7):
 
 @pytest.mark.slow
 def test_min_zfs_matches_reference_search_n8():
+    """The twin-pruned search against the plain loop under every rule."""
     for g in enumerate_connected(8):
-        for rule in (Rule.Z, Rule.ZL):
+        for rule in Rule:
             assert min_zfs(g, rule) == reference_min_zfs_connected(g, rule), \
+                (g.to_graph6(), rule)
+
+
+# -- twin classes -----------------------------------------------------------
+#
+# ``min_zfs`` plays a start set only when it holds an initial segment of
+# every twin class, and starts its sizes at the twin fort bound (the twin
+# lemma in the module docstring).  The reference search above plays every
+# set from size 0; these pin the classes and the fort rules on small cases.
+
+
+def reference_twin_classes(g: Graph) -> set[tuple[bool, frozenset[int]]]:
+    """Twin classes by their definition: vertices u != v with N(u) = N(v)
+    (open) or N[u] = N[v] (closed), grouped."""
+    def nbhd(v, closed):
+        return set(bits(g.adj[v])) | ({v} if closed else set())
+    out = set()
+    for closed in (False, True):
+        for v in g.vertices():
+            twins = frozenset(u for u in g.vertices() if nbhd(u, closed) == nbhd(v, closed))
+            if len(twins) > 1:
+                out.add((closed, twins))
+    return out
+
+
+def test_twin_filter_matches_its_definition(all_graphs_upto_7):
+    """On every graph with n <= 7, with open, closed or no classes as forts:
+    a start set passes exactly when it holds an initial segment of every
+    class and all but at most one member of each fort class, and the bound
+    is the sum of |C| - 1 over the fort classes.  No vertex lies in two
+    classes, and swapping two twins is an automorphism."""
+    with_twins = 0
+    for g in all_graphs_upto_7:
+        classes = reference_twin_classes(g)
+        members = [sorted(c) for _, c in classes]
+        assert sum(map(len, members)) == len(set().union(*members))
+        for twin_class in members:
+            perm = list(range(g.n + 1))
+            perm[twin_class[0]], perm[twin_class[1]] = twin_class[1], twin_class[0]
+            assert g.relabel(perm) == g
+        for open_forts, closed_forts in ((False, False), (True, True), (False, True)):
+            twins, fits, bound = zeroforcing._twin_filter(g, open_forts, closed_forts)
+            forts = [closed_forts if closed else open_forts for closed, _ in classes]
+            assert twins == sum(1 << v for c in members for v in c)
+            assert bound == sum(len(c) - 1 for c, fort in zip(members, forts) if fort)
+            for start in range(0, g.full_mask + 1, 2):
+                held = [[v for v in c if start >> v & 1] for c in members]
+                want = all(h == c[:len(h)] and (not fort or len(h) >= len(c) - 1)
+                           for h, c, fort in zip(held, members, forts))
+                assert (start & twins in fits) == want, (g.to_graph6(), start)
+        with_twins += bool(classes)
+    assert 0 < with_twins < len(all_graphs_upto_7)
+
+
+def test_twin_forts_pin_the_rules():
+    """K_{1,3}: its leaves are open twins, a fort under Z but not under Zl
+    or Zplus, where the centre alone wins.  K4 with a pendant vertex at 4:
+    1, 2 and 3 are closed twins, a fort under Z, Zl and Zplus.  K_{3,3,4}:
+    every part is a class of open twins.  Each value and witness is the
+    plain search's."""
+    star = families.star(3)
+    assert min_zfs(star, Rule.ZL) == min_zfs(star, Rule.ZPLUS) == (1, frozenset({1}))
+    assert min_zfs(star, Rule.Z) == (2, frozenset({2, 3}))
+    pendant = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
+    assert reference_twin_classes(pendant) == {(True, frozenset({1, 2, 3}))}
+    k334 = parse_graph6("IFzf~z{~?")
+    for g, values in ((star, {Rule.Z: 2, Rule.ZL: 1, Rule.ZPLUS: 1, Rule.FLOOR: 2}),
+                      (pendant, {Rule.Z: 3, Rule.ZL: 3, Rule.ZPLUS: 3, Rule.FLOOR: 3}),
+                      (k334, {Rule.Z: 8, Rule.ZL: 6, Rule.ZPLUS: 6, Rule.FLOOR: 7})):
+        for rule, value in values.items():
+            got = min_zfs(g, rule)
+            assert got[0] == value and got == reference_min_zfs_connected(g, rule), \
                 (g.to_graph6(), rule)
 
 
