@@ -8,7 +8,12 @@ Schrijver, *The Colin de Verdiere graph parameter*, 1999).  With U an n x k
 basis of ker A, the symmetric solutions of AX = O are exactly X = U S U^T
 with S symmetric k x k, so the property asks that S = O be the only
 symmetric S with u_i^T S u_j = 0 for every edge ij and every i = j: a
-system of n + |E| rows in k(k+1)/2 unknowns.
+system of n + |E| rows in the k(k+1)/2 unknowns s_pq, p <= q.  The basis
+read off A's echelon rows is c_t e_t on the row of the t-th free column
+f_t, so the rows at the free vertices and at the edges between them kill
+the s_tt and the s_pq over adjacent f_p, f_q.  Only the s_pq over
+non-adjacent free vertices are left, and with none left the answer is yes
+before any basis is built.
 
 ``build_sap_matrix`` keeps the direct form: one variable per non-edge of X
 turns AX = O into an n^2 x m linear system whose coefficient matrix Psi, a
@@ -24,8 +29,9 @@ share no factor, so the stored form of a matrix is unique and equal
 matrices compare and hash equal.  An integer row is stored as given, with
 scale 1, and no ``Fraction`` is built for it; ``entries`` gives the
 Fractions on demand.  One fraction-free (Bareiss) elimination loop over
-copies of the integer rows gives rank and determinant, and its echelon
-rows give an integer basis of ker A by back substitution.
+copies of the integer rows gives its pivot columns, hence the rank, and
+the determinant, and its echelon rows give an integer basis of ker A by
+back substitution.
 ``validate_pattern`` checks A on the integer rows, symmetry by cross
 multiplication with the row scales, and ``has_sap`` ranks its kernel
 system as the transpose.  There is no tolerance anywhere.
@@ -130,7 +136,7 @@ class RationalMatrix:
 
     def rank(self) -> int:
         """Exact rank by fraction-free elimination."""
-        return _bareiss([list(row) for row in self.ints], self.cols)[0]
+        return len(_bareiss([list(row) for row in self.ints], self.cols)[0])
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -138,27 +144,30 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        r, sign, last = _bareiss([list(row) for row in self.ints], self.cols)
-        if r < self.rows:
+        pivots, sign, last = _bareiss([list(row) for row in self.ints], self.cols)
+        if len(pivots) < self.rows:
             return Fraction(0)
         # the last pivot is the determinant of the row-scaled matrix
         return Fraction(sign * last, prod(self.scales))
 
 
-def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
+def _bareiss(m: list[list[int]], cols: int) -> tuple[list[int], int, int]:
     """Fraction-free elimination of integer rows of width ``cols``, in
-    place, with first-nonzero pivoting; returns (rank, sign of the row
-    swaps, last pivot).
+    place, with first-nonzero pivoting; returns (the pivot columns in
+    ascending order, as many as the rank, sign of the row swaps, last
+    pivot).
 
-    The first rank rows end in echelon form, each starting at its pivot,
-    and the rows past them are zero.  Each entry is a minor of the matrix
-    (Bareiss, 1968), so the division by the previous pivot is exact.
+    The first rank rows end in echelon form, row i starting at the i-th
+    pivot column, and the rows past them are zero.  Each entry is a minor
+    of the matrix (Bareiss, 1968), so the division by the previous pivot is
+    exact.
     """
     rows = len(m)
     sign = 1
     prev = 1
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
@@ -176,14 +185,15 @@ def _bareiss(m: list[list[int]], cols: int) -> tuple[int, int, int]:
                 mi[j] = (mi[j] * piv - mic * mr[j]) // prev
             mi[c] = 0
         prev = piv
-        r += 1
-    return r, sign, prev
+        pivots.append(c)
+    return pivots, sign, prev
 
 
-def _kernel_basis(m: list[list[int]], r: int) -> list[list[int]]:
+def _kernel_basis(m: list[list[int]], free: list[int]) -> list[list[int]]:
     """A basis of the kernel of the integer rows that ``_bareiss`` left in
-    ``m`` with rank ``r``: one primitive integer vector per free column,
-    the columns without a pivot, in column order.  ``m`` has a row.
+    ``m``, given ``free``, its free columns (those without a pivot) in
+    ascending order: one primitive integer vector per free column, in
+    column order.  ``m`` has a row.
 
     For a free column f, x_f = 1 and every other free coordinate is 0; the
     pivot rows, bottom-up, each fix their pivot coordinate.  A row with
@@ -196,12 +206,12 @@ def _kernel_basis(m: list[list[int]], r: int) -> list[list[int]]:
     as many as the nullity.
     """
     n = len(m[0])
-    pivots = [next(c for c, x in enumerate(row) if x) for row in m[:r]]
+    pivots = [c for c in range(n) if c not in free]
     basis = []
-    for f in sorted(set(range(n)).difference(pivots)):
+    for f in free:
         x = [0] * n
         x[f] = 1
-        for row, p in zip(reversed(m[:r]), reversed(pivots)):
+        for row, p in zip(reversed(m[:len(pivots)]), reversed(pivots)):
             s = sum(row[j] * x[j] for j in range(p + 1, n))
             if s:
                 g = gcd(s, row[p])
@@ -329,31 +339,45 @@ def has_sap(g: Graph, a: RationalMatrix) -> bool:
     the (n + |E|) x k(k+1)/2 system in the entries s_pq (p <= q) of S has
     full column rank.  Row ij gets u_ip u_jq + u_iq u_jp in column pq: the
     coefficient of s_pq for p < q, and twice it for p = q, a column scaling
-    that leaves the rank unchanged.  It is ranked as its transpose, one row
-    per unknown s_pq, so the elimination stops as soon as every unknown has
-    a pivot.  With k <= 1 the answer is yes: S = (s) and s u_i^2 = 0 at a
-    vertex where u_i != 0.
+    that leaves the rank unchanged.  Any basis U gives the same verdict.
 
     U comes from one ``_bareiss`` pass over DA, A's stored ``ints``, which
     ``validate_pattern`` checked; D is the positive diagonal of A's row
     ``scales`` (D = I for an integer A).  D is invertible, so ker DA = ker
-    A and A's rank is DA's: the elimination ranks DA, and only when
-    k = n - r >= 2 does ``_kernel_basis`` read k primitive integer vectors
-    off its echelon rows by back substitution.  They lie in ker A and are
-    independent, so they are a basis of it; any basis gives the same
-    verdict, as the argument above holds for every U.
+    A and A's rank is DA's.  Let f_1 < ... < f_k be the free columns, where
+    ``_bareiss`` found no pivot, and call their vertices free.
+    ``_kernel_basis`` reads one primitive integer vector per free column off
+    the echelon rows by back substitution; vector t lies in ker A and is
+    c_t e_t on the free coordinates, c_t != 0, so the k vectors are
+    independent, a basis, and row f_t of U is c_t e_t.
+
+    That basis settles most of the system in advance.  The cell at vertex
+    f_t reads c_t^2 s_tt = 0, and the cell of an edge f_t f_s reads
+    c_t c_s s_ts = 0: each kills one unknown.  A solution S is zero in the
+    killed unknowns, and a solution of the system restricted to the other
+    unknowns, extended by zeros, solves the whole system.  So A has the
+    property exactly when the columns of the unknowns left open, the s_pq
+    with p < q whose free vertices f_p and f_q are not adjacent in G, have
+    full rank; a diagonal unknown, or a pair over adjacent free vertices,
+    needs no column, since its own cell sets it to zero.  When no pair is
+    left open (always so for k <= 1) every unknown is killed, S = O is the
+    only solution and the answer is yes, with no basis built.  Otherwise
+    the open columns are ranked as their transpose, |pairs| x (n + |E|), so
+    the elimination stops as soon as each open s_pq has a pivot.  Only the
+    cells that touch a pivot vertex can be nonzero in those rows.
     """
     validate_pattern(g, a)
     m = [list(row) for row in a.ints]
-    r = _bareiss(m, a.cols)[0]
-    k = a.cols - r
-    if k <= 1:
+    pivots = _bareiss(m, a.cols)[0]
+    free = [c for c in range(a.cols) if c not in pivots]
+    pairs = [(p, q) for q in range(len(free)) for p in range(q)
+             if not g.has_edge(free[p] + 1, free[q] + 1)]
+    if not pairs:
         return True
-    u = list(zip(*_kernel_basis(m, r)))
-    pairs = [(p, q) for p in range(k) for q in range(p, k)]
+    u = list(zip(*_kernel_basis(m, free)))
     cells = [(u[i - 1], u[j - 1]) for i, j in [(v, v) for v in g.vertices()] + g.edges()]
     system = [[ui[p] * uj[q] + ui[q] * uj[p] for ui, uj in cells] for p, q in pairs]
-    return _bareiss(system, len(cells))[0] == len(pairs)
+    return len(_bareiss(system, len(cells))[0]) == len(pairs)
 
 
 # -- odd cycle determinant -------------------------------------------------

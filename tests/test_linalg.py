@@ -1,7 +1,9 @@
 import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -396,26 +398,73 @@ def test_kernel_form_matches_system_matrix_on_twin_blowups(twin_blowup_corpus):
 
 def library_kernel(a):
     """The basis ``has_sap`` reads: ``_kernel_basis`` on A's integer rows
-    after ``_bareiss``."""
+    after ``_bareiss``, at the columns where it found no pivot."""
     m = [list(row) for row in a.ints]
-    return _kernel_basis(m, _bareiss(m, a.cols)[0])
+    pivots = _bareiss(m, a.cols)[0]
+    return _kernel_basis(m, [c for c in range(a.cols) if c not in pivots])
+
+
+def free_columns(a):
+    """The free columns of A's echelon form, found from the column prefixes
+    alone: those where the rank of the leading columns does not grow."""
+    prefix = [RationalMatrix.from_rows([row[:c] for row in a.entries]).rank()
+              for c in range(a.cols + 1)]
+    return [c for c in range(a.cols) if prefix[c + 1] == prefix[c]]
+
+
+def open_pairs(g, free):
+    """The pairs of free columns whose vertices are not adjacent in ``g``:
+    the unknowns s_pq of the kernel system that no single cell kills."""
+    return [(p, q) for p, q in combinations(free, 2) if not g.has_edge(p + 1, q + 1)]
 
 
 def check_kernel_basis(a):
     """Assert the library basis has n - rank primitive integer vectors, each
     with A u = 0 on the Fraction entries, forming a nonzero diagonal on the
-    free columns: those where the rank of the leading columns does not grow,
-    found from the column prefixes alone."""
+    free columns."""
     basis = library_kernel(a)
     assert len(basis) == a.cols - a.rank()
     for u in basis:
         assert len(u) == a.cols and gcd(*u) == 1
         assert all(sum(x * y for x, y in zip(row, u)) == 0 for row in a.entries)
-    prefix = [RationalMatrix.from_rows([row[:c] for row in a.entries]).rank()
-              for c in range(a.cols + 1)]
-    free = [c for c in range(a.cols) if prefix[c + 1] == prefix[c]]
-    on_free = [[u[f] for f in free] for u in basis]
+    on_free = [[u[f] for f in free_columns(a)] for u in basis]
     assert all((x != 0) == (i == j) for i, row in enumerate(on_free) for j, x in enumerate(row))
+
+
+def check_open_pair_reduction(corpus):
+    """Over the matrices of nullity >= 2, with free columns found without
+    ``has_sap``: assert that each with no open pair has the property by Psi,
+    and return, per number of open pairs, the matrices and the "no"
+    verdicts by Psi."""
+    seen = Counter()
+    no = Counter()
+    for g, a in corpus:
+        if a.nullity() < 2:
+            continue
+        pairs = len(open_pairs(g, free_columns(a)))
+        sm = build_sap_matrix(g, a)
+        verdict = sm.rank() == sm.cols
+        assert verdict or pairs, g.to_graph6()
+        seen[pairs] += 1
+        no[pairs] += not verdict
+    return {pairs: (seen[pairs], no[pairs]) for pairs in sorted(seen)}
+
+
+def test_no_open_pair_means_the_property(adjacency_corpus, clique_psd_corpus,
+                                         twin_blowup_corpus):
+    """When the free vertices of A's echelon form are pairwise adjacent, the
+    cells at them kill every unknown of the kernel system, so A has the
+    property; ``has_sap`` answers yes there without a kernel basis.  The
+    pinned counts show each corpus reaching both branches, and "no"
+    verdicts from one open pair on."""
+    assert check_open_pair_reduction(adjacency_corpus) == {
+        0: (82, 0), 1: (251, 142), 2: (34, 31), 3: (123, 123), 4: (3, 3), 5: (4, 4),
+        6: (21, 21), 7: (1, 1), 8: (1, 1), 9: (2, 2), 10: (14, 14), 15: (2, 2), 21: (2, 2)}
+    assert check_open_pair_reduction(clique_psd_corpus) == {
+        0: (881, 0), 1: (144, 72), 2: (42, 40), 3: (10, 10), 4: (2, 2)}
+    assert check_open_pair_reduction(twin_blowup_corpus) == {
+        0: (490, 0), 1: (131, 69), 2: (43, 40), 3: (47, 47), 4: (13, 13), 5: (5, 5),
+        6: (20, 20), 9: (2, 2), 10: (2, 2), 12: (1, 1), 14: (1, 1), 15: (2, 2), 21: (1, 1)}
 
 
 def test_kernel_basis_on_the_corpora(adjacency_corpus, clique_psd_corpus, twin_blowup_corpus):
@@ -456,39 +505,67 @@ def test_kernel_basis_with_a_free_column_before_a_pivot():
 
 @pytest.mark.slow
 def test_has_sap_matches_the_reference_kernel_path_on_n8():
-    """Verdict and nullity against the former [DA | D] kernel path: plain
-    and signed adjacency matrices of all 12,346 graphs on 8 vertices, and
-    one ``clique_psd`` draw per connected one."""
+    """Verdict and nullity against the former [DA | D] kernel path, which
+    ranks the whole k(k+1)/2-column system: plain and signed adjacency
+    matrices of all 12,346 graphs on 8 vertices, and one ``clique_psd`` draw
+    per connected one.  The matrices of nullity >= 2 with no open pair, which
+    ``has_sap`` answers without a kernel basis, are counted too."""
     def check(corpus):
-        """The matrices, the "no" verdicts and the matrices of nullity >= 2."""
-        no = nullity2 = 0
+        """The matrices, the "no" verdicts, the matrices of nullity >= 2 and
+        those among them with no open pair."""
+        no = nullity2 = closed = 0
         for g, a in corpus:
             verdict, k = has_sap(g, a), a.nullity()
             assert verdict == reference_has_sap(g, a), g.to_graph6()
             assert k == len(library_kernel(a)) == len(reference_kernel_basis(a)), g.to_graph6()
             no += not verdict
             nullity2 += k >= 2
-        return len(corpus), no, nullity2
+            if k >= 2 and not open_pairs(g, free_columns(a)):
+                assert verdict, g.to_graph6()
+                closed += 1
+        return len(corpus), no, nullity2, closed
 
     assert check([p for g in enumerate_graphs(8) for p in adjacency_pair(g)]) == \
-        (24692, 1911, 4666)
+        (24692, 1911, 4666, 1539)
     assert check([p for g in enumerate_connected(8) for p in clique_psd_draws(g, 1)]) == \
-        (11117, 503, 5182)
+        (11117, 503, 5182, 4075)
 
 
 def test_kernel_form_hand_cases():
     for n in range(2, 7):
+        kn, en = families.complete(n), families.empty(n)
         ones = RationalMatrix.from_rows([[1] * n] * n)
-        assert ones.nullity() == n - 1
-        assert has_sap(families.complete(n), ones)
+        assert ones.nullity() == n - 1 and open_pairs(kn, free_columns(ones)) == []
+        assert has_sap(kn, ones)
         # congruent to the all-ones matrix; each row has its own denominator
         ones_scaled = RationalMatrix.from_rows(
             [[Fraction(1, (i + 1) * (j + 1)) for j in range(n)] for i in range(n)])
-        assert has_sap(families.complete(n), ones_scaled)
+        assert has_sap(kn, ones_scaled)
         zero = RationalMatrix.from_rows([[0] * n] * n)
-        assert not has_sap(families.empty(n), zero)
+        assert len(open_pairs(en, free_columns(zero))) == n * (n - 1) // 2
+        assert not has_sap(en, zero)
     p3 = adjacency_matrix(families.path(3))
     assert p3.nullity() == 1 and has_sap(families.path(3), p3)
+    # C4: the free vertices 3 and 4 are adjacent, so no pair is left open
+    c4 = families.cycle(4)
+    a = adjacency_matrix(c4)
+    assert a.nullity() == 2 and free_columns(a) == [2, 3] and open_pairs(c4, [2, 3]) == []
+    assert has_sap(c4, a)
+    # K_{1,3}: the free leaves 3 and 4 leave s_01 open, and of all the cells
+    # only the one at the pivot vertex 2, a leaf, holds it
+    star3 = families.star(3)
+    a = adjacency_matrix(star3)
+    assert a.nullity() == 2 and open_pairs(star3, free_columns(a)) == [(2, 3)]
+    u = list(zip(*library_kernel(a)))
+    cells = [(v, v) for v in star3.vertices()] + star3.edges()
+    assert [(i, j) for i, j in cells
+            if u[i - 1][0] * u[j - 1][1] + u[i - 1][1] * u[j - 1][0]] == [(2, 2)]
+    assert has_sap(star3, a)
+    # K_{1,4}: three open pairs over the leaves 3, 4, 5 and no property
+    star4 = families.star(4)
+    a = adjacency_matrix(star4)
+    assert a.nullity() == 3 and len(open_pairs(star4, free_columns(a))) == 3
+    assert not has_sap(star4, a)
 
 
 def test_perturbation_witness_on_non_sap_matrices(adjacency_corpus, clique_psd_corpus):
