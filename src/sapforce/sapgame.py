@@ -57,9 +57,10 @@ under each of Z, Zl and Zplus, with or without a cover, as each end lies
 inside the other.  So ``sap_closure`` plays ``first_move``, the first
 legal move in policy order, the one order that gives a trace, and
 ``_Game.close`` plays the cheapest order: triples to a stall, then one
-cycle move, and again.  Its triples come in rounds, every target of the
-local games at once, and the odd cycles are scanned only at a stall.  It
-ends in the same coloring.
+cycle move, and again.  Its triples come off a worklist, the local games
+whose white set changed since they were last read: it reads the least of
+them and colors all of that game's targets at once, and the odd cycles are
+scanned only at a stall.  It ends in the same coloring.
 Both stop once no white non-edge is left: a complete position has no move.
 """
 
@@ -205,14 +206,15 @@ class _Game:
 
     The start colors ``blue`` and every non-edge touching the bitset
     ``cover``.  Holds the white-adjacency masks, per vertex the targets of
-    its local game's first round as one bitset, and as one bitset
+    its local game's first round as one bitset (``first_move`` caches them;
+    ``close`` colors them as it reads them), and as one bitset
     ``may_cycle``, the vertices whose neighborhood can still hold an odd
     cycle, and as another, ``quiet``, the vertices of ``may_cycle`` whose
     last scan found no odd cycle, with no non-edge inside their
     neighborhood colored since: a quiet vertex would scan the same white
     graph again, so it is skipped.  Coloring {u,v} wakes the common
-    neighbours of u and v, and a round of ``close`` that colors anything
-    wakes every vertex.  The local game at k has white set ``white[k]``, so
+    neighbours of u and v, and a triple that ``close`` plays wakes every
+    vertex.  The local game at k has white set ``white[k]``, so
     ``zeroforcing._targets`` reads those targets off k's white partners, not
     off every blue vertex; a move's forcers are derived when they are asked
     for.  Vetoed forcers, those in ``cover`` that are not adjacent to k,
@@ -350,38 +352,47 @@ class _Game:
     def close(self) -> bool:
         """Play until no move is legal; does every non-edge end blue?
 
-        Plays triples to a stall, then one cycle move, and again.  Each round
-        colors every triple target in ``hits`` at once: a triple stays legal
-        while its non-edge is white, so each round is a play, and a non-edge
-        forced from both ends is colored twice to the same masks.  The odd
-        cycles are scanned only at a stall, up to the first one found.  The
-        play ends, True, as soon as no white non-edge is left, since a
-        complete position has no legal move: no stall scan is run there.  By
-        the lemma in the module docstring the play ends where
-        ``sap_closure`` ends."""
-        white, hits = self.white, self.hits
-        while any(white):
-            self._refresh_forces()
-            touched = 0
-            for k, hit in enumerate(hits):
-                if hit:
+        Plays triples to a stall, then one cycle move, and again.  The
+        triples come off a worklist, the stale local games and those whose
+        targets ``first_move`` left cached: it reads the least game k and
+        colors {j,k} for every target j at once, which marks j and k stale.
+        A triple stays legal while its non-edge is white, so each step is a
+        play; a game that is not stale has no target, since the local game
+        at k reads only ``white[k]``, so the worklist runs dry at a stall.
+        The odd cycles are scanned only there, up to the first one found.
+        The play ends, True, once no white non-edge is left, since a complete
+        position has no legal move: no stall scan is run there.  By the
+        lemma in the module docstring the play ends where ``sap_closure``
+        ends.  It leaves no game stale and no target cached."""
+        adj, rule, white, allowed, hits = self.g.adj, self.rule, self.white, self.allowed, self.hits
+        stale = self.stale_forces
+        for k, hit in enumerate(hits):
+            if hit:
+                # ``first_move`` leaves its targets cached on games it read
+                stale |= 1 << k
+                hits[k] = 0
+        while True:
+            while stale:
+                low = stale & -stale
+                stale ^= low
+                k = low.bit_length() - 1
+                if (w := white[k]) and (hit := _targets(adj, w, allowed[k] & ~w, rule)):
                     # color {j,k} for every target j
-                    white[k] &= ~hit
-                    touched |= hit | 1 << k
-                    clear_k = ~(1 << k)
+                    white[k] = w & ~hit
+                    stale |= hit | low
+                    # waking every vertex is exact: it only costs rescans
+                    self.quiet = 0
                     while hit:
-                        low = hit & -hit
-                        hit ^= low
-                        white[low.bit_length() - 1] &= clear_k
-            if touched:
-                # waking every vertex is exact: it only costs rescans
-                self.stale_forces |= touched
-                self.quiet = 0
-                continue
+                        j = hit & -hit
+                        hit ^= j
+                        white[j.bit_length() - 1] &= ~low
+            self.stale_forces = 0
+            if not any(white):
+                return True
             if (move := self._first_cycle()) is None:
                 return False
             self.play(move)
-        return True
+            stale = self.stale_forces
 
     def coloring(self) -> NonEdgeColoring:
         """The position as a coloring: blue are the non-edges whose white

@@ -127,23 +127,30 @@ def _one_neighbour(adj: Sequence[int], group: int) -> int:
 def _targets(adj: Sequence[int], white: int, allowed: int, rule: Rule) -> int:
     """The white vertices that some single force turns blue, the forcers
     taken from ``allowed`` (blue vertices); a Zl self-force needs no forcer.
-    Zplus forces are the Z forces into each white component."""
+    A forcer's one white neighbour is its target, so the targets are read
+    off the forcers' neighbourhoods, and under Zl only the white vertices
+    not hit that way are tested for self-forces.  Zplus forces are the Z
+    forces into each white component."""
     if rule is _ZPLUS:
         hit = 0
         for comp in _components(adj, white):
             hit |= _targets(adj, comp, allowed, _Z)
         return hit
     forcers = _one_neighbour(adj, white) & allowed
-    zl = rule is _ZL
     hit = 0
-    rest = white
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = adj[low.bit_length() - 1]
-        # a forcer next to a white vertex has no other white neighbour
-        if a & forcers or zl and a and not a & white:
-            hit |= low
+    while forcers:
+        low = forcers & -forcers
+        forcers ^= low
+        hit |= adj[low.bit_length() - 1]
+    hit &= white
+    if rule is _ZL:
+        rest = white & ~hit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = adj[low.bit_length() - 1]
+            if a and not a & white:
+                hit |= low
     return hit
 
 

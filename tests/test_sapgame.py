@@ -7,7 +7,7 @@ import pytest
 from sapforce import families, sapgame
 from sapforce.canon import enumerate_connected
 from sapforce.graphs import Graph, bits
-from sapforce.report import compute_report
+from sapforce.report import compute_report, survey_graphs
 from sapforce.sapgame import (NonEdgeColoring, OddCycleForce, TripleForce, _Game,
                               _start, format_sap_trace, is_zsap_zero,
                               odd_cycle_applications, replay_trace, sap_closure,
@@ -44,8 +44,8 @@ def closed_coloring(g, blue, rule, cover=()):
 
 
 def assert_close_matches_sap_closure(g, blue, rule, cover=()):
-    """``_Game.close`` plays in rounds, ``sap_closure`` in policy order; by
-    the move-order lemma both end in the same coloring."""
+    """``_Game.close`` plays off a worklist, ``sap_closure`` in policy
+    order; by the move-order lemma both end in the same coloring."""
     final, _ = sap_closure(g, blue, rule, cover)
     assert closed_coloring(g, blue, rule, cover) == final.blue_nonedges, \
         (g.to_graph6(), rule, sorted(blue), cover)
@@ -196,7 +196,8 @@ def triples_to_a_stall(g, blue, rule):
 
 
 def test_close_round_hits_one_non_edge_from_both_ends():
-    # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2)
+    # in P4's first round {2,4} is forced at 2 (3->4) and at 4 (3->2);
+    # ``close`` colors it at whichever of the two games it reads first
     p4 = families.path(4)
     moves = legal_moves(p4, (), Rule.Z)
     assert TripleForce(2, 3, 4) in moves and TripleForce(4, 3, 2) in moves
@@ -221,7 +222,7 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
     # from this start the cycle {1,2,5} in N(8) is no component until the
     # triples after the first stall color {1,4} and {4,5}; a closure must scan
     # N(8) again at the next stall, as one that kept the cycles found before
-    # those rounds stopped 7 non-edges short
+    # those triples stopped 7 non-edges short
     g = Graph.from_edges(8, [(1, 8), (2, 8), (3, 7), (4, 7), (4, 8), (5, 6), (5, 8), (6, 7)])
     start = [(2, 4), (5, 7), (6, 8)]
     assert [m.i for m in legal_moves(g, start, Rule.Z) if isinstance(m, OddCycleForce)] == [7]
@@ -232,10 +233,10 @@ def test_close_rescans_cycles_made_stale_by_triple_rounds():
 
 def test_close_wakes_quiet_vertices_after_a_triple_round():
     # from nothing under Z, the scan at the second stall finds no odd cycle
-    # in N(5), so 5 turns quiet, and plays (6->C); the triple rounds after
-    # that leave the cycle {1,4,7} in N(5), and a round wakes every vertex.
-    # A closure that kept 5 quiet through those rounds stalled with 14 of
-    # the 38 non-edges white
+    # in N(5), so 5 turns quiet, and plays (6->C); the triples after that
+    # leave the cycle {1,4,7} in N(5), and each triple ``close`` plays wakes
+    # every vertex.  A closure that kept 5 quiet through those triples
+    # stalled with 14 of the 38 non-edges white
     g = Graph.from_edges(11, [(1, 3), (1, 5), (1, 11), (2, 6), (2, 11), (3, 5), (3, 8),
                               (3, 9), (3, 11), (4, 5), (5, 7), (6, 7), (6, 10), (7, 8),
                               (8, 10), (9, 11), (10, 11)])
@@ -272,6 +273,45 @@ def test_close_from_a_vertex_cover_start():
     # forcer 4 is vetoed at its non-neighbours 1 and 2 only
     assert [set(bits(a)) for a in _Game(g, (), Rule.Z, 1 << 4).allowed[1:]] == \
         [{1, 2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}]
+
+
+def test_close_after_first_move_matches_a_fresh_close(connected_upto_6):
+    # ``first_move`` caches the targets of every game it reads and leaves
+    # none of them stale; ``close`` must play those targets too, and leave
+    # the position truthful, so that a later ``first_move`` finds no move at
+    # a stall.  A worklist that started from the stale games alone stopped
+    # short on most of these graphs
+    cases = 0
+    for g in connected_upto_6:
+        for rule in CONVENTIONAL_RULES:
+            for cover in (0, 1 << 1):
+                fresh = _Game(g, (), rule, cover)
+                done = fresh.close()
+                game = _Game(g, (), rule, cover)
+                game.first_move()
+                assert game.close() == done and game.white == fresh.white, \
+                    (g.to_graph6(), rule, cover)
+                assert game.first_move() is None
+                cases += 1
+    assert cases == 858
+
+
+def test_survey_reads_each_local_game_once_per_change(monkeypatch):
+    # ``close`` re-reads a local game only when its white set changed, and
+    # colors all of its targets at once.  A closure in rounds, which reads
+    # every stale game before it colors any target, makes 12,124 reads here
+    reads = 0
+    targets = sapgame._targets
+
+    def counted(*args):
+        nonlocal reads
+        reads += 1
+        return targets(*args)
+
+    monkeypatch.setattr(sapgame, "_targets", counted)
+    row = survey_graphs(list(enumerate_connected(7)), 7)
+    assert (row.zsap0, row.zsapl0, row.zsapp0) == (628, 756, 757)
+    assert reads == 10992
 
 
 def test_a_complete_position_scans_no_cycles(kite, monkeypatch):
@@ -694,6 +734,30 @@ def test_first_move_matches_reference_along_closures_n8():
         for rule in CONVENTIONAL_RULES:
             positions += len(assert_same_closure(g, (), rule)) + 1
     assert positions == 387780
+
+
+@pytest.mark.slow
+def test_close_matches_sap_closure_on_relabeled_n8():
+    """``close`` ends in ``sap_closure``'s final coloring on every connected
+    8-vertex graph, each relabeled by one seeded permutation (the order in
+    which ``close`` reads its local games follows the labels): from the
+    empty start under Z, Zl and Zplus, and up the chain Z, Zl, Zplus on one
+    position, as ``survey_graphs`` plays it."""
+    rng = random.Random(8)
+    graphs = 0
+    for g in enumerate_connected(8):
+        order = list(g.vertices())
+        rng.shuffle(order)
+        g = g.relabel([0] + order)
+        chain = _Game(g, ())
+        for rule in CONVENTIONAL_RULES:
+            final, _ = sap_closure(g, (), rule)
+            assert closed_coloring(g, (), rule) == final.blue_nonedges, (g.to_graph6(), rule)
+            chain.set_rule(rule)
+            assert chain.close() == final.is_complete(), (g.to_graph6(), rule)
+            assert chain.coloring() == final, (g.to_graph6(), rule)
+        graphs += 1
+    assert graphs == 11117
 
 
 def test_chain_continuation_matches_empty_start(connected_upto_7):
