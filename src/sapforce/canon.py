@@ -14,11 +14,20 @@ As in nauty, the automorphisms the search finds generate the whole
 automorphism group (checked by brute force on every graph with n <= 7);
 ``automorphism_generators`` returns them.
 
+The search may also start from automorphisms known in advance (seeds).  A
+seed that fixes a node's individualized vertices maps a searched child's
+subtree onto a skipped child's just as a found one does, so the labeling
+and word are those of the unseeded search; and since every skipped child is
+an image under the group the seeds and found automorphisms generate, the two
+together still generate the whole group.
+
 Enumeration extends each (n-1)-vertex class by a new vertex n, with one
 neighbourhood per orbit of the class's automorphism group, keeps only the
 extensions in which n has the greatest isomorphism invariant (degree, then
 sorted neighbour degrees), and de-duplicates those by canonical word; this
-covers the n <= 8 range the project needs.
+covers the n <= 8 range the project needs.  Each extension's search is
+seeded with the parent's generators that fix its neighbourhood of n, which
+are automorphisms of the extension once extended by n -> n.
 """
 
 from __future__ import annotations
@@ -100,20 +109,27 @@ def _find(root: list[int], x: int) -> int:
     return x
 
 
-def _search(n: int, adj: Sequence[int]) -> tuple[list[int], int, list[list[int]]]:
+def _search(n: int, adj: Sequence[int],
+            known: Sequence[list[int]] = ()) -> tuple[list[int], int, list[list[int]]]:
     """The first leaf, in search order, of least adjacency word, that word,
-    and the automorphisms found (as images, slot 0 fixed).
+    and the automorphisms known and found (as images, slot 0 fixed).
 
     Children of a node are its target cell's vertices in increasing order.
     A leaf whose word equals the first or the best leaf's word gives an
     automorphism mapping that leaf to it, which fixes the vertices the two
     paths share; the rest of the current child of their deepest shared node
     is then the image of a child already searched.
+
+    ``known`` holds automorphisms of the graph given in advance.  They prune
+    from the first node on, like found ones: a skipped child is still the
+    image of a searched one under an automorphism fixing the path, so the
+    labeling and word do not depend on them, and the returned list, which
+    starts with them, still generates the automorphism group.
     """
     if n == 0:
         return [], 0, []
     path: list[int] = []
-    autos: list[list[int]] = []
+    autos = list(known)
     refs: list[tuple[list[int], tuple[int, ...], int]] = []  # first, best leaf
 
     def leaf(order: list[int]) -> int:
@@ -230,6 +246,11 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     parent's greatest degree, or holds a vertex of degree |S| or more (one
     bitset test against ``ge``); its orbit loses too.  Only the vertices
     that end with n's degree have their neighbour degrees compared.
+
+    A generator p whose table fixes the index of S maps S onto itself, so p
+    extended by n -> n is an automorphism of the extension by S.  Those
+    generators seed the extension's search, which then need not rediscover
+    them leaf by leaf; its word is that of the unseeded search.
     """
     if n <= 1:
         return (Graph.empty(n),)
@@ -238,8 +259,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     for base in _all_graphs(n - 1):
         # a neighbour set of n, a bitset of 1..n-1, is indexed by mask >> 1,
         # and a generator's table maps each index to its image's
+        gens = automorphism_generators(base)
         images = []
-        for p in automorphism_generators(base):
+        for p in gens:
             image = [0]
             for v in range(1, n):
                 bit = 1 << p[v] >> 1
@@ -272,7 +294,8 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
             if tied and not _wins_ties(adj, [d + (m >> v & 1) for v, d in enumerate(degree)]
                                        + [size], tied):
                 continue
-            word = _search(n, adj)[1]
+            seeds = [p + [n] for p, image in zip(gens, images) if image[i] == i]
+            word = _search(n, adj, seeds)[1]
             if word not in out:
                 out[word] = _word_graph(n, word)
     return tuple(sorted(out.values(), key=Graph.to_graph6))

@@ -6,7 +6,9 @@ the inverse Euler transform (connected classes); neither touches the
 canonicalizer.  Canonical-form semantics are checked against brute-force
 permutation isomorphism on small graphs.  The pruned search and the filtered
 enumeration are checked against a kept reference: the search that visits
-every leaf and the enumeration that canonicalizes every extension.  The
+every leaf and the enumeration that canonicalizes every extension; each
+extension's search seeded with parent automorphisms against the same search
+unseeded, and its automorphisms against a brute-force group order.  The
 refinement is also checked against its first bitset version, which tested
 every cell in full, off the partitions the enumeration reaches.
 """
@@ -382,24 +384,58 @@ def test_enumeration_matches_classes8_refs():
     assert [g.to_graph6() for g in enumerate_graphs(8)] == want
 
 
+def searched_extensions(monkeypatch, n):
+    """The adjacency lists and seeds of the extensions that ``_all_graphs(n)``
+    canonicalizes, from a cleared cache."""
+    calls = []
+    search = canon._search
+
+    def recorded(m, adj, known=()):
+        if m == n:
+            calls.append((adj, known))
+        return search(m, adj, known)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(canon, "_search", recorded)
+        canon._all_graphs.cache_clear()
+        canon._all_graphs(n)
+    return calls
+
+
 @pytest.mark.parametrize("n, classes, searches",
                          [(7, 1044, 1090), pytest.param(8, 12346, 13178, marks=pytest.mark.slow)])
 def test_enumeration_searches_one_extension_per_orbit(monkeypatch, n, classes, searches):
     """Extensions of a parent that its automorphisms map onto each other are
     canonicalized once: exact counts, since the generators are complete for
     every parent (checked below)."""
-    extensions = []
-    search = canon._search
-
-    def counted(m, adj):
-        if m == n:
-            extensions.append(adj)
-        return search(m, adj)
-
-    monkeypatch.setattr(canon, "_search", counted)
-    canon._all_graphs.cache_clear()
+    assert len(searched_extensions(monkeypatch, n)) == searches
     assert len(list(enumerate_graphs(n))) == classes
-    assert len(extensions) == searches
+
+
+@pytest.mark.parametrize("sizes", [range(2, 8), pytest.param([8], marks=pytest.mark.slow)],
+                         ids=["n<=7", "n=8"])
+def test_seeded_search_matches_unseeded(monkeypatch, sizes):
+    """Each extension's search, seeded with the parent generators that fix
+    its neighbourhood, gives the labeling and word of the unseeded search,
+    and every seed is an automorphism of the extension."""
+    seeded = 0
+    for n in sizes:
+        for adj, seeds in searched_extensions(monkeypatch, n):
+            g = Graph(n, tuple(adj))
+            assert all(is_automorphism(g, p) for p in seeds)
+            assert canon._search(n, adj, seeds)[:2] == canon._search(n, adj)[:2], g.to_graph6()
+            seeded += bool(seeds)
+    assert seeded  # the comparison saw seeds
+
+
+def test_seeded_search_generates_the_group(monkeypatch):
+    """The seeds and the automorphisms a seeded search finds generate the
+    extension's whole group, on every extension searched with n <= 6."""
+    for n in range(2, 7):
+        for adj, seeds in searched_extensions(monkeypatch, n):
+            g = Graph(n, tuple(adj))
+            gens = canon._search(n, adj, seeds)[2]
+            assert generated_order(n, gens) == brute_force_automorphism_count(g), g.to_graph6()
 
 
 @pytest.mark.parametrize("sizes", [range(1, 7), pytest.param([7], marks=pytest.mark.slow)],
@@ -431,3 +467,21 @@ def test_symmetric_graph_visits_few_leaves(monkeypatch, g, g6):
     assert 0 < len(leaves) <= 20  # a search without pruning visits all 10! leaves
     gens = automorphism_generators(g)
     assert gens and all(is_automorphism(g, p) for p in gens)
+
+
+def test_seeded_enumeration_encodes_few_leaves(monkeypatch):
+    """Leaves encoded by ``enumerate_graphs(7)`` from a cleared cache, the
+    parents' generator searches included: an exact count, which grows to
+    4,199 when the extensions' searches are not seeded."""
+    leaves = 0
+    encode = canon._encode_labeling
+
+    def counted(adj, order):
+        nonlocal leaves
+        leaves += 1
+        return encode(adj, order)
+
+    monkeypatch.setattr(canon, "_encode_labeling", counted)
+    canon._all_graphs.cache_clear()
+    assert len(list(enumerate_graphs(7))) == 1044
+    assert leaves == 2478
